@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 from . import __version__
 from .construct import ConstructionError, construct_balls
@@ -34,18 +35,11 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
 
+# every other key is a GeometryConfig or TrainConfig field, with its default
 DEFAULTS: dict[str, object] = {
-    "seed": 0,
     "levels": "0,1,2,3,4",
-    "epsilon": 1e-9,
-    "margin": 1.25,
-    "leaf_radius": 0.1,
-    "code_width": 16,
-    "prefix_weight": 1.0,
-    "window_k": 4,
-    "lr": 0.01,
-    "epochs": 50,
-    "batch_size": 32,
+    **asdict(GeometryConfig()),
+    **asdict(TrainConfig()),
 }
 
 
@@ -89,22 +83,11 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict[str, o
 
 
 def _geometry(cfg: dict) -> GeometryConfig:
-    return GeometryConfig(
-        epsilon=cfg["epsilon"],
-        margin=cfg["margin"],
-        initial_leaf_radius=cfg["leaf_radius"],
-        extension_code_width=cfg["code_width"],
-    )
+    return GeometryConfig(**{f.name: cfg[f.name] for f in fields(GeometryConfig)})
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        window_k=cfg["window_k"],
-        lr=cfg["lr"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-    )
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
 
 def _levels(cfg: dict) -> list[int]:
@@ -158,22 +141,17 @@ def cmd_build_balls(args, cfg) -> int:
     inventory = load_inventory(args.inventory)
     table = load_embeddings(args.embeddings)
     geo = _geometry(cfg)
-    try:
-        balls = construct_balls(inventory.taxonomy, table, geo,
-                                prefix_weight=cfg["prefix_weight"])
-    except ConstructionError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
+    balls = construct_balls(inventory.taxonomy, table, geo)
+    report = verify_configuration(balls, inventory.taxonomy, geo)
+    print(report.render())
+    if not report.ok:
         return EXIT_VERIFY
     out = _ensure_out(args)
     ball_path = os.path.join(out, "balls.tsv")
     save_balls(balls, ball_path)
-    report = verify_configuration(balls, inventory.taxonomy, geo)
     report_path = os.path.join(out, "verify-report.txt")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.render() + "\n")
-    print(report.render())
-    if not report.ok:
-        return EXIT_VERIFY
     write_manifest(out, "build-balls", cfg,
                    [args.inventory, args.embeddings], [ball_path, report_path])
     return EXIT_OK
@@ -380,7 +358,7 @@ def main(argv=None) -> int:
     except (CorpusError, TaxonomyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .embeddings import EmbeddingTable, hash_unit_vector
-from .geometry import Ball, BallConfiguration, GeometryConfig, verify_configuration
+from .geometry import Ball, BallConfiguration, GeometryConfig
 from .inventory import SenseId, Taxonomy
 
 # relative slack added to every separation distance so float noise can
@@ -43,21 +43,29 @@ class ConstructionError(RuntimeError):
     pass
 
 
-def _slot_map(taxonomy: Taxonomy, width: int) -> dict[tuple[int, int], int]:
+def _preorder(taxonomy: Taxonomy) -> list[tuple[SenseId, int]]:
+    """(node, depth) for every node, each parent listed before its children.
+
+    An explicit stack instead of recursion, so depth is bounded by memory
+    rather than by the interpreter's recursion limit.
+    """
+    order: list[tuple[SenseId, int]] = []
+    stack = [(root, 0) for root in taxonomy.roots()]
+    while stack:
+        node, depth = stack.pop()
+        order.append((node, depth))
+        stack.extend((kid, depth + 1) for kid in taxonomy.children_of(node))
+    return order
+
+
+def _slot_map(taxonomy: Taxonomy, order, width: int) -> dict[tuple[int, int], int]:
     """Assign each used (depth, child-index) pair an extension axis.
 
     Pairs get distinct axes while they fit; overflow wraps around, which
     only costs packing density, never correctness.
     """
-    used: set[tuple[int, int]] = set()
-
-    def walk(node: SenseId, depth: int):
-        for idx, kid in enumerate(taxonomy.children_of(node), start=1):
-            used.add((depth + 1, idx))
-            walk(kid, depth + 1)
-
-    for root in taxonomy.roots():
-        walk(root, 0)
+    used = {(depth + 1, idx) for node, depth in order
+            for idx in range(1, len(taxonomy.children_of(node)) + 1)}
     return {pair: pos % width for pos, pair in enumerate(sorted(used))}
 
 
@@ -98,78 +106,76 @@ def _pack_offsets(radii: list[float], axes: list[int], width: int) -> list[tuple
 
 
 class _Builder:
-    def __init__(self, taxonomy: Taxonomy, table: EmbeddingTable, cfg: GeometryConfig,
-                 prefix_weight: float):
+    def __init__(self, taxonomy: Taxonomy, table: EmbeddingTable, cfg: GeometryConfig):
         self.tax = taxonomy
         self.table = table
         self.cfg = cfg
-        self.pw = prefix_weight
         self.pdim = table.dim
-        self.width = cfg.extension_code_width
-        self.dim = table.dim + cfg.extension_code_width
-        self.slots = _slot_map(taxonomy, cfg.extension_code_width)
+        self.width = cfg.code_width
+        self.dim = table.dim + cfg.code_width
+        self.order = _preorder(taxonomy)
+        self.slots = _slot_map(taxonomy, self.order, cfg.code_width)
 
-    def build(self, node: SenseId, depth: int) -> dict[SenseId, list]:
-        prefix = self.pw * _unit_prefix(self.table, node.lemma)
-        kids = self.tax.children_of(node)
-        if not kids:
-            center = np.concatenate([prefix, np.zeros(self.width)])
-            return {node: [center, self.cfg.initial_leaf_radius]}
-
-        subtrees = [(kid, self.build(kid, depth + 1)) for kid in kids]
-        radii = [balls[kid][1] for kid, balls in subtrees]
-        axes = [self.slots[(depth + 1, idx)] for idx in range(1, len(kids) + 1)]
+    def pack(self, subtrees, axes: list[int]) -> dict[SenseId, list]:
+        """Translate each (top, balls) subtree rigidly so its top ball sits
+        at its offset along its axis, and merge the subtrees."""
+        radii = [balls[top][1] for top, balls in subtrees]
         offsets = _pack_offsets(radii, axes, self.width)
-
         merged: dict[SenseId, list] = {}
-        tops: list[tuple[np.ndarray, float]] = []
-        for (kid, balls), (axis, dist) in zip(subtrees, offsets):
-            shift = -balls[kid][0][self.pdim:].copy()
+        for (top, balls), (axis, dist) in zip(subtrees, offsets):
+            shift = -balls[top][0][self.pdim:].copy()
             shift[axis] += dist
             for entry in balls.values():
                 entry[0][self.pdim:] += shift
             merged.update(balls)
-            tops.append((balls[kid][0], balls[kid][1]))
-
-        ext_centroid = np.mean([c[self.pdim:] for c, _ in tops], axis=0)
-        center = np.concatenate([prefix, ext_centroid])
-        reach = max(float(np.linalg.norm(c - center)) + r for c, r in tops)
-        merged[node] = [center, self.cfg.margin * reach]
         return merged
+
+    def build(self) -> dict[SenseId, dict[SenseId, list]]:
+        """Balls of every root's tree, keyed by root.
+
+        Post-order: a node is wrapped once all its children are, so every
+        ball receives its ancestors' shifts deepest first.
+        """
+        built: dict[SenseId, dict[SenseId, list]] = {}
+        for node, depth in reversed(self.order):
+            prefix = self.cfg.prefix_weight * _unit_prefix(self.table, node.lemma)
+            kids = self.tax.children_of(node)
+            if not kids:
+                center = np.concatenate([prefix, np.zeros(self.width)])
+                built[node] = {node: [center, self.cfg.leaf_radius]}
+                continue
+            axes = [self.slots[(depth + 1, idx)] for idx in range(1, len(kids) + 1)]
+            merged = self.pack([(kid, built.pop(kid)) for kid in kids], axes)
+            tops = [merged[kid] for kid in kids]
+            ext_centroid = np.mean([c[self.pdim:] for c, _ in tops], axis=0)
+            center = np.concatenate([prefix, ext_centroid])
+            reach = max(float(np.linalg.norm(c - center)) + r for c, r in tops)
+            merged[node] = [center, self.cfg.margin * reach]
+            built[node] = merged
+        return built
 
 
 def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
-                    cfg: GeometryConfig | None = None, *,
-                    prefix_weight: float = 1.0) -> BallConfiguration:
-    """Build one ball per taxonomy node and verify the result.
+                    cfg: GeometryConfig | None = None) -> BallConfiguration:
+    """Build one ball per taxonomy node.
 
-    Deterministic: identical inputs give bit-identical output.  Raises
-    ConstructionError if the finished configuration fails verification.
+    Deterministic: identical inputs give bit-identical output.  The result
+    is not verified here; `verify_configuration` checks it.  Raises
+    ConstructionError if the taxonomy has no roots.
     """
     cfg = cfg or GeometryConfig()
-    if prefix_weight <= 0.0:
-        raise ValueError("prefix_weight must be positive")
     roots = taxonomy.roots()
     if not roots:
         raise ConstructionError("taxonomy has no roots")
 
-    builder = _Builder(taxonomy, table, cfg, prefix_weight)
-    forests = [(r, builder.build(r, 0)) for r in roots]
-
-    merged: dict[SenseId, list] = {}
-    if len(forests) == 1:
-        merged.update(forests[0][1])
+    builder = _Builder(taxonomy, table, cfg)
+    forests = builder.build()
+    if len(roots) == 1:
+        merged = forests[roots[0]]
     else:
         # co-roots have no covering parent but still must be disjoint
-        radii = [balls[r][1] for r, balls in forests]
-        axes = [i % builder.width for i in range(len(forests))]
-        offsets = _pack_offsets(radii, axes, builder.width)
-        for (root, balls), (axis, dist) in zip(forests, offsets):
-            shift = -balls[root][0][builder.pdim:].copy()
-            shift[axis] += dist
-            for entry in balls.values():
-                entry[0][builder.pdim:] += shift
-            merged.update(balls)
+        merged = builder.pack([(r, forests[r]) for r in roots],
+                              [i % builder.width for i in range(len(roots))])
 
     # final homothety into the unit ball
     outer = max(float(np.linalg.norm(c)) + r for c, r in merged.values())
@@ -178,8 +184,4 @@ def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
         str(node): Ball(str(node), c * scale, r * scale)
         for node, (c, r) in merged.items()
     }
-    config = BallConfiguration(dim=builder.dim, embedding_prefix_dim=builder.pdim, balls=balls)
-    report = verify_configuration(config, taxonomy, cfg)
-    if not report.ok:
-        raise ConstructionError("constructed configuration fails verification:\n" + report.render())
-    return config
+    return BallConfiguration(dim=builder.dim, embedding_prefix_dim=builder.pdim, balls=balls)

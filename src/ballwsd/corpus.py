@@ -105,11 +105,6 @@ def save_records(records, path, with_original: bool | None = None) -> None:
                 fh.write(f"{r.target}\t{idx}\t{toks}\n")
 
 
-def filter_by_ball_coverage(records, config: BallConfiguration) -> list[TrainingRecord]:
-    """Keep records whose target sense has a ball."""
-    return [r for r in records if str(r.target) in config]
-
-
 def lift_to_level(records, taxonomy: Taxonomy, level: int, config: BallConfiguration) -> list[TrainingRecord]:
     """Rewrite targets to the level-th hypernym of each record's original sense.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,11 +62,6 @@ class EncoderParams:
             self.head_hidden = 2 * self.dim
         if self.dim % self.heads != 0:
             raise ValueError(f"model width {self.dim} not divisible by {self.heads} heads")
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.dim, self.out_dim, self.layers, self.heads,
-                             self.head_hidden, self.seed,
-                             {k: v.copy() for k, v in self.arrays.items()})
 
 
 def init_params(dim: int, out_dim: int, layers: int = 2, heads: int = 2,
@@ -124,6 +119,8 @@ def _check_finite(x, where: str):
         raise FloatingPointError(f"non-finite activations in {where}")
 
 
+# overflow ends up as non-finite activations, which _check_finite reports
+@np.errstate(over="ignore", invalid="ignore")
 def _forward(p: EncoderParams, T: np.ndarray, C: np.ndarray, keep: bool):
     """Batched forward pass.  T, C: (B, dim).  Returns (V, cache)."""
     a = p.arrays
@@ -272,14 +269,6 @@ def _cosine_loss_grad(V: np.ndarray, Y: np.ndarray):
     return loss, dV
 
 
-def loss(params: EncoderParams, t_vec, c_vec, target) -> float:
-    """1 - cos between the encoded vector and a target center."""
-    V = forward(params, t_vec, c_vec).reshape(1, -1)
-    Y = np.asarray(target, dtype=np.float64).reshape(1, -1)
-    value, _ = _cosine_loss_grad(V, Y)
-    return value
-
-
 def batch_loss_and_grads(params: EncoderParams, T, C, Y):
     """Loss plus gradients for every parameter array, for one batch."""
     out, cache = _forward(params, T, C, keep=True)
@@ -385,13 +374,7 @@ def save_encoder(params: EncoderParams, path, train_config: TrainConfig | None =
         },
     }
     if train_config is not None:
-        doc["train_config"] = {
-            "window_k": train_config.window_k,
-            "lr": train_config.lr,
-            "epochs": train_config.epochs,
-            "batch_size": train_config.batch_size,
-            "seed": train_config.seed,
-        }
+        doc["train_config"] = asdict(train_config)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
@@ -415,7 +398,8 @@ def load_encoder(path) -> tuple[EncoderParams, TrainConfig | None]:
                            doc["head_hidden"], doc["seed"], arrays)
     tc = None
     if "train_config" in doc:
-        c = doc["train_config"]
-        tc = TrainConfig(window_k=c["window_k"], lr=c["lr"], epochs=c["epochs"],
-                         batch_size=c["batch_size"], seed=c["seed"])
+        try:
+            tc = TrainConfig(**doc["train_config"])
+        except TypeError as exc:
+            raise ValueError(f"{path}: bad train_config: {exc}") from exc
     return params, tc

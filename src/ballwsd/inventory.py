@@ -110,12 +110,6 @@ class Taxonomy:
             cur = self._parent[cur]
         return out
 
-    def depth(self, node: SenseId) -> int:
-        return len(self.ancestors(node))
-
-    def is_leaf(self, node: SenseId) -> bool:
-        return not self._children.get(node)
-
 
 @dataclass
 class Inventory:

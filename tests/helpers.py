@@ -1,5 +1,7 @@
 """Shared generators for tests: random taxonomies and embedding tables."""
 
+import copy
+
 import numpy as np
 
 from ballwsd.embeddings import EmbeddingTable
@@ -85,7 +87,7 @@ def gradient_check(params, T, C, Y, h: float, n_coords: int,
         idx = int(rng.integers(0, params.arrays[name].size))
         probes = []
         for delta in (h, -h):
-            p = params.copy()
+            p = copy.deepcopy(params)
             p.arrays[name].flat[idx] += delta
             probes.append(p)
         signs = [activation_signs(p, T, C) for p in probes]

@@ -8,6 +8,7 @@ from ballwsd.cli import main, resolve_config, DEFAULTS, UsageError
 from ballwsd.corpus import parse_annotated_corpus
 from ballwsd.embeddings import EmbeddingTable, save_embeddings
 from ballwsd.encoder import init_params, load_encoder
+from ballwsd.geometry import VerificationReport, Violation
 from ballwsd.inventory import SenseId
 
 EDGES = (
@@ -128,6 +129,23 @@ class TestBuildVerify:
         assert manifest["outputs"][str(balls)] == want
         assert "time" not in " ".join(manifest).lower()
 
+    def test_failed_verification_writes_nothing(self, workspace, monkeypatch):
+        bad = VerificationReport(violations=[Violation("containment", "move.n.01",
+                                                       "fly.n.01", 1.0)])
+        monkeypatch.setattr("ballwsd.cli.verify_configuration", lambda *a: bad)
+        out_dir = workspace["dir"] / "build"
+        code = main(["build-balls", "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]), "--out", str(out_dir)])
+        assert code == 3
+        for name in ("balls.tsv", "verify-report.txt", "manifest-build-balls.json"):
+            assert not (out_dir / name).exists()
+
+    def test_deep_chain_builds(self, workspace):
+        # deeper than the default recursion limit
+        edges = "".join(f"w.n.{i + 1:02d}\tw.n.{i:02d}\n" for i in range(1, 1200))
+        workspace["inventory"].write_text("w.n.01\t-\n" + edges)
+        build(workspace)
+
     def test_missing_embeddings_is_data_error(self, workspace):
         code = main(["build-balls", "--inventory", str(workspace["inventory"]),
                      "--embeddings", str(workspace["dir"] / "nope.txt"),
@@ -223,6 +241,27 @@ class TestTrainEval:
                      "--balls", str(balls),
                      "--out", str(workspace["dir"] / "m")])
         assert code == 2
+
+
+class TestOneLineErrors:
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_training_is_data_error(self, workspace, capsys):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        capsys.readouterr()
+        code = main(["train", "--corpus", str(data / "dataset-l1.tsv"),
+                     "--embeddings", str(workspace["embeddings"]), "--balls", str(balls),
+                     "--out", str(workspace["dir"] / "m"), "--set", "lr=1e200"])
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_empty_inventory_is_verification_failure(self, workspace, capsys):
+        workspace["inventory"].write_text("")
+        code = main(["build-balls", "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]),
+                     "--out", str(workspace["dir"] / "b")])
+        assert code == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestQuery:

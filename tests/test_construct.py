@@ -31,7 +31,7 @@ class TestInvariants:
     def test_dimension_layout(self):
         tax, table, balls, cfg = build_random(0, 30, 10)
         assert balls.embedding_prefix_dim == table.dim == 10
-        assert balls.dim == table.dim + cfg.extension_code_width
+        assert balls.dim == table.dim + cfg.code_width
 
     def test_prefix_is_positive_multiple_of_word_vector(self):
         tax, table, balls, _ = build_random(1, 50, 12)
@@ -92,17 +92,19 @@ class TestContainmentSemantics:
         tax = Taxonomy(parent)
         rng = np.random.default_rng(6)
         table = random_table(rng, tax, 8)
-        cfg = GeometryConfig(extension_code_width=16)
+        cfg = GeometryConfig(code_width=16)
         balls = construct_balls(tax, table, cfg)
         assert verify_configuration(balls, tax, cfg).ok
 
-    def test_forest_roots_disconnected(self):
-        r1, r2, r3 = (SenseId(f"r{i}", "n", 1) for i in range(3))
+    @pytest.mark.parametrize("code_width", [16, 2])
+    def test_forest_roots_disconnected(self, code_width):
+        # 5 co-roots: with code_width=2 they wrap around and share axes
+        roots = [SenseId(f"r{i}", "n", 1) for i in range(5)]
         k1, k2 = SenseId("k", "n", 1), SenseId("k", "n", 2)
-        tax = Taxonomy({r1: None, r2: None, r3: None, k1: r1, k2: r2})
+        tax = Taxonomy({**{r: None for r in roots}, k1: roots[0], k2: roots[1]})
         rng = np.random.default_rng(7)
         table = random_table(rng, tax, 5)
-        cfg = GeometryConfig()
+        cfg = GeometryConfig(code_width=code_width)
         balls = construct_balls(tax, table, cfg)
         assert verify_configuration(balls, tax, cfg).ok
 
@@ -138,7 +140,7 @@ class TestDeterminism:
 
 class TestConfigKnobs:
     def test_wider_code_width_works(self):
-        tax, table, balls, cfg = build_random(10, 60, 8, extension_code_width=32)
+        tax, table, balls, cfg = build_random(10, 60, 8, code_width=32)
         assert balls.dim == 8 + 32
         assert verify_configuration(balls, tax, cfg).ok
 
@@ -151,8 +153,8 @@ class TestConfigKnobs:
         tax = random_taxonomy(rng, 20)
         table = random_table(rng, tax, 6, zero_prob=0.0)
         cfg = GeometryConfig()
-        small = construct_balls(tax, table, cfg, prefix_weight=0.1)
-        large = construct_balls(tax, table, cfg, prefix_weight=10.0)
+        small = construct_balls(tax, table, GeometryConfig(prefix_weight=0.1))
+        large = construct_balls(tax, table, GeometryConfig(prefix_weight=10.0))
         assert verify_configuration(small, tax, cfg).ok
         assert verify_configuration(large, tax, cfg).ok
 
@@ -160,5 +162,5 @@ class TestConfigKnobs:
             c = cfgb.get(str(node)).center
             return np.linalg.norm(c[:6]) / np.linalg.norm(c)
 
-        leaf = [n for n in tax.nodes() if tax.is_leaf(n)][0]
+        leaf = [n for n in tax.nodes() if not tax.children_of(n)][0]
         assert prefix_share(large, leaf) > prefix_share(small, leaf)

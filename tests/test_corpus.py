@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ballwsd.corpus import (CorpusError, TrainingRecord, dataset_report,
-                            filter_by_ball_coverage, lift_to_level,
-                            parse_annotated_corpus, save_records)
+                            lift_to_level, parse_annotated_corpus,
+                            save_records)
 from ballwsd.geometry import Ball, BallConfiguration
 from ballwsd.inventory import SenseId, Taxonomy, hypernym_at
 
@@ -143,7 +143,7 @@ class TestLifting:
         balls = ball_config([AIM, GOAL])
         recs = [TrainingRecord(AIM, AIM, TOKENS, (4,)),
                 TrainingRecord(CONTENT, CONTENT, ("x",), (0,))]
-        assert lift_to_level(recs, tax, 0, balls) == filter_by_ball_coverage(recs, balls)
+        assert lift_to_level(recs, tax, 0, balls) == [recs[0]]
 
     def test_drops_when_hypernym_missing_ball(self):
         tax = aim_taxonomy()

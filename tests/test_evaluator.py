@@ -122,10 +122,10 @@ class TestSyntheticFixture:
                                     records_per_sense=1, chain_levels=3)
         tax = fx.taxonomy
         for leaf in fx.leaves:
-            assert tax.depth(leaf) == 1 + 3 + 1   # top + chain + root
+            assert len(tax.ancestors(leaf)) == 1 + 3 + 1   # top + chain + root
         flat = make_synthetic_fixture(seed=0, n_top=3, senses_per_parent=2,
                                       records_per_sense=1, chain_levels=0)
-        assert all(flat.taxonomy.depth(leaf) == 2 for leaf in flat.leaves)
+        assert all(len(flat.taxonomy.ancestors(leaf)) == 2 for leaf in flat.leaves)
 
     def test_record_counts_and_targets(self):
         fx = make_synthetic_fixture(seed=1, n_top=2, senses_per_parent=2,

@@ -130,9 +130,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             GeometryConfig(margin=1.0)
         with pytest.raises(ValueError):
-            GeometryConfig(initial_leaf_radius=0.0)
+            GeometryConfig(leaf_radius=0.0)
         with pytest.raises(ValueError):
-            GeometryConfig(extension_code_width=0)
+            GeometryConfig(code_width=0)
+        with pytest.raises(ValueError):
+            GeometryConfig(prefix_weight=0.0)
 
     def test_ball_configuration_validation(self):
         b = ball("a.n.01", [0.0, 0.0, 0.0], 1.0)

@@ -56,8 +56,8 @@ class TestTaxonomy:
         assert tax.parent_of(g) == h and tax.parent_of(e) is None
         assert tax.children_of(m) == [d, h]
         assert tax.ancestors(g) == [h, m, e]
-        assert tax.depth(g) == 3 and tax.depth(e) == 0
-        assert tax.is_leaf(g) and not tax.is_leaf(m)
+        assert len(tax.ancestors(e)) == 0
+        assert not tax.children_of(g) and tax.children_of(m)
         assert len(tax) == 5 and g in tax
 
     def test_unknown_node_raises(self):
@@ -89,7 +89,7 @@ class TestTaxonomy:
                     assert node in tax.roots()
                 else:
                     assert node in tax.children_of(par)
-                    assert tax.depth(node) == tax.depth(par) + 1
+                    assert len(tax.ancestors(node)) == len(tax.ancestors(par)) + 1
 
 
 class TestLoadInventory:
