@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .construct import ConstructionError, construct_balls
@@ -61,7 +61,21 @@ def _coerce(key: str, raw: str):
         raise UsageError(f"config key {key!r} expects {kind.__name__}, got {raw!r}")
 
 
-def resolve_config(config_path: str | None, overrides: list[str]) -> dict[str, object]:
+@dataclass(frozen=True)
+class Config:
+    """The resolved key=value table plus the settings built from it.
+
+    `resolve_config` builds them before any command runs, so a bad value
+    is a usage error whichever command reads it.
+    """
+
+    values: dict[str, object]
+    geometry: GeometryConfig
+    train: TrainConfig
+    levels: list[int]
+
+
+def resolve_config(config_path: str | None, overrides: list[str]) -> Config:
     """Defaults, then config-file lines, then --set pairs; later wins."""
     cfg = dict(DEFAULTS)
     if config_path:
@@ -79,15 +93,14 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict[str, o
             raise UsageError(f"--set expects key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
         cfg[key] = _coerce(key, raw)
-    return cfg
+    return Config(cfg, _build(GeometryConfig, cfg), _build(TrainConfig, cfg), _levels(cfg))
 
 
-def _geometry(cfg: dict) -> GeometryConfig:
-    return GeometryConfig(**{f.name: cfg[f.name] for f in fields(GeometryConfig)})
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
+def _build(cls, cfg: dict):
+    try:
+        return cls(**{f.name: cfg[f.name] for f in fields(cls)})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _levels(cfg: dict) -> list[int]:
@@ -140,9 +153,8 @@ def _ensure_out(args) -> str:
 def cmd_build_balls(args, cfg) -> int:
     inventory = load_inventory(args.inventory)
     table = load_embeddings(args.embeddings)
-    geo = _geometry(cfg)
-    balls = construct_balls(inventory.taxonomy, table, geo)
-    report = verify_configuration(balls, inventory.taxonomy, geo)
+    balls = construct_balls(inventory.taxonomy, table, cfg.geometry)
+    report = verify_configuration(balls, inventory.taxonomy, cfg.geometry)
     print(report.render())
     if not report.ok:
         return EXIT_VERIFY
@@ -152,7 +164,7 @@ def cmd_build_balls(args, cfg) -> int:
     report_path = os.path.join(out, "verify-report.txt")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.render() + "\n")
-    write_manifest(out, "build-balls", cfg,
+    write_manifest(out, "build-balls", cfg.values,
                    [args.inventory, args.embeddings], [ball_path, report_path])
     return EXIT_OK
 
@@ -160,7 +172,7 @@ def cmd_build_balls(args, cfg) -> int:
 def cmd_verify_balls(args, cfg) -> int:
     balls = load_balls(args.balls)
     inventory = load_inventory(args.inventory)
-    report = verify_configuration(balls, inventory.taxonomy, _geometry(cfg))
+    report = verify_configuration(balls, inventory.taxonomy, cfg.geometry)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -173,7 +185,7 @@ def cmd_prepare(args, cfg) -> int:
     out = _ensure_out(args)
     outputs = []
     stats_lines = []
-    for level in _levels(cfg):
+    for level in cfg.levels:
         kept = lift_to_level(records, tax, level, balls)
         path = os.path.join(out, f"dataset-l{level}.tsv")
         save_records(kept, path)
@@ -185,7 +197,7 @@ def cmd_prepare(args, cfg) -> int:
     with open(stats_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(stats_lines) + "\n")
     outputs.append(stats_path)
-    write_manifest(out, "prepare", cfg,
+    write_manifest(out, "prepare", cfg.values,
                    [args.corpus, args.inventory, args.balls], outputs)
     return EXIT_OK
 
@@ -197,20 +209,19 @@ def cmd_train(args, cfg) -> int:
         return EXIT_DATA
     table = load_embeddings(args.embeddings)
     balls = load_balls(args.balls)
-    tc = _train_config(cfg)
-    result = train(records, table, balls, tc)
+    result = train(records, table, balls, cfg.train)
     out = _ensure_out(args)
     ckpt_path = os.path.join(out, "checkpoint.json")
-    save_encoder(result.params, ckpt_path, tc)
+    save_encoder(result.params, ckpt_path, cfg.train)
     curve_path = os.path.join(out, "curve.tsv")
     with open(curve_path, "w", encoding="utf-8") as fh:
         for epoch, value in result.curve:
             fh.write("%d\t%.17g\n" % (epoch, value))
     if result.curve:
-        print(f"trained {tc.epochs} epochs, final loss {result.curve[-1][1]:.6f}")
+        print(f"trained {cfg.train.epochs} epochs, final loss {result.curve[-1][1]:.6f}")
     else:
         print("trained 0 epochs, checkpoint equals initialization")
-    write_manifest(out, "train", cfg,
+    write_manifest(out, "train", cfg.values,
                    [args.corpus, args.embeddings, args.balls],
                    [ckpt_path, curve_path])
     return EXIT_OK
@@ -220,14 +231,12 @@ def cmd_eval(args, cfg) -> int:
     table = load_embeddings(args.embeddings)
     balls = load_balls(args.balls)
     inventory = load_inventory(args.inventory)
-    params, saved_tc = load_encoder(args.checkpoint)
-    window_k = saved_tc.window_k if saved_tc is not None else cfg["window_k"]
-    geo = _geometry(cfg)
+    params, tc = load_encoder(args.checkpoint)
     out = _ensure_out(args)
     reports = {}
     outputs = []
     inputs = [args.embeddings, args.balls, args.inventory, args.checkpoint]
-    for level in _levels(cfg):
+    for level in cfg.levels:
         data_path = os.path.join(args.data, f"dataset-l{level}.tsv")
         if not os.path.exists(data_path):
             print(f"no dataset for level {level}: {data_path}", file=sys.stderr)
@@ -235,7 +244,7 @@ def cmd_eval(args, cfg) -> int:
         inputs.append(data_path)
         records = parse_annotated_corpus(data_path)
         report, preds = predict_records(params, records, level, inventory,
-                                        table, balls, geo, window_k)
+                                        table, balls, cfg.geometry, tc.window_k)
         reports[level] = report
         pred_path = os.path.join(out, f"predictions-l{level}.tsv")
         save_predictions(preds, pred_path)
@@ -244,7 +253,8 @@ def cmd_eval(args, cfg) -> int:
     report_path = os.path.join(out, "report.tsv")
     save_reports(reports, report_path, dataset=os.path.basename(args.data.rstrip("/")))
     outputs.append(report_path)
-    write_manifest(out, "eval", cfg, inputs, outputs)
+    # the checkpoint's window_k is the one the encoder was trained with
+    write_manifest(out, "eval", {**cfg.values, "window_k": tc.window_k}, inputs, outputs)
     return EXIT_OK
 
 
@@ -253,7 +263,7 @@ def cmd_query(args, cfg) -> int:
     a = SenseId.parse(args.hyponym)
     b = SenseId.parse(args.hypernym)
     try:
-        verdict = deduction_query(a, b, balls, _geometry(cfg))
+        verdict = deduction_query(a, b, balls, cfg.geometry)
     except KeyError as exc:
         print(f"unknown sense: {exc.args[0]}", file=sys.stderr)
         return EXIT_DATA
@@ -262,8 +272,8 @@ def cmd_query(args, cfg) -> int:
 
 
 def cmd_show_config(args, cfg) -> int:
-    for key in sorted(cfg):
-        print(f"{key}={cfg[key]}")
+    for key in sorted(cfg.values):
+        print(f"{key}={cfg.values[key]}")
     return EXIT_OK
 
 

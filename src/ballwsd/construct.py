@@ -138,7 +138,7 @@ class _Builder:
         """
         built: dict[SenseId, dict[SenseId, list]] = {}
         for node, depth in reversed(self.order):
-            prefix = self.cfg.prefix_weight * _unit_prefix(self.table, node.lemma)
+            prefix = _unit_prefix(self.table, node.lemma)
             kids = self.tax.children_of(node)
             if not kids:
                 center = np.concatenate([prefix, np.zeros(self.width)])

@@ -86,42 +86,51 @@ def parse_annotated_corpus(path) -> list[TrainingRecord]:
     return records
 
 
-def save_records(records, path, with_original: bool | None = None) -> None:
+def save_records(records, path) -> None:
     """Write records in the corpus line format.
 
-    with_original=None keeps the original-sense column exactly when some
-    record was lifted (target != original), so level-0 files stay 3-column.
+    The original-sense column is kept exactly when some record was lifted
+    (target != original), so level-0 files stay 3-column.
     """
     recs = list(records)
-    if with_original is None:
-        with_original = any(r.target != r.original for r in recs)
+    lifted = any(r.target != r.original for r in recs)
     with open(path, "w", encoding="utf-8") as fh:
         for r in recs:
             idx = ",".join(str(i) for i in r.indices)
             toks = " ".join(r.tokens)
-            if with_original:
+            if lifted:
                 fh.write(f"{r.target}\t{r.original}\t{idx}\t{toks}\n")
             else:
                 fh.write(f"{r.target}\t{idx}\t{toks}\n")
 
 
+def anchor_at(taxonomy: Taxonomy, sense: SenseId, level: int,
+              balls: BallConfiguration) -> SenseId | None:
+    """The sense whose ball stands for `sense` at `level`: its level-th
+    hypernym, provided the sense is in the taxonomy, that hypernym exists
+    and it has a ball.  None otherwise.
+    """
+    if sense not in taxonomy:
+        return None
+    anchor = hypernym_at(taxonomy, sense, level)
+    if anchor is None or str(anchor) not in balls:
+        return None
+    return anchor
+
+
 def lift_to_level(records, taxonomy: Taxonomy, level: int, config: BallConfiguration) -> list[TrainingRecord]:
     """Rewrite targets to the level-th hypernym of each record's original sense.
 
-    Records whose original sense is missing from the taxonomy, whose
-    level-th hypernym does not exist, or whose hypernym has no ball are
+    Records without an anchor at that level (see `anchor_at`) are
     dropped.  Level 0 reduces to ball-coverage filtering.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     out: list[TrainingRecord] = []
     for r in records:
-        if r.original not in taxonomy:
-            continue
-        anchor = hypernym_at(taxonomy, r.original, level)
-        if anchor is None or str(anchor) not in config:
-            continue
-        out.append(TrainingRecord(anchor, r.original, r.tokens, r.indices))
+        anchor = anchor_at(taxonomy, r.original, level, config)
+        if anchor is not None:
+            out.append(TrainingRecord(anchor, r.original, r.tokens, r.indices))
     return out
 
 
@@ -163,17 +172,11 @@ def dataset_report(dataset: str, level: int, records, kept,
     """Coverage stats for one lift: sense counts from the corpus vocabulary,
     record counts from the lift outcome.
 
-    A sense counts as covered when its level-th hypernym exists and has a
-    ball, mirroring the record-keeping rule.
+    A sense counts as covered when it has an anchor at that level, the
+    same rule that keeps a record.
     """
     seen: set[SenseId] = {r.original for r in records}
-    covered = 0
-    for s in sorted(seen):
-        if s not in taxonomy:
-            continue
-        anchor = hypernym_at(taxonomy, s, level)
-        if anchor is not None and str(anchor) in config:
-            covered += 1
+    covered = sum(1 for s in seen if anchor_at(taxonomy, s, level, config) is not None)
     return DatasetStats(
         dataset=dataset,
         level=level,

@@ -233,19 +233,14 @@ def activation_signs(params: EncoderParams, T: np.ndarray, C: np.ndarray) -> np.
     return np.concatenate(parts)
 
 
-def forward(params: EncoderParams, t_vec, c_vec) -> np.ndarray:
-    """Encode one (target vector, context vector) pair."""
-    T = np.asarray(t_vec, dtype=np.float64).reshape(1, -1)
-    C = np.asarray(c_vec, dtype=np.float64).reshape(1, -1)
-    if T.shape[1] != params.dim or C.shape[1] != params.dim:
-        raise ValueError(f"input dimension mismatch: model width is {params.dim}")
-    out, _ = _forward(params, T, C, keep=False)
-    return out[0]
-
-
 def forward_batch(params: EncoderParams, T: np.ndarray, C: np.ndarray) -> np.ndarray:
-    out, _ = _forward(params, np.asarray(T, dtype=np.float64),
-                      np.asarray(C, dtype=np.float64), keep=False)
+    """Encode (target, context) rows.  T, C: (B, dim) -> (B, out_dim)."""
+    T = np.asarray(T, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
+    if T.shape[-1] != params.dim or C.shape[-1] != params.dim:
+        raise ValueError(f"input dimension mismatch: model width is {params.dim}, "
+                         f"inputs are {T.shape[-1]}-d and {C.shape[-1]}-d")
+    out, _ = _forward(params, T, C, keep=False)
     return out
 
 
@@ -354,7 +349,7 @@ def train(records, table: EmbeddingTable, balls: BallConfiguration,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_encoder(params: EncoderParams, path, train_config: TrainConfig | None = None) -> None:
+def save_encoder(params: EncoderParams, path, train_config: TrainConfig) -> None:
     """Write a versioned JSON checkpoint; arrays round-trip exactly."""
     doc = {
         "format": "encoder-checkpoint",
@@ -372,15 +367,14 @@ def save_encoder(params: EncoderParams, path, train_config: TrainConfig | None =
             }
             for name, arr in sorted(params.arrays.items())
         },
+        "train_config": asdict(train_config),
     }
-    if train_config is not None:
-        doc["train_config"] = asdict(train_config)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
-def load_encoder(path) -> tuple[EncoderParams, TrainConfig | None]:
+def load_encoder(path) -> tuple[EncoderParams, TrainConfig]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != "encoder-checkpoint":
@@ -396,10 +390,10 @@ def load_encoder(path) -> tuple[EncoderParams, TrainConfig | None]:
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(spec["shape"]).copy()
     params = EncoderParams(doc["dim"], doc["out_dim"], doc["layers"], doc["heads"],
                            doc["head_hidden"], doc["seed"], arrays)
-    tc = None
-    if "train_config" in doc:
-        try:
-            tc = TrainConfig(**doc["train_config"])
-        except TypeError as exc:
-            raise ValueError(f"{path}: bad train_config: {exc}") from exc
+    if "train_config" not in doc:
+        raise ValueError(f"{path}: checkpoint has no train_config")
+    try:
+        tc = TrainConfig(**doc["train_config"])
+    except TypeError as exc:
+        raise ValueError(f"{path}: bad train_config: {exc}") from exc
     return params, tc

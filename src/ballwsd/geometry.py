@@ -71,9 +71,8 @@ class GeometryConfig:
 
     epsilon: float = 1e-9
     margin: float = 1.25              # must stay > 1 or nesting slack collapses
-    leaf_radius: float = 0.1
+    leaf_radius: float = 0.1          # against unit prefixes: the only scale knob
     code_width: int = 16
-    prefix_weight: float = 1.0
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -84,29 +83,38 @@ class GeometryConfig:
             raise ValueError("leaf_radius must lie in (0, 1)")
         if self.code_width < 1:
             raise ValueError("code_width must be >= 1")
-        if self.prefix_weight <= 0.0:
-            raise ValueError("prefix_weight must be positive")
+
+
+def _dimension_error(a: Ball, b: Ball) -> ValueError:
+    return ValueError(f"dimension mismatch: {a.sense_id} is {a.dim}-d, {b.sense_id} is {b.dim}-d")
+
+
+def containment_slack(outer: Ball, inner: Ball, epsilon: float = 1e-9) -> float:
+    """How far `inner` sticks out of `outer` past the tolerance:
+    |c_in - c_out| + r_in - r_out - eps.  Positive means not contained."""
+    if outer.dim != inner.dim:
+        raise _dimension_error(outer, inner)
+    gap = float(np.linalg.norm(inner.center - outer.center))
+    return gap + inner.radius - outer.radius - epsilon
+
+
+def overlap_slack(a: Ball, b: Ball, epsilon: float = 1e-9) -> float:
+    """How deep the balls overlap past the tolerance:
+    r_a + r_b - |c_a - c_b| - eps.  Positive means they share interior."""
+    if a.dim != b.dim:
+        raise _dimension_error(a, b)
+    gap = float(np.linalg.norm(a.center - b.center))
+    return a.radius + b.radius - gap - epsilon
 
 
 def contains(outer: Ball, inner: Ball, epsilon: float = 1e-9) -> bool:
-    """True iff `inner` lies inside `outer`: |c_in - c_out| + r_in <= r_out + eps."""
-    if outer.dim != inner.dim:
-        raise ValueError(
-            f"dimension mismatch: {outer.sense_id} is {outer.dim}-d, "
-            f"{inner.sense_id} is {inner.dim}-d"
-        )
-    gap = float(np.linalg.norm(inner.center - outer.center))
-    return gap + inner.radius <= outer.radius + epsilon
+    """True iff `inner` lies inside `outer`, within the tolerance."""
+    return containment_slack(outer, inner, epsilon) <= 0.0
 
 
 def disconnected(a: Ball, b: Ball, epsilon: float = 1e-9) -> bool:
-    """True iff the balls share no interior: |c_a - c_b| >= r_a + r_b - eps."""
-    if a.dim != b.dim:
-        raise ValueError(
-            f"dimension mismatch: {a.sense_id} is {a.dim}-d, {b.sense_id} is {b.dim}-d"
-        )
-    gap = float(np.linalg.norm(a.center - b.center))
-    return gap >= a.radius + b.radius - epsilon
+    """True iff the balls share no interior, within the tolerance."""
+    return overlap_slack(a, b, epsilon) <= 0.0
 
 
 def point_inside(v, ball: Ball, epsilon: float = 1e-9) -> bool:
@@ -257,16 +265,15 @@ def verify_configuration(
                     report.violations.append(Violation("missing", str(parent), str(kid), math.inf))
                     continue
                 report.checked_containment += 1
-                if not contains(pb, kb, eps):
-                    gap = float(np.linalg.norm(kb.center - pb.center)) + kb.radius - pb.radius
-                    report.violations.append(Violation("containment", str(parent), str(kid), gap - eps))
+                slack = containment_slack(pb, kb, eps)
+                if slack > 0.0:
+                    report.violations.append(Violation("containment", str(parent), str(kid), slack))
         for i in range(len(kids)):
             for j in range(i + 1, len(kids)):
-                a, b = ball_of(kids[i]), ball_of(kids[j])
                 report.checked_disconnection += 1
-                if not disconnected(a, b, eps):
-                    overlap = a.radius + b.radius - float(np.linalg.norm(a.center - b.center))
+                slack = overlap_slack(ball_of(kids[i]), ball_of(kids[j]), eps)
+                if slack > 0.0:
                     report.violations.append(
-                        Violation("disconnection", str(kids[i]), str(kids[j]), overlap - eps)
+                        Violation("disconnection", str(kids[i]), str(kids[j]), slack)
                     )
     return report

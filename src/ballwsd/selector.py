@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import anchor_at
 from .geometry import Ball, BallConfiguration, GeometryConfig, cos_sim, contains, point_inside
-from .inventory import Inventory, SenseId, hypernym_at
+from .inventory import Inventory, SenseId
 
 
 @dataclass(frozen=True)
@@ -35,19 +36,15 @@ class Prediction:
 
 def candidate_set(lemma: str, pos: str, level: int,
                   inventory: Inventory, balls: BallConfiguration) -> list[Candidate]:
-    """All senses of the word whose level-th hypernym exists and has a ball.
+    """All senses of the word that have an anchor at `level` (`anchor_at`).
 
     Sorted by sense index, so downstream argmax tie-breaking is stable.
     """
     out: list[Candidate] = []
     for sense in inventory.senses_of(lemma, pos):
-        anchor = hypernym_at(inventory.taxonomy, sense, level)
-        if anchor is None:
-            continue
-        ball = balls.get(str(anchor))
-        if ball is None:
-            continue
-        out.append(Candidate(sense=sense, anchor=anchor, ball=ball))
+        anchor = anchor_at(inventory.taxonomy, sense, level, balls)
+        if anchor is not None:
+            out.append(Candidate(sense=sense, anchor=anchor, ball=balls.get(str(anchor))))
     return out
 
 
@@ -104,27 +101,3 @@ def save_predictions(predictions: dict[str, Prediction], path) -> None:
             p = predictions[iid]
             fh.write(f"{iid}\t{p.chosen}\t{'%.17g' % p.score}\t"
                      f"inside:{1 if p.inside_anchor_ball else 0}\t{'%.17g' % p.margin}\n")
-
-
-def load_predictions(path) -> dict[str, Prediction]:
-    out: dict[str, Prediction] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            iid, chosen_s, score_s, inside_s, margin_s = fields
-            if iid in out:
-                raise ValueError(f"{path}:{lineno}: duplicate instance id {iid!r}")
-            if not inside_s.startswith("inside:") or inside_s[7:] not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: bad inside flag {inside_s!r}")
-            out[iid] = Prediction(
-                chosen=SenseId.parse(chosen_s),
-                score=float(score_s),
-                inside_anchor_ball=inside_s[7:] == "1",
-                margin=float(margin_s),
-            )
-    return out

@@ -71,15 +71,15 @@ def train(ws, balls, data, out="model", extra=()):
 
 class TestConfigResolution:
     def test_defaults(self):
-        assert resolve_config(None, []) == DEFAULTS
+        assert resolve_config(None, []).values == DEFAULTS
 
     def test_file_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("# comment\nmargin=2.5\nepochs=7\n")
         cfg = resolve_config(str(cfg_file), ["epochs=9"])
-        assert cfg["margin"] == 2.5
-        assert cfg["epochs"] == 9          # --set beats the file
-        assert cfg["seed"] == DEFAULTS["seed"]
+        assert cfg.values["margin"] == 2.5 == cfg.geometry.margin
+        assert cfg.values["epochs"] == 9 == cfg.train.epochs   # --set beats the file
+        assert cfg.values["seed"] == DEFAULTS["seed"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(UsageError):
@@ -242,6 +242,47 @@ class TestTrainEval:
                      "--out", str(workspace["dir"] / "m")])
         assert code == 2
 
+    def test_eval_window_k_comes_from_checkpoint(self, workspace):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+
+        def evaluate(out, *extra):
+            return main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                         "--inventory", str(workspace["inventory"]),
+                         "--embeddings", str(workspace["embeddings"]),
+                         "--balls", str(balls), "--out", str(workspace["dir"] / out),
+                         "--set", "levels=1", *extra])
+
+        assert evaluate("e-default") == 0
+        assert evaluate("e-override", "--set", "window_k=0") == 0
+        preds = [(workspace["dir"] / d / "predictions-l1.tsv").read_bytes()
+                 for d in ("e-default", "e-override")]
+        assert preds[0] == preds[1]
+        manifest = json.loads((workspace["dir"] / "e-override" / "manifest-eval.json").read_text())
+        assert manifest["config"]["window_k"] == load_encoder(ckpt)[1].window_k == 4
+
+        doc = json.loads(ckpt.read_text())
+        del doc["train_config"]
+        ckpt.write_text(json.dumps(doc))
+        assert evaluate("e-bare") == 2
+
+    def test_eval_embedding_dim_mismatch_is_data_error(self, workspace, capsys):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+        rng = np.random.default_rng(41)
+        narrow = workspace["dir"] / "narrow.txt"
+        save_embeddings(EmbeddingTable({w: rng.standard_normal(6) for w in LEMMAS}), narrow)
+        capsys.readouterr()
+        code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(narrow), "--balls", str(balls),
+                     "--out", str(workspace["dir"] / "e"), "--set", "levels=1"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "model width is 12" in err[0]
+
 
 class TestOneLineErrors:
     @pytest.mark.filterwarnings("error")
@@ -295,6 +336,30 @@ class TestShowConfigAndUsage:
         with pytest.raises(SystemExit) as exc:
             main(["build-balls", "--inventory", "x"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command, pair", [
+        ("build-balls", "margin=0.5"),
+        ("prepare", "epochs=-1"),
+        ("show-config", "margin=0.5"),
+        ("show-config", "lr=0"),
+        ("show-config", "levels=-1"),
+    ])
+    def test_bad_config_value_is_usage_error(self, workspace, capsys, command, pair):
+        balls = build(workspace)
+        out = workspace["dir"] / "out"
+        flags = {
+            "build-balls": ["--inventory", str(workspace["inventory"]),
+                            "--embeddings", str(workspace["embeddings"]), "--out", str(out)],
+            "prepare": ["--corpus", str(workspace["corpus"]),
+                        "--inventory", str(workspace["inventory"]),
+                        "--balls", str(balls), "--out", str(out)],
+            "show-config": [],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *flags, "--set", pair]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
     def test_bad_levels_value_is_usage_error(self, workspace):
         balls = build(workspace)

@@ -153,8 +153,10 @@ class TestConfigKnobs:
         tax = random_taxonomy(rng, 20)
         table = random_table(rng, tax, 6, zero_prob=0.0)
         cfg = GeometryConfig()
-        small = construct_balls(tax, table, GeometryConfig(prefix_weight=0.1))
-        large = construct_balls(tax, table, GeometryConfig(prefix_weight=10.0))
+        # prefixes are unit vectors, so leaf_radius alone sets the
+        # leaf-to-prefix scale: a small leaf radius is a heavy prefix
+        large = construct_balls(tax, table, GeometryConfig(leaf_radius=0.01))
+        small = construct_balls(tax, table, GeometryConfig(leaf_radius=0.9))
         assert verify_configuration(small, tax, cfg).ok
         assert verify_configuration(large, tax, cfg).ok
 

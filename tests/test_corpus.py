@@ -119,10 +119,12 @@ class TestSaveRecords:
         assert parse_annotated_corpus(p) == recs
 
     def test_forced_column_count(self, tmp_path):
-        recs = [TrainingRecord(AIM, AIM, TOKENS, (4,))]
+        # one lifted record gives every line the original-sense column
+        recs = [TrainingRecord(AIM, AIM, TOKENS, (4,)), TrainingRecord(GOAL, AIM, TOKENS, (4,))]
         p = tmp_path / "c.tsv"
-        save_records(recs, p, with_original=True)
-        assert len(p.read_text().rstrip("\n").split("\t")) == 4
+        save_records(recs, p)
+        assert [len(line.split("\t")) for line in p.read_text().splitlines()] == [4, 4]
+        assert parse_annotated_corpus(p) == recs
 
 
 class TestLifting:

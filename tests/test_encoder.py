@@ -6,7 +6,7 @@ import pytest
 from ballwsd.corpus import TrainingRecord
 from ballwsd.embeddings import EmbeddingTable
 from ballwsd.encoder import (EncoderParams, TrainConfig, batch_loss_and_grads,
-                             embed_records, forward, forward_batch,
+                             embed_records, forward_batch,
                              init_params, load_encoder, prepare_arrays,
                              save_encoder, train)
 from ballwsd.geometry import Ball, BallConfiguration
@@ -77,8 +77,8 @@ class TestParams:
 class TestForward:
     def test_output_shape_and_finite(self):
         p = init_params(8, 5, seed=1)
-        v = forward(p, np.ones(8), np.zeros(8))
-        assert v.shape == (5,) and np.all(np.isfinite(v))
+        v = forward_batch(p, np.ones((1, 8)), np.zeros((1, 8)))
+        assert v.shape == (1, 5) and np.all(np.isfinite(v))
 
     def test_batch_matches_single(self):
         p = init_params(8, 5, seed=2)
@@ -87,19 +87,21 @@ class TestForward:
         C = rng.standard_normal((6, 8))
         V = forward_batch(p, T, C)
         for i in range(6):
-            assert np.allclose(V[i], forward(p, T[i], C[i]), atol=1e-12)
+            assert np.allclose(V[i], forward_batch(p, T[i:i + 1], C[i:i + 1])[0], atol=1e-12)
 
     def test_dim_mismatch_raises(self):
         p = init_params(8, 5)
-        with pytest.raises(ValueError):
-            forward(p, np.ones(7), np.zeros(8))
+        with pytest.raises(ValueError, match="model width is 8"):
+            forward_batch(p, np.ones((1, 7)), np.zeros((1, 8)))
+        with pytest.raises(ValueError, match="model width is 8"):
+            forward_batch(p, np.ones((2, 8)), np.zeros((2, 6)))
 
     def test_order_sensitivity(self):
         # role embeddings break slot symmetry: swapping inputs changes output
         p = init_params(8, 5, seed=3)
         rng = np.random.default_rng(12)
-        t, c = rng.standard_normal(8), rng.standard_normal(8)
-        assert not np.allclose(forward(p, t, c), forward(p, c, t))
+        t, c = rng.standard_normal((1, 8)), rng.standard_normal((1, 8))
+        assert not np.allclose(forward_batch(p, t, c), forward_batch(p, c, t))
 
 
 class TestLoss:
@@ -108,7 +110,7 @@ class TestLoss:
         rng = np.random.default_rng(13)
         t, c = rng.standard_normal(8), rng.standard_normal(8)
         y = rng.standard_normal(4)
-        v = forward(p, t, c)
+        v = forward_batch(p, t[None], c[None])[0]
         want = 1.0 - float(np.dot(v, y) / (np.linalg.norm(v) * np.linalg.norm(y)))
         value, _ = batch_loss_and_grads(p, t[None], c[None], y[None])
         assert value == pytest.approx(want, abs=1e-12)
@@ -239,25 +241,27 @@ class TestCheckpoints:
         for name in result.params.arrays:
             assert np.array_equal(params.arrays[name], result.params.arrays[name])
 
-    def test_round_trip_without_train_config(self, tmp_path):
-        p = init_params(4, 2, seed=0)
+    def test_missing_train_config_rejected(self, tmp_path):
+        import json
         path = tmp_path / "ck.json"
-        save_encoder(p, path)
-        back, tc = load_encoder(path)
-        assert tc is None
-        assert np.array_equal(back.arrays["head.w1"], p.arrays["head.w1"])
+        save_encoder(init_params(4, 2, seed=0), path, TrainConfig())
+        doc = json.loads(path.read_text())
+        del doc["train_config"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="no train_config"):
+            load_encoder(path)
 
     def test_save_is_deterministic(self, tmp_path):
         p = init_params(4, 2, seed=0)
-        save_encoder(p, tmp_path / "a.json")
-        save_encoder(p, tmp_path / "b.json")
+        save_encoder(p, tmp_path / "a.json", TrainConfig())
+        save_encoder(p, tmp_path / "b.json", TrainConfig())
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_wrong_version_rejected(self, tmp_path):
         import json
         p = init_params(4, 2, seed=0)
         path = tmp_path / "ck.json"
-        save_encoder(p, path)
+        save_encoder(p, path, TrainConfig())
         doc = json.loads(path.read_text())
         doc["version"] = 99
         path.write_text(json.dumps(doc))
@@ -288,5 +292,5 @@ class TestCheckpoints:
         save_encoder(result.params, path, cfg)
         params, _ = load_encoder(path)
         rng = np.random.default_rng(17)
-        t, c = rng.standard_normal(8), rng.standard_normal(8)
-        assert np.array_equal(forward(params, t, c), forward(result.params, t, c))
+        t, c = rng.standard_normal((1, 8)), rng.standard_normal((1, 8))
+        assert np.array_equal(forward_batch(params, t, c), forward_batch(result.params, t, c))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ballwsd.geometry import (Ball, BallConfiguration, GeometryConfig,
-                              as_vector, contains, cos_sim, disconnected,
-                              load_balls, point_inside, save_balls,
-                              verify_configuration)
+                              as_vector, containment_slack, contains, cos_sim,
+                              disconnected, load_balls, overlap_slack,
+                              point_inside, save_balls, verify_configuration)
 from ballwsd.inventory import SenseId, Taxonomy
 
 
@@ -90,6 +90,8 @@ class TestPredicates:
             gap = float(np.linalg.norm(a.center - b.center))
             assert contains(a, b, 0.0) == (gap + b.radius <= a.radius)
             assert disconnected(a, b, 0.0) == (gap >= a.radius + b.radius)
+            assert containment_slack(a, b, 0.25) == gap + b.radius - a.radius - 0.25
+            assert overlap_slack(a, b, 0.25) == a.radius + b.radius - gap - 0.25
 
     def test_containment_transitive(self):
         rng = np.random.default_rng(3)
@@ -133,8 +135,6 @@ class TestConfigs:
             GeometryConfig(leaf_radius=0.0)
         with pytest.raises(ValueError):
             GeometryConfig(code_width=0)
-        with pytest.raises(ValueError):
-            GeometryConfig(prefix_weight=0.0)
 
     def test_ball_configuration_validation(self):
         b = ball("a.n.01", [0.0, 0.0, 0.0], 1.0)
@@ -226,6 +226,10 @@ class TestVerifier:
         kinds = {v.kind for v in report.violations}
         assert "containment" in kinds
         assert all(v.slack > 0 for v in report.violations)
+        # the reported slack is the value the verdict was decided on
+        for v in report.violations:
+            want = containment_slack(cfg.balls[v.subject], cfg.balls[v.other], 1e-9)
+            assert v.slack == want
 
     def test_disconnection_violation_detected(self):
         tax, cfg = self.good_configuration()

@@ -6,8 +6,8 @@ import pytest
 from ballwsd.geometry import Ball, BallConfiguration, GeometryConfig, cos_sim, point_inside
 from ballwsd.inventory import Inventory, SenseId, Taxonomy
 from ballwsd.selector import (Candidate, Prediction, candidate_set,
-                              deduction_query, load_predictions,
-                              save_predictions, select_sense)
+                              deduction_query, save_predictions,
+                              select_sense)
 
 
 def make_candidate(lemma, index, center, radius=0.5, anchor=None):
@@ -184,28 +184,15 @@ class TestPredictionFiles:
         preds = self.sample()
         path = tmp_path / "p.tsv"
         save_predictions(preds, path)
-        back = load_predictions(path)
+        back = {}
+        for line in path.read_text().splitlines():
+            iid, chosen, score, inside, margin = line.split("\t")
+            back[iid] = Prediction(SenseId.parse(chosen), float(score),
+                                   {"inside:1": True, "inside:0": False}[inside],
+                                   float(margin))
         assert back == preds
 
     def test_deterministic_bytes(self, tmp_path):
         save_predictions(self.sample(), tmp_path / "a.tsv")
         save_predictions(self.sample(), tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
-
-    def test_bad_inside_flag_rejected(self, tmp_path):
-        p = tmp_path / "p.tsv"
-        p.write_text("i1\tfly.v.01\t0.5\tinside:x\t0.1\n")
-        with pytest.raises(ValueError):
-            load_predictions(p)
-
-    def test_duplicate_id_rejected(self, tmp_path):
-        p = tmp_path / "p.tsv"
-        p.write_text("i1\tfly.v.01\t0.5\tinside:1\t0.1\ni1\tfly.v.02\t0.4\tinside:0\t0.1\n")
-        with pytest.raises(ValueError):
-            load_predictions(p)
-
-    def test_wrong_field_count_rejected(self, tmp_path):
-        p = tmp_path / "p.tsv"
-        p.write_text("i1\tfly.v.01\t0.5\n")
-        with pytest.raises(ValueError):
-            load_predictions(p)
