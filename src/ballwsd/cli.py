@@ -27,7 +27,8 @@ from .encoder import TrainConfig, load_encoder, save_encoder, train
 from .evaluator import predict_records, save_reports
 from .geometry import (GeometryConfig, load_balls, save_balls,
                        verify_configuration)
-from .inventory import SenseId, TaxonomyError, load_inventory
+from .inventory import (SenseId, TaxonomyError, check_distinct_hypernym_assumption,
+                        load_inventory)
 from .selector import deduction_query, save_predictions
 
 EXIT_OK = 0
@@ -250,11 +251,13 @@ def cmd_eval(args, cfg) -> int:
         save_predictions(preds, pred_path)
         outputs.append(pred_path)
         print(f"level {level}: {report.render()}")
+    # an anchor-based selector cannot split senses of one word that share a hypernym
+    print(f"shared-hypernym sense pairs: {len(check_distinct_hypernym_assumption(inventory))}")
     report_path = os.path.join(out, "report.tsv")
     save_reports(reports, report_path, dataset=os.path.basename(args.data.rstrip("/")))
     outputs.append(report_path)
-    # the checkpoint's window_k is the one the encoder was trained with
-    write_manifest(out, "eval", {**cfg.values, "window_k": tc.window_k}, inputs, outputs)
+    # training keys describe the evaluated model, so they come from its checkpoint
+    write_manifest(out, "eval", {**cfg.values, **asdict(tc)}, inputs, outputs)
     return EXIT_OK
 
 

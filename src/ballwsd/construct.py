@@ -78,7 +78,7 @@ def _unit_prefix(table: EmbeddingTable, lemma: str) -> np.ndarray:
     return base / norm
 
 
-def _pack_offsets(radii: list[float], axes: list[int], width: int) -> list[tuple[int, float]]:
+def _pack_offsets(radii: list[float], axes: list[int]) -> list[tuple[int, float]]:
     """1-d offsets (axis, distance) separating sibling balls.
 
     Each ball i goes to distance t_i along its axis.  With distinct axes,
@@ -120,7 +120,7 @@ class _Builder:
         """Translate each (top, balls) subtree rigidly so its top ball sits
         at its offset along its axis, and merge the subtrees."""
         radii = [balls[top][1] for top, balls in subtrees]
-        offsets = _pack_offsets(radii, axes, self.width)
+        offsets = _pack_offsets(radii, axes)
         merged: dict[SenseId, list] = {}
         for (top, balls), (axis, dist) in zip(subtrees, offsets):
             shift = -balls[top][0][self.pdim:].copy()

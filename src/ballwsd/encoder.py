@@ -302,16 +302,13 @@ def prepare_arrays(records, table: EmbeddingTable, balls: BallConfiguration,
     """
     recs = list(records)
     T, C = embed_records(recs, table, window_k)
-    ball0 = balls.get(str(recs[0].target))
-    if ball0 is None:
-        raise ValueError(f"no ball for target sense {recs[0].target}")
-    Y = np.empty((len(recs), ball0.dim))
-    for i, rec in enumerate(recs):
+    centers = []
+    for rec in recs:
         ball = balls.get(str(rec.target))
         if ball is None:
             raise ValueError(f"no ball for target sense {rec.target}")
-        Y[i] = ball.center
-    return T, C, Y
+        centers.append(ball.center)
+    return T, C, np.stack(centers)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Evaluation: exact P/R/F1 scoring, synthetic fixtures, experiment runs.
+"""Evaluation: per-level prediction, exact P/R/F1 scoring, synthetic fixtures.
 
 Scoring follows the standard word-sense disambiguation protocol: an
 instance without a prediction (no candidate had a ball at the requested
@@ -15,18 +15,16 @@ reproducing the characteristic level-0 vs level-1 quality gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .corpus import TrainingRecord, lift_to_level
+from .corpus import TrainingRecord
 from .embeddings import EmbeddingTable
-from .encoder import (EncoderParams, TrainConfig, embed_records, forward_batch,
-                      train)
+from .encoder import EncoderParams, embed_records, forward_batch
 from .geometry import BallConfiguration, GeometryConfig
-from .inventory import (Inventory, SenseId, Taxonomy,
-                        check_distinct_hypernym_assumption)
+from .inventory import Inventory, SenseId, Taxonomy
 from .selector import Prediction, candidate_set, select_sense
 
 
@@ -267,50 +265,7 @@ def split_records(records, n_train: int, n_test: int):
 
 
 # ---------------------------------------------------------------------------
-# experiments
-
-@dataclass
-class ExperimentEnv:
-    """Everything a run needs: data, geometry, and embeddings."""
-
-    inventory: Inventory
-    table: EmbeddingTable
-    balls: BallConfiguration
-    train_records: list[TrainingRecord]   # level-0 annotations
-    test_records: list[TrainingRecord]    # level-0 annotations
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
-
-
-@dataclass
-class ExperimentSpec:
-    """What to train and where to evaluate."""
-
-    train_level: int = 0
-    eval_levels: tuple[int, ...] = (0, 1)
-    train_config: TrainConfig = field(default_factory=TrainConfig)
-    name: str = "experiment"
-
-
-@dataclass
-class ExperimentResult:
-    name: str
-    train_level: int
-    reports: dict[int, EvalReport]
-    curve: list[tuple[int, float]]
-    collisions: list[tuple[SenseId, SenseId]]
-    predictions: dict[int, dict[str, Prediction]]
-    params: EncoderParams
-
-    def render(self) -> str:
-        lines = [f"{self.name}: trained at level {self.train_level}"]
-        for level in sorted(self.reports):
-            lines.append(f"  level {level}: {self.reports[level].render()}")
-        if self.collisions:
-            lines.append(f"  shared-hypernym sense pairs: {len(self.collisions)}")
-            for a, b in self.collisions[:10]:
-                lines.append(f"    {a} / {b}")
-        return "\n".join(lines)
-
+# prediction
 
 def predict_records(params: EncoderParams, records, level: int,
                     inventory: Inventory, table: EmbeddingTable,
@@ -347,40 +302,3 @@ def predict_records(params: EncoderParams, records, level: int,
         inside[iid] = pred.inside_anchor_ball
         predictions[iid] = pred
     return score(predicted, gold, inside), predictions
-
-
-def evaluate_level(params: EncoderParams, level: int, env: ExperimentEnv,
-                   window_k: int) -> tuple[EvalReport, dict[str, Prediction]]:
-    """Lift the test records to one level, predict, and score."""
-    lifted = lift_to_level(env.test_records, env.inventory.taxonomy, level,
-                           env.balls)
-    return predict_records(params, lifted, level, env.inventory, env.table,
-                           env.balls, env.geometry, window_k)
-
-
-def run_experiment(spec: ExperimentSpec, env: ExperimentEnv) -> ExperimentResult:
-    """Train at spec.train_level, then evaluate at every requested level.
-
-    A sense pair sharing its direct hypernym cannot be split by any
-    anchor-based selector; the full collision list rides along in the
-    result so reports can surface it.
-    """
-    tax = env.inventory.taxonomy
-    train_set = lift_to_level(env.train_records, tax, spec.train_level, env.balls)
-    if not train_set:
-        raise ValueError(f"no training records survive lifting to level {spec.train_level}")
-    outcome = train(train_set, env.table, env.balls, spec.train_config)
-    reports: dict[int, EvalReport] = {}
-    predictions: dict[int, dict[str, Prediction]] = {}
-    for level in spec.eval_levels:
-        reports[level], predictions[level] = evaluate_level(
-            outcome.params, level, env, spec.train_config.window_k)
-    return ExperimentResult(
-        name=spec.name,
-        train_level=spec.train_level,
-        reports=reports,
-        curve=outcome.curve,
-        collisions=check_distinct_hypernym_assumption(env.inventory),
-        predictions=predictions,
-        params=outcome.params,
-    )

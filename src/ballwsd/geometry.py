@@ -250,30 +250,26 @@ def verify_configuration(
     report = VerificationReport()
     balls = config.balls
 
-    def ball_of(node) -> Ball | None:
-        return balls.get(str(node))
-
     groups = [(parent, taxonomy.children_of(parent)) for parent in taxonomy.nodes()]
     groups.append((None, taxonomy.roots()))  # co-roots: no covering ball, still disjoint
     for parent, group in groups:
-        kids = [k for k in group if ball_of(k) is not None]
+        # (id, ball) of each child that has one, looked up once per group
+        kids = [(k, balls[k]) for k in map(str, group) if k in balls]
         if parent is not None:
-            pb = ball_of(parent)
-            for kid in kids:
-                kb = ball_of(kid)
+            pid = str(parent)
+            pb = balls.get(pid)
+            for kid, kb in kids:
                 if pb is None:
-                    report.violations.append(Violation("missing", str(parent), str(kid), math.inf))
+                    report.violations.append(Violation("missing", pid, kid, math.inf))
                     continue
                 report.checked_containment += 1
                 slack = containment_slack(pb, kb, eps)
                 if slack > 0.0:
-                    report.violations.append(Violation("containment", str(parent), str(kid), slack))
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
+                    report.violations.append(Violation("containment", pid, kid, slack))
+        for i, (a, ab) in enumerate(kids):
+            for b, bb in kids[i + 1:]:
                 report.checked_disconnection += 1
-                slack = overlap_slack(ball_of(kids[i]), ball_of(kids[j]), eps)
+                slack = overlap_slack(ab, bb, eps)
                 if slack > 0.0:
-                    report.violations.append(
-                        Violation("disconnection", str(kids[i]), str(kids[j]), slack)
-                    )
+                    report.violations.append(Violation("disconnection", a, b, slack))
     return report

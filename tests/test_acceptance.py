@@ -15,12 +15,10 @@ import numpy as np
 
 from ballwsd.cli import main
 from ballwsd.construct import construct_balls
-from ballwsd.corpus import parse_annotated_corpus
+from ballwsd.corpus import parse_annotated_corpus, save_records
 from ballwsd.embeddings import EmbeddingTable, save_embeddings
-from ballwsd.encoder import TrainConfig, init_params
-from ballwsd.evaluator import (ExperimentEnv, ExperimentSpec,
-                               make_synthetic_fixture, run_experiment, score,
-                               split_records)
+from ballwsd.encoder import init_params
+from ballwsd.evaluator import make_synthetic_fixture, score, split_records
 from ballwsd.geometry import Ball, GeometryConfig, cos_sim, verify_configuration
 from ballwsd.inventory import SenseId, Taxonomy
 from ballwsd.selector import Candidate, deduction_query, select_sense
@@ -243,47 +241,69 @@ def test_criterion_5_scorer_correctness():
           + f"), 1000 random sets ({random_mism} mismatches)")
 
 
-def test_criterion_6_level_gap_and_flatness():
-    """Experiment suite on the synthetic fixture: hypernym-level selection
-    is nearly solved while sense-level selection is capped by twin senses,
-    and the F1 landscape is flat across training level, data size, and
-    levels 2-4."""
+def test_criterion_6_level_gap_and_flatness(tmp_path):
+    """Experiment suite on the synthetic fixture, run through the CLI
+    stages: hypernym-level selection is nearly solved while sense-level
+    selection is capped by twin senses, and the F1 landscape is flat
+    across training level, data size, and levels 2-4."""
     t0 = time.time()
     fx = make_synthetic_fixture(seed=21, n_top=4, senses_per_parent=4,
                                 vocab_size=200, records_per_sense=450,
                                 chain_levels=3, embedding_dim=32)
-    cfg = GeometryConfig()
-    balls = construct_balls(fx.taxonomy, fx.table, cfg)
     train200, test = split_records(fx.records, 200, 50)
     train400, _ = split_records(fx.records, 400, 50)
     assert len(train200) == 3200 and len(test) == 800
+    tax = fx.taxonomy
+    inventory, embeddings = tmp_path / "inventory.tsv", tmp_path / "embeddings.txt"
+    inventory.write_text("".join(f"{n}\t{tax.parent_of(n) or '-'}\n" for n in tax.nodes()))
+    save_embeddings(fx.table, embeddings)
+    for name, recs in (("train200", train200), ("train400", train400), ("test", test)):
+        save_records(recs, tmp_path / f"{name}.tsv")
 
-    def run(recs, train_level, eval_levels):
-        env = ExperimentEnv(inventory=fx.inventory, table=fx.table, balls=balls,
-                            train_records=recs, test_records=test, geometry=cfg)
-        tc = TrainConfig(window_k=4, lr=0.05, epochs=30, batch_size=32, seed=1)
-        return run_experiment(ExperimentSpec(train_level=train_level,
-                                             eval_levels=eval_levels,
-                                             train_config=tc), env)
+    def cli(*argv):
+        assert main([str(a) for a in argv]) == 0
 
-    base = run(train200, 1, (0, 1, 2, 3, 4))
-    trained_l0 = run(train200, 0, (1,))
-    doubled = run(train400, 1, (1,))
-    f = lambda res, lvl: res.reports[lvl].f1
+    balls = tmp_path / "build" / "balls.tsv"
+    cli("build-balls", "--inventory", inventory, "--embeddings", embeddings,
+        "--out", balls.parent)
 
-    gap = f(base, 1) - f(base, 0)
-    diff_train_level = abs(f(trained_l0, 1) - f(base, 1))
-    diff_doubled = abs(f(doubled, 1) - f(base, 1))
-    diff_deep = max(abs(f(base, lvl) - f(base, 1)) for lvl in (2, 3, 4))
+    def prepare(name, levels):
+        cli("prepare", "--corpus", tmp_path / f"{name}.tsv", "--inventory", inventory,
+            "--balls", balls, "--out", tmp_path / name, "--set", f"levels={levels}")
+        return tmp_path / name
+
+    test_data = prepare("test", "0,1,2,3,4")
+    data200, data400 = prepare("train200", "0,1"), prepare("train400", "1")
+    tc = ("--set", "window_k=4", "--set", "lr=0.05", "--set", "epochs=30",
+          "--set", "batch_size=32", "--set", "seed=1")
+
+    def run(data, train_level, eval_levels):
+        model, out = data / f"model-l{train_level}", data / f"eval-l{train_level}"
+        cli("train", "--corpus", data / f"dataset-l{train_level}.tsv",
+            "--embeddings", embeddings, "--balls", balls, "--out", model, *tc)
+        cli("eval", "--data", test_data, "--checkpoint", model / "checkpoint.json",
+            "--inventory", inventory, "--embeddings", embeddings, "--balls", balls,
+            "--out", out, "--set", f"levels={eval_levels}")
+        rows = [line.split("\t") for line in (out / "report.tsv").read_text().splitlines()[1:]]
+        return {int(row[1]): float(row[4]) for row in rows}
+
+    base = run(data200, 1, "0,1,2,3,4")
+    trained_l0 = run(data200, 0, "1")
+    doubled = run(data400, 1, "1")
+
+    gap = base[1] - base[0]
+    diff_train_level = abs(trained_l0[1] - base[1])
+    diff_doubled = abs(doubled[1] - base[1])
+    diff_deep = max(abs(base[lvl] - base[1]) for lvl in (2, 3, 4))
     elapsed = time.time() - t0
 
-    a = f(base, 1) >= 0.90 and gap >= 0.20
+    a = base[1] >= 0.90 and gap >= 0.20
     b = diff_train_level <= 0.02
     c = diff_doubled <= 0.02
     d = diff_deep <= 0.03
     ok = a and b and c and d and elapsed < 600.0
     check(6, ok,
-          f"L1 F1 {f(base, 1):.3f} (>= 0.90), L0 gap {gap:.3f} (>= 0.20), "
+          f"L1 F1 {base[1]:.3f} (>= 0.90), L0 gap {gap:.3f} (>= 0.20), "
           f"train-level diff {diff_train_level:.4f} (<= 0.02), "
           f"doubling diff {diff_doubled:.4f} (<= 0.02), "
           f"L2-4 max diff {diff_deep:.4f} (<= 0.03), {elapsed:.0f}s (< 600s)")

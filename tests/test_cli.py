@@ -199,7 +199,10 @@ class TestTrainEval:
         report = (out_dir / "report.tsv").read_text()
         assert report.splitlines()[0].startswith("#dataset")
         assert (out_dir / "predictions-l1.tsv").exists()
-        assert "level 1" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "level 1" in stdout
+        # the two fly senses sit under different hypernyms
+        assert stdout.splitlines()[-1] == "shared-hypernym sense pairs: 0"
 
     def test_train_outputs_deterministic(self, workspace):
         balls = build(workspace)
@@ -260,7 +263,10 @@ class TestTrainEval:
                  for d in ("e-default", "e-override")]
         assert preds[0] == preds[1]
         manifest = json.loads((workspace["dir"] / "e-override" / "manifest-eval.json").read_text())
-        assert manifest["config"]["window_k"] == load_encoder(ckpt)[1].window_k == 4
+        tc = load_encoder(ckpt)[1]
+        assert manifest["config"]["window_k"] == tc.window_k == 4
+        # every training key describes the checkpoint, not the eval defaults
+        assert (manifest["config"]["epochs"], manifest["config"]["lr"]) == (tc.epochs, tc.lr)
 
         doc = json.loads(ckpt.read_text())
         del doc["train_config"]

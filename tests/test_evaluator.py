@@ -3,12 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ballwsd.construct import construct_balls
-from ballwsd.encoder import TrainConfig
-from ballwsd.evaluator import (EvalReport, ExperimentEnv, ExperimentSpec,
-                               make_synthetic_fixture, run_experiment,
-                               save_reports, score, split_records)
-from ballwsd.geometry import GeometryConfig
+from ballwsd.evaluator import (EvalReport, make_synthetic_fixture, save_reports,
+                               score, split_records)
 from ballwsd.inventory import SenseId
 
 
@@ -179,43 +175,3 @@ class TestSplitRecords:
                                     records_per_sense=10)
         with pytest.raises(ValueError):
             split_records(fx.records, 9, 3)
-
-
-class TestRunExperiment:
-    def test_small_end_to_end(self):
-        fx = make_synthetic_fixture(seed=4, n_top=2, senses_per_parent=2,
-                                    vocab_size=40, records_per_sense=30,
-                                    embedding_dim=16)
-        cfg = GeometryConfig()
-        balls = construct_balls(fx.taxonomy, fx.table, cfg)
-        train_recs, test_recs = split_records(fx.records, 20, 10)
-        env = ExperimentEnv(inventory=fx.inventory, table=fx.table, balls=balls,
-                            train_records=train_recs, test_records=test_recs,
-                            geometry=cfg)
-        tc = TrainConfig(window_k=4, lr=0.05, epochs=6, batch_size=16, seed=0)
-        spec = ExperimentSpec(train_level=1, eval_levels=(0, 1), train_config=tc,
-                              name="tiny")
-        result = run_experiment(spec, env)
-        assert set(result.reports) == {0, 1}
-        assert result.reports[1].total_gold == 40
-        assert len(result.curve) == 6
-        assert result.curve[-1][1] < result.curve[0][1]
-        # each word's sense pair shares one top, so both pairs are listed
-        assert len(result.collisions) == 2
-        assert result.reports[1].f1 >= result.reports[0].f1
-        text = result.render()
-        assert "level 1" in text and "trained at level 1" in text
-
-    def test_missing_train_data_raises(self):
-        fx = make_synthetic_fixture(seed=4, n_top=2, senses_per_parent=2,
-                                    vocab_size=40, records_per_sense=5,
-                                    embedding_dim=16)
-        cfg = GeometryConfig()
-        balls = construct_balls(fx.taxonomy, fx.table, cfg)
-        env = ExperimentEnv(inventory=fx.inventory, table=fx.table, balls=balls,
-                            train_records=fx.records, test_records=fx.records,
-                            geometry=cfg)
-        spec = ExperimentSpec(train_level=9, eval_levels=(0,),
-                              train_config=TrainConfig(epochs=1))
-        with pytest.raises(ValueError):
-            run_experiment(spec, env)
