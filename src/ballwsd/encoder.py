@@ -1,8 +1,8 @@
 """The trainable encoder: word-in-context vector -> sense region direction.
 
 Two input slots (target-word vector, window-averaged context vector) plus
-learned role embeddings feed a small pre-activation transformer stack
-(multi-head self-attention over the two slots, then a 4x feed-forward,
+learned role embeddings feed a fixed transformer stack of two layers
+(two-head self-attention over the two slots, then a 4x feed-forward,
 post-layer-norm residuals).  Both slot outputs are concatenated and a
 two-layer relu head maps them to the output space, where training pulls
 the prediction toward the center of the target sense's ball by cosine
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .geometry import BallConfiguration
 
 _LN_EPS = 1e-5
 _NORM_CLAMP = 1e-12
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -41,55 +42,62 @@ class TrainConfig:
     def __post_init__(self):
         if self.window_k < 0:
             raise ValueError("window_k must be >= 0")
-        if self.lr <= 0 or self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("lr must be > 0, epochs >= 0, batch_size >= 1")
+        if not 0.0 < self.lr < math.inf or self.epochs < 0 or self.batch_size < 1 or self.seed < 0:
+            raise ValueError("lr must be finite and > 0, epochs >= 0, batch_size >= 1, seed >= 0")
+
+
+# The architecture is fixed; a checkpoint's arrays give only the widths.
+LAYERS = 2
+HEADS = 2            # the model width must be a multiple of this
+HEAD_HIDDEN = 2      # head hidden width, as a multiple of the model width
 
 
 @dataclass
 class EncoderParams:
-    """Architecture shape plus all weight arrays, keyed by name."""
+    """All weight arrays, keyed by name; the widths are read off them."""
 
-    dim: int                 # model width = input embedding dimension
-    out_dim: int             # ball space dimension
-    layers: int = 2
-    heads: int = 2
-    head_hidden: int = 0     # 0 means the 2*dim default
-    seed: int = 0
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
+    arrays: dict[str, np.ndarray]
 
-    def __post_init__(self):
-        if self.head_hidden == 0:
-            self.head_hidden = 2 * self.dim
-        if self.dim % self.heads != 0:
-            raise ValueError(f"model width {self.dim} not divisible by {self.heads} heads")
+    @property
+    def dim(self) -> int:  # model width = input embedding dimension
+        return self.arrays["role"].shape[1]
+
+    @property
+    def out_dim(self) -> int:  # ball space dimension
+        return self.arrays["head.b2"].shape[0]
 
 
-def init_params(dim: int, out_dim: int, layers: int = 2, heads: int = 2,
-                head_hidden: int = 0, seed: int = 0) -> EncoderParams:
-    p = EncoderParams(dim, out_dim, layers, heads, head_hidden, seed)
+def _layout(dim: int, out_dim: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every weight array, in initialization order."""
+    if dim % HEADS != 0:
+        raise ValueError(f"model width {dim} not divisible by {HEADS} heads")
+    hidden = HEAD_HIDDEN * dim
+    shapes = {"role": (2, dim)}
+    for l in range(LAYERS):
+        for n in ("q", "k", "v", "o"):
+            shapes[f"l{l}.w{n}"], shapes[f"l{l}.b{n}"] = (dim, dim), (dim,)
+        shapes.update({f"l{l}.ff1": (dim, 4 * dim), f"l{l}.ff1b": (4 * dim,),
+                       f"l{l}.ff2": (4 * dim, dim), f"l{l}.ff2b": (dim,),
+                       f"l{l}.ln1.g": (dim,), f"l{l}.ln1.b": (dim,),
+                       f"l{l}.ln2.g": (dim,), f"l{l}.ln2.b": (dim,)})
+    shapes.update({"head.w1": (2 * dim, hidden), "head.b1": (hidden,),
+                   "head.w2": (hidden, out_dim), "head.b2": (out_dim,)})
+    return shapes
+
+
+def init_params(dim: int, out_dim: int, seed: int = 0) -> EncoderParams:
+    """Fresh weights at the given widths, drawn in layout order from `seed`:
+    role rows 0.02 N(0, 1), matrices N(0, 1/fan_in), gains 1, biases 0."""
     rng = np.random.Generator(np.random.PCG64(seed))
-
-    def w(shape, fan_in):
-        return rng.standard_normal(shape) / np.sqrt(fan_in)
-
-    a = p.arrays
-    a["role"] = 0.02 * rng.standard_normal((2, dim))
-    for l in range(layers):
-        for name in ("wq", "wk", "wv", "wo"):
-            a[f"l{l}.{name}"] = w((dim, dim), dim)
-            a[f"l{l}.b{name[1]}"] = np.zeros(dim)
-        a[f"l{l}.ff1"] = w((dim, 4 * dim), dim)
-        a[f"l{l}.ff1b"] = np.zeros(4 * dim)
-        a[f"l{l}.ff2"] = w((4 * dim, dim), 4 * dim)
-        a[f"l{l}.ff2b"] = np.zeros(dim)
-        for ln in ("ln1", "ln2"):
-            a[f"l{l}.{ln}.g"] = np.ones(dim)
-            a[f"l{l}.{ln}.b"] = np.zeros(dim)
-    a["head.w1"] = w((2 * dim, p.head_hidden), 2 * dim)
-    a["head.b1"] = np.zeros(p.head_hidden)
-    a["head.w2"] = w((p.head_hidden, out_dim), p.head_hidden)
-    a["head.b2"] = np.zeros(out_dim)
-    return p
+    a = {}
+    for name, shape in _layout(dim, out_dim).items():
+        if name == "role":
+            a[name] = 0.02 * rng.standard_normal(shape)
+        elif len(shape) == 2:
+            a[name] = rng.standard_normal(shape) / np.sqrt(shape[0])
+        else:
+            a[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+    return EncoderParams(a)
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +133,11 @@ def _forward(p: EncoderParams, T: np.ndarray, C: np.ndarray, keep: bool):
     """Batched forward pass.  T, C: (B, dim).  Returns (V, cache)."""
     a = p.arrays
     B, d = T.shape
-    H, dh = p.heads, p.dim // p.heads
+    H, dh = HEADS, d // HEADS
     scale = 1.0 / np.sqrt(dh)
     X = np.stack([T, C], axis=1) + a["role"]
     cache = {"X0": X} if keep else None
-    for l in range(p.layers):
+    for l in range(LAYERS):
         pre = X
         Q = X @ a[f"l{l}.wq"] + a[f"l{l}.bq"]
         K = X @ a[f"l{l}.wk"] + a[f"l{l}.bk"]
@@ -168,7 +176,7 @@ def _backward(p: EncoderParams, cache, dV: np.ndarray) -> dict[str, np.ndarray]:
     a = p.arrays
     B = dV.shape[0]
     d = p.dim
-    H, dh = p.heads, d // p.heads
+    H, dh = HEADS, d // HEADS
     scale = 1.0 / np.sqrt(dh)
     grads: dict[str, np.ndarray] = {}
 
@@ -180,7 +188,7 @@ def _backward(p: EncoderParams, cache, dV: np.ndarray) -> dict[str, np.ndarray]:
     grads["head.b1"] = dH.sum(axis=0)
     dX = (dH @ a["head.w1"].T).reshape(B, 2, d)
 
-    for l in reversed(range(p.layers)):
+    for l in reversed(range(LAYERS)):
         pre, Qh, Kh, Vh, P, A, ln1_cache, N1, Fpre, Fact, ln2_cache = cache[f"l{l}"]
         dR2, dg, db = _ln_backward(dX, a[f"l{l}.ln2.g"], ln2_cache)
         grads[f"l{l}.ln2.g"], grads[f"l{l}.ln2.b"] = dg, db
@@ -217,20 +225,6 @@ def _backward(p: EncoderParams, cache, dV: np.ndarray) -> dict[str, np.ndarray]:
         dX += dQ @ a[f"l{l}.wq"].T + dK @ a[f"l{l}.wk"].T + dVv @ a[f"l{l}.wv"].T
     grads["role"] = dX.sum(axis=0)
     return grads
-
-
-def activation_signs(params: EncoderParams, T: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Flat on/off pattern of every relu unit for a batch.
-
-    A finite-difference probe is only valid where the loss is smooth;
-    comparing this pattern at theta+h and theta-h detects probes that
-    straddle a relu kink.
-    """
-    _, cache = _forward(params, np.asarray(T, dtype=np.float64),
-                        np.asarray(C, dtype=np.float64), keep=True)
-    parts = [(cache[f"l{l}"][8] > 0.0).ravel() for l in range(params.layers)]
-    parts.append((cache["head"][1] > 0.0).ravel())
-    return np.concatenate(parts)
 
 
 def forward_batch(params: EncoderParams, T: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -318,15 +312,14 @@ class TrainResult:
 
 
 def train(records, table: EmbeddingTable, balls: BallConfiguration,
-          config: TrainConfig, params: EncoderParams | None = None) -> TrainResult:
+          config: TrainConfig) -> TrainResult:
     """Plain mini-batch gradient descent on the cosine loss.
 
     Deterministic given the config seed: initialization, shuffling and
     arithmetic order are all fixed by it.
     """
     T, C, Y = prepare_arrays(records, table, balls, config.window_k)
-    if params is None:
-        params = init_params(T.shape[1], Y.shape[1], seed=config.seed)
+    params = init_params(T.shape[1], Y.shape[1], seed=config.seed)
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     n = T.shape[0]
     curve: list[tuple[int, float]] = []
@@ -347,16 +340,11 @@ def train(records, table: EmbeddingTable, balls: BallConfiguration,
 # checkpoints
 
 def save_encoder(params: EncoderParams, path, train_config: TrainConfig) -> None:
-    """Write a versioned JSON checkpoint; arrays round-trip exactly."""
+    """Write a versioned JSON checkpoint: the weight arrays, which round-trip
+    exactly, and the training config.  The architecture is not stored."""
     doc = {
         "format": "encoder-checkpoint",
         "version": CHECKPOINT_VERSION,
-        "dim": params.dim,
-        "out_dim": params.out_dim,
-        "layers": params.layers,
-        "heads": params.heads,
-        "head_hidden": params.head_hidden,
-        "seed": params.seed,
         "arrays": {
             name: {
                 "shape": list(arr.shape),
@@ -372,21 +360,31 @@ def save_encoder(params: EncoderParams, path, train_config: TrainConfig) -> None
 
 
 def load_encoder(path) -> tuple[EncoderParams, TrainConfig]:
+    """Read a checkpoint whose array names and shapes are exactly `_layout`
+    at the widths they imply; anything else is a ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != "encoder-checkpoint":
         raise ValueError(f"{path}: not an encoder checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"{path}: checkpoint version {doc.get('version')} unsupported "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
+        raise ValueError(f"{path}: checkpoint version {doc.get('version')} unsupported "
+                         f"(expected {CHECKPOINT_VERSION})")
     arrays = {}
     for name, spec in doc["arrays"].items():
         raw = base64.b64decode(spec["data"])
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(spec["shape"]).copy()
-    params = EncoderParams(doc["dim"], doc["out_dim"], doc["layers"], doc["heads"],
-                           doc["head_hidden"], doc["seed"], arrays)
+    params = EncoderParams(arrays)
+    try:
+        want = _layout(params.dim, params.out_dim)
+    except (KeyError, IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: no model widths in checkpoint arrays: {exc}") from None
+    problems = [f"missing {n}" for n in sorted(want.keys() - arrays.keys())]
+    problems += [f"unexpected {n}" for n in sorted(arrays.keys() - want.keys())]
+    problems += [f"{n} is {arrays[n].shape}, expected {want[n]}"
+                 for n in sorted(want.keys() & arrays.keys()) if arrays[n].shape != want[n]]
+    if problems:
+        raise ValueError(f"{path}: checkpoint arrays do not fit the encoder: "
+                         + "; ".join(problems))
     if "train_config" not in doc:
         raise ValueError(f"{path}: checkpoint has no train_config")
     try:

@@ -75,10 +75,10 @@ class GeometryConfig:
     code_width: int = 16
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.margin <= 1.0:
-            raise ValueError("margin must be > 1")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
+        if not 1.0 < self.margin < math.inf:
+            raise ValueError("margin must be finite and > 1")
         if not (0.0 < self.leaf_radius < 1.0):
             raise ValueError("leaf_radius must lie in (0, 1)")
         if self.code_width < 1:
@@ -89,7 +89,7 @@ def _dimension_error(a: Ball, b: Ball) -> ValueError:
     return ValueError(f"dimension mismatch: {a.sense_id} is {a.dim}-d, {b.sense_id} is {b.dim}-d")
 
 
-def containment_slack(outer: Ball, inner: Ball, epsilon: float = 1e-9) -> float:
+def containment_slack(outer: Ball, inner: Ball, epsilon: float = GeometryConfig.epsilon) -> float:
     """How far `inner` sticks out of `outer` past the tolerance:
     |c_in - c_out| + r_in - r_out - eps.  Positive means not contained."""
     if outer.dim != inner.dim:
@@ -98,7 +98,7 @@ def containment_slack(outer: Ball, inner: Ball, epsilon: float = 1e-9) -> float:
     return gap + inner.radius - outer.radius - epsilon
 
 
-def overlap_slack(a: Ball, b: Ball, epsilon: float = 1e-9) -> float:
+def overlap_slack(a: Ball, b: Ball, epsilon: float = GeometryConfig.epsilon) -> float:
     """How deep the balls overlap past the tolerance:
     r_a + r_b - |c_a - c_b| - eps.  Positive means they share interior."""
     if a.dim != b.dim:
@@ -107,17 +107,17 @@ def overlap_slack(a: Ball, b: Ball, epsilon: float = 1e-9) -> float:
     return a.radius + b.radius - gap - epsilon
 
 
-def contains(outer: Ball, inner: Ball, epsilon: float = 1e-9) -> bool:
+def contains(outer: Ball, inner: Ball, epsilon: float = GeometryConfig.epsilon) -> bool:
     """True iff `inner` lies inside `outer`, within the tolerance."""
     return containment_slack(outer, inner, epsilon) <= 0.0
 
 
-def disconnected(a: Ball, b: Ball, epsilon: float = 1e-9) -> bool:
+def disconnected(a: Ball, b: Ball, epsilon: float = GeometryConfig.epsilon) -> bool:
     """True iff the balls share no interior, within the tolerance."""
     return overlap_slack(a, b, epsilon) <= 0.0
 
 
-def point_inside(v, ball: Ball, epsilon: float = 1e-9) -> bool:
+def point_inside(v, ball: Ball, epsilon: float = GeometryConfig.epsilon) -> bool:
     """True iff point v lies in the ball: |v - c| <= r + eps."""
     p = as_vector(v, dim=ball.dim)
     return float(np.linalg.norm(p - ball.center)) <= ball.radius + epsilon

@@ -158,11 +158,12 @@ def load_inventory(path) -> Inventory:
             if child in defined:
                 if par is not None:
                     dropped.append((child, par))
-                log.warning("%s:%d: extra parent for %s dropped (keeping %s)",
-                            path, lineno, child, parent[child])
                 continue
             parent[child] = par
             defined.add(child)
+    if dropped:
+        log.warning("%s: %d extra parent edges dropped, first %s -> %s (keeping %s)",
+                    path, len(dropped), *dropped[0], parent[dropped[0][0]] or "-")
     taxonomy = Taxonomy(parent)
     return Inventory(taxonomy=taxonomy, dropped_edges=dropped)
 

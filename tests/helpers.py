@@ -74,7 +74,15 @@ def gradient_check(params, T, C, Y, h: float, n_coords: int,
     returned worst_rel covers only coordinates above that floor;
     worst_abs is the largest difference seen anywhere.
     """
-    from ballwsd.encoder import activation_signs, batch_loss_and_grads
+    from ballwsd.encoder import LAYERS, _forward, batch_loss_and_grads
+
+    def relu_signs(p):
+        # on/off pattern of every relu unit: the transformer feed-forwards
+        # (item 8 of a layer's cache) and the output head
+        _, cache = _forward(p, T, C, keep=True)
+        parts = [(cache[f"l{l}"][8] > 0.0).ravel() for l in range(LAYERS)]
+        parts.append((cache["head"][1] > 0.0).ravel())
+        return np.concatenate(parts)
 
     _, grads = batch_loss_and_grads(params, T, C, Y)
     names = sorted(grads)
@@ -90,7 +98,7 @@ def gradient_check(params, T, C, Y, h: float, n_coords: int,
             p = copy.deepcopy(params)
             p.arrays[name].flat[idx] += delta
             probes.append(p)
-        signs = [activation_signs(p, T, C) for p in probes]
+        signs = [relu_signs(p) for p in probes]
         if not np.array_equal(signs[0], signs[1]):
             skipped += 1
             continue

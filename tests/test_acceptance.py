@@ -125,7 +125,7 @@ def test_criterion_3_gradient_check():
     Coordinates where the probe pair straddles a relu kink are excluded:
     there the difference quotient measures a different linear branch, not
     the local gradient."""
-    params = init_params(16, 12, layers=2, heads=2, seed=1002)
+    params = init_params(16, 12, seed=1002)
     rng = np.random.default_rng(1003)
     T = rng.standard_normal((8, 16))
     C = rng.standard_normal((8, 16))

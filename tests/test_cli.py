@@ -289,6 +289,37 @@ class TestTrainEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "model width is 12" in err[0]
 
+    @pytest.mark.parametrize("tamper", ["version-1", "missing-array", "extra-layer",
+                                        "wrong-shape"])
+    def test_eval_rejects_checkpoint_that_does_not_fit(self, workspace, capsys, tamper):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+        doc = json.loads(ckpt.read_text())
+        arrays = doc["arrays"]
+        if tamper == "version-1":
+            doc["version"] = 1
+        elif tamper == "missing-array":
+            del arrays["l1.wq"]
+        elif tamper == "extra-layer":
+            arrays["l2.wq"] = arrays["l1.wq"]
+        else:
+            arrays["head.w1"]["shape"] = [48, 12]  # same data, wrong shape
+        ckpt.write_text(json.dumps(doc))
+        out = workspace["dir"] / "e"
+        capsys.readouterr()
+        code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]), "--balls", str(balls),
+                     "--out", str(out), "--set", "levels=1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert {"version-1": "version 1 unsupported", "missing-array": "missing l1.wq",
+                "extra-layer": "unexpected l2.wq",
+                "wrong-shape": "head.w1 is (48, 12), expected (24, 24)"}[tamper] in captured.err
+        assert not out.exists()
+
 
 class TestOneLineErrors:
     @pytest.mark.filterwarnings("error")
@@ -349,11 +380,18 @@ class TestShowConfigAndUsage:
         ("show-config", "margin=0.5"),
         ("show-config", "lr=0"),
         ("show-config", "levels=-1"),
+        ("verify-balls", "epsilon=nan"),
+        ("show-config", "epsilon=inf"),
+        ("show-config", "lr=nan"),
+        ("show-config", "lr=inf"),
+        ("show-config", "margin=inf"),
+        ("show-config", "seed=-1"),
     ])
     def test_bad_config_value_is_usage_error(self, workspace, capsys, command, pair):
         balls = build(workspace)
         out = workspace["dir"] / "out"
         flags = {
+            "verify-balls": ["--balls", str(balls), "--inventory", str(workspace["inventory"])],
             "build-balls": ["--inventory", str(workspace["inventory"]),
                             "--embeddings", str(workspace["embeddings"]), "--out", str(out)],
             "prepare": ["--corpus", str(workspace["corpus"]),

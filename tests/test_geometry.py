@@ -127,10 +127,12 @@ class TestPredicates:
 class TestConfigs:
     def test_geometry_config_validation(self):
         GeometryConfig()
-        with pytest.raises(ValueError):
-            GeometryConfig(epsilon=-1e-9)
-        with pytest.raises(ValueError):
-            GeometryConfig(margin=1.0)
+        for bad in (-1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                GeometryConfig(epsilon=bad)
+        for bad in (1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                GeometryConfig(margin=bad)
         with pytest.raises(ValueError):
             GeometryConfig(leaf_radius=0.0)
         with pytest.raises(ValueError):

@@ -126,6 +126,22 @@ class TestLoadInventory:
         assert inv.taxonomy.parent_of(SenseId("a", "n", 1)) == SenseId("b", "n", 1)
         assert inv.dropped_edges == [(SenseId("a", "n", 1), SenseId("c", "n", 1))]
 
+    def test_dropped_edges_logged_once_per_file(self, tmp_path, caplog):
+        p = tmp_path / "inv.tsv"
+        p.write_text(
+            "a.n.01\tb.n.01\n"
+            "a.n.01\tc.n.01\n"
+            "a.n.01\td.n.01\n"
+            "b.n.01\t-\n"
+            "b.n.01\t-\n"
+            "b.n.01\tc.n.01\n"
+        )
+        with caplog.at_level("WARNING", logger="ballwsd.inventory"):
+            inv = load_inventory(p)
+        assert len(inv.dropped_edges) == 3
+        assert len(caplog.records) == 1
+        assert "3 extra parent edges dropped, first a.n.01 -> c.n.01" in caplog.records[0].message
+
     def test_explicit_root_not_overridden(self, tmp_path):
         p = tmp_path / "inv.tsv"
         p.write_text("a.n.01\t-\na.n.01\tb.n.01\nb.n.01\t-\n")
