@@ -20,15 +20,13 @@ from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .construct import ConstructionError, construct_balls
-from .corpus import (CorpusError, dataset_report, lift_to_level,
-                     parse_annotated_corpus, save_records)
+from .corpus import dataset_report, lift_to_level, parse_annotated_corpus, save_records
 from .embeddings import load_embeddings
 from .encoder import TrainConfig, load_encoder, save_encoder, train
 from .evaluator import predict_records, save_reports
 from .geometry import (GeometryConfig, load_balls, save_balls,
                        verify_configuration)
-from .inventory import (SenseId, TaxonomyError, check_distinct_hypernym_assumption,
-                        load_inventory)
+from .inventory import SenseId, check_distinct_hypernym_assumption, load_inventory
 from .selector import deduction_query, save_predictions
 
 EXIT_OK = 0
@@ -182,18 +180,17 @@ def cmd_prepare(args, cfg) -> int:
     records = parse_annotated_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
     balls = load_balls(args.balls)
-    tax = inventory.taxonomy
     out = _ensure_out(args)
     outputs = []
     stats_lines = []
     for level in cfg.levels:
-        kept = lift_to_level(records, tax, level, balls)
+        kept = lift_to_level(records, inventory.taxonomy, level, balls)
         path = os.path.join(out, f"dataset-l{level}.tsv")
         save_records(kept, path)
         outputs.append(path)
-        stats = dataset_report(f"dataset-l{level}", level, records, kept, tax, balls)
-        stats_lines.append(stats.render())
-        print(stats.render())
+        line = dataset_report(f"dataset-l{level}", level, records, kept)
+        stats_lines.append(line)
+        print(line)
     stats_path = os.path.join(out, "stats.txt")
     with open(stats_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(stats_lines) + "\n")
@@ -368,9 +365,6 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (CorpusError, TaxonomyError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (OSError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

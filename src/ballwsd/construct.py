@@ -19,9 +19,11 @@ Packing runs bottom-up.  For every parent:
   3. wrap the children in a parent ball centered at their extension
      centroid on the parent's own prefix ray.
 
-Subtrees only ever move rigidly (extension-block translations), so
-nesting and disconnection survive every later step exactly.  A final
-homothety about the origin scales everything into the unit ball.
+Balls are rows of two arrays in pre-order, where each subtree is one
+contiguous run of rows.  Subtrees only ever move rigidly (one
+extension-block translation of their rows), so nesting and disconnection
+survive every later step exactly.  A final homothety about the origin
+scales everything into the unit ball.
 """
 
 from __future__ import annotations
@@ -106,53 +108,47 @@ def _pack_offsets(radii: list[float], axes: list[int]) -> list[tuple[int, float]
 
 
 class _Builder:
+    """Centers (N x dim) and radii (N) in `_preorder` row order; the
+    subtree of row i is rows `i:end[i]`."""
+
     def __init__(self, taxonomy: Taxonomy, table: EmbeddingTable, cfg: GeometryConfig):
         self.tax = taxonomy
         self.table = table
         self.cfg = cfg
         self.pdim = table.dim
-        self.width = cfg.code_width
         self.dim = table.dim + cfg.code_width
         self.order = _preorder(taxonomy)
         self.slots = _slot_map(taxonomy, self.order, cfg.code_width)
+        self.row = {node: i for i, (node, _) in enumerate(self.order)}
+        self.centers = np.zeros((len(self.order), self.dim))
+        self.radii = np.zeros(len(self.order))
+        self.end = list(range(1, len(self.order) + 1))
 
-    def pack(self, subtrees, axes: list[int]) -> dict[SenseId, list]:
-        """Translate each (top, balls) subtree rigidly so its top ball sits
-        at its offset along its axis, and merge the subtrees."""
-        radii = [balls[top][1] for top, balls in subtrees]
-        offsets = _pack_offsets(radii, axes)
-        merged: dict[SenseId, list] = {}
-        for (top, balls), (axis, dist) in zip(subtrees, offsets):
-            shift = -balls[top][0][self.pdim:].copy()
+    def pack(self, rows: list[int], axes: list[int]) -> None:
+        """Translate each subtree rigidly so its top ball (row) sits at its
+        offset along its axis."""
+        offsets = _pack_offsets(self.radii[rows].tolist(), axes)
+        for i, (axis, dist) in zip(rows, offsets):
+            shift = -self.centers[i, self.pdim:]
             shift[axis] += dist
-            for entry in balls.values():
-                entry[0][self.pdim:] += shift
-            merged.update(balls)
-        return merged
+            self.centers[i:self.end[i], self.pdim:] += shift
 
-    def build(self) -> dict[SenseId, dict[SenseId, list]]:
-        """Balls of every root's tree, keyed by root.
-
-        Post-order: a node is wrapped once all its children are, so every
-        ball receives its ancestors' shifts deepest first.
-        """
-        built: dict[SenseId, dict[SenseId, list]] = {}
-        for node, depth in reversed(self.order):
-            prefix = _unit_prefix(self.table, node.lemma)
-            kids = self.tax.children_of(node)
+    def build(self) -> None:
+        """Fill every row in reverse pre-order: a node is wrapped once all its
+        children are, so every ball receives its ancestors' shifts deepest first."""
+        for i in reversed(range(len(self.order))):
+            node, depth = self.order[i]
+            self.centers[i, :self.pdim] = _unit_prefix(self.table, node.lemma)
+            kids = [self.row[kid] for kid in self.tax.children_of(node)]
             if not kids:
-                center = np.concatenate([prefix, np.zeros(self.width)])
-                built[node] = {node: [center, self.cfg.leaf_radius]}
+                self.radii[i] = self.cfg.leaf_radius
                 continue
-            axes = [self.slots[(depth + 1, idx)] for idx in range(1, len(kids) + 1)]
-            merged = self.pack([(kid, built.pop(kid)) for kid in kids], axes)
-            tops = [merged[kid] for kid in kids]
-            ext_centroid = np.mean([c[self.pdim:] for c, _ in tops], axis=0)
-            center = np.concatenate([prefix, ext_centroid])
-            reach = max(float(np.linalg.norm(c - center)) + r for c, r in tops)
-            merged[node] = [center, self.cfg.margin * reach]
-            built[node] = merged
-        return built
+            self.pack(kids, [self.slots[(depth + 1, idx)] for idx in range(1, len(kids) + 1)])
+            self.end[i] = max(self.end[k] for k in kids)
+            self.centers[i, self.pdim:] = np.mean(self.centers[kids, self.pdim:], axis=0)
+            reach = max(float(np.linalg.norm(self.centers[k] - self.centers[i])) + self.radii[k]
+                        for k in kids)
+            self.radii[i] = self.cfg.margin * reach
 
 
 def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
@@ -169,19 +165,18 @@ def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
         raise ConstructionError("taxonomy has no roots")
 
     builder = _Builder(taxonomy, table, cfg)
-    forests = builder.build()
-    if len(roots) == 1:
-        merged = forests[roots[0]]
-    else:
+    builder.build()
+    if len(roots) > 1:
         # co-roots have no covering parent but still must be disjoint
-        merged = builder.pack([(r, forests[r]) for r in roots],
-                              [i % builder.width for i in range(len(roots))])
+        builder.pack([builder.row[r] for r in roots],
+                     [i % cfg.code_width for i in range(len(roots))])
 
     # final homothety into the unit ball
-    outer = max(float(np.linalg.norm(c)) + r for c, r in merged.values())
+    rows = list(zip(builder.centers, builder.radii))
+    outer = max(float(np.linalg.norm(c)) + r for c, r in rows)
     scale = 1.0 / outer
     balls = {
         str(node): Ball(str(node), c * scale, r * scale)
-        for node, (c, r) in merged.items()
+        for (node, _), (c, r) in zip(builder.order, rows)
     }
     return BallConfiguration(dim=builder.dim, embedding_prefix_dim=builder.pdim, balls=balls)

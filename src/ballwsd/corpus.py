@@ -3,13 +3,14 @@
 A record pairs a sense-annotated target occurrence with its sentence
 tokens.  Lifting to level i rewrites the supervision target to the i-th
 hypernym of the original sense, keeping the record only when that
-hypernym actually has a ball.
+hypernym actually has a ball.  A lift's coverage is read off its outcome
+(the covered senses are the kept records' originals), and each coverage
+ratio is one correctly rounded division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .geometry import BallConfiguration
 from .inventory import SenseId, Taxonomy, hypernym_at
@@ -134,54 +135,15 @@ def lift_to_level(records, taxonomy: Taxonomy, level: int, config: BallConfigura
     return out
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    """Coverage of one dataset at one level, in exact counts."""
-
-    dataset: str
-    level: int
-    total_senses: int
-    senses_with_balls: int
-    total_records: int
-    records_kept: int
-
-    @property
-    def sense_ratio(self) -> Fraction:
-        if self.total_senses == 0:
-            return Fraction(0)
-        return Fraction(self.senses_with_balls, self.total_senses)
-
-    @property
-    def record_ratio(self) -> Fraction:
-        if self.total_records == 0:
-            return Fraction(0)
-        return Fraction(self.records_kept, self.total_records)
-
-    def render(self) -> str:
-        return (
-            f"{self.dataset} L{self.level}: "
-            f"senses {self.senses_with_balls}/{self.total_senses} "
-            f"({float(self.sense_ratio) * 100:.2f}%), "
-            f"records {self.records_kept}/{self.total_records} "
-            f"({float(self.record_ratio) * 100:.2f}%)"
-        )
+def dataset_report(dataset: str, level: int, records, kept) -> str:
+    """The `stats.txt` line for one lift.  A record is kept exactly when its
+    original sense has an anchor, so the kept originals are the covered senses."""
+    seen = len({r.original for r in records})
+    covered = len({r.original for r in kept})
+    return (f"{dataset} L{level}: "
+            f"senses {covered}/{seen} ({_percent(covered, seen)}), "
+            f"records {len(kept)}/{len(records)} ({_percent(len(kept), len(records))})")
 
 
-def dataset_report(dataset: str, level: int, records, kept,
-                   taxonomy: Taxonomy, config: BallConfiguration) -> DatasetStats:
-    """Coverage stats for one lift: sense counts from the corpus vocabulary,
-    record counts from the lift outcome.
-
-    A sense counts as covered when it has an anchor at that level, the
-    same rule that keeps a record.
-    """
-    seen: set[SenseId] = {r.original for r in records}
-    covered = sum(1 for s in seen if anchor_at(taxonomy, s, level, config) is not None)
-    return DatasetStats(
-        dataset=dataset,
-        level=level,
-        total_senses=len(seen),
-        senses_with_balls=covered,
-        total_records=len(list(records)),
-        records_kept=len(list(kept)),
-    )
+def _percent(part: int, whole: int) -> str:
+    return f"{(part / whole if whole else 0.0) * 100:.2f}%"

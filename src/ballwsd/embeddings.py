@@ -38,9 +38,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self._vectors)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._vectors or word.lower() in self._vectors
-
     def get(self, word: str) -> np.ndarray | None:
         v = self._vectors.get(word)
         if v is None:
@@ -81,13 +78,6 @@ def load_embeddings(path) -> EmbeddingTable:
     if not vectors:
         raise ValueError(f"{path}: empty embedding table")
     return EmbeddingTable(vectors)
-
-
-def save_embeddings(table: EmbeddingTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in table.words():
-            coords = " ".join("%.17g" % c for c in table.get(word))
-            fh.write(f"{word} {coords}\n")
 
 
 def embed_tokens(tokens, table: EmbeddingTable) -> np.ndarray:

@@ -363,16 +363,25 @@ def load_encoder(path) -> tuple[EncoderParams, TrainConfig]:
     """Read a checkpoint whose array names and shapes are exactly `_layout`
     at the widths they imply; anything else is a ValueError."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "encoder-checkpoint":
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "encoder-checkpoint":
         raise ValueError(f"{path}: not an encoder checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {doc.get('version')} unsupported "
                          f"(expected {CHECKPOINT_VERSION})")
+    if not isinstance(doc.get("arrays"), dict):
+        raise ValueError(f"{path}: checkpoint has no 'arrays' object")
     arrays = {}
     for name, spec in doc["arrays"].items():
-        raw = base64.b64decode(spec["data"])
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(spec["shape"]).copy()
+        try:
+            raw = base64.b64decode(spec["data"], validate=True)
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(spec["shape"]).copy()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: unreadable array {name!r} "
+                             f"({type(exc).__name__}: {exc})") from None
     params = EncoderParams(arrays)
     try:
         want = _layout(params.dim, params.out_dim)
@@ -389,6 +398,6 @@ def load_encoder(path) -> tuple[EncoderParams, TrainConfig]:
         raise ValueError(f"{path}: checkpoint has no train_config")
     try:
         tc = TrainConfig(**doc["train_config"])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad train_config: {exc}") from exc
     return params, tc

@@ -1,9 +1,10 @@
-"""Evaluation: per-level prediction, exact P/R/F1 scoring, synthetic fixtures.
+"""Evaluation: per-level prediction, P/R/F1 scoring, synthetic fixtures.
 
 Scoring follows the standard word-sense disambiguation protocol: an
 instance without a prediction (no candidate had a ball at the requested
-level) costs recall but not precision.  All ratios are computed in exact
-rational arithmetic and only rendered to float at the end.
+level) costs recall but not precision.  Each ratio is one correctly
+rounded division of integer counts: P = c/a, R = c/g, and F1 = 2c/(a+g),
+the closed form of 2PR/(P+R).
 
 The synthetic fixture builds a small taxonomy whose context windows are
 informative of a sense's direct hypernym but, when `senses_per_parent`
@@ -16,7 +17,6 @@ reproducing the characteristic level-0 vs level-1 quality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .selector import Prediction, candidate_set, select_sense
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Counts plus exactly-derived ratios for one evaluation."""
+    """Counts plus the ratios derived from them, each the float nearest its
+    exact rational value, for one evaluation."""
 
     attempted: int
     correct: int
@@ -44,20 +45,17 @@ class EvalReport:
     @classmethod
     def from_counts(cls, correct: int, attempted: int, total_gold: int,
                     inside_count: int | None = None) -> "EvalReport":
-        p = Fraction(correct, attempted) if attempted else Fraction(0)
-        r = Fraction(correct, total_gold) if total_gold else Fraction(0)
-        f1 = 2 * p * r / (p + r) if (p + r) else Fraction(0)
         inside = None
         if inside_count is not None:
-            inside = float(Fraction(inside_count, attempted)) if attempted else 0.0
+            inside = inside_count / attempted if attempted else 0.0
         return cls(
             attempted=attempted,
             correct=correct,
             total_gold=total_gold,
             skipped=total_gold - attempted,
-            precision=float(p),
-            recall=float(r),
-            f1=float(f1),
+            precision=correct / attempted if attempted else 0.0,
+            recall=correct / total_gold if total_gold else 0.0,
+            f1=2 * correct / (attempted + total_gold) if correct else 0.0,
             inside_rate=inside,
         )
 

@@ -101,15 +101,6 @@ class Taxonomy:
             raise KeyError(f"unknown sense {node}")
         return list(self._children[node])
 
-    def ancestors(self, node: SenseId) -> list[SenseId]:
-        """Chain of hypernyms from direct parent up to a root."""
-        out = []
-        cur = self.parent_of(node)
-        while cur is not None:
-            out.append(cur)
-            cur = self._parent[cur]
-        return out
-
 
 @dataclass
 class Inventory:

@@ -1,4 +1,5 @@
-"""Shared generators for tests: random taxonomies and embedding tables."""
+"""Shared test helpers: random taxonomies and embedding tables, table
+files, ancestor chains and gradient checks."""
 
 import copy
 
@@ -46,6 +47,24 @@ def random_table(rng: np.random.Generator, taxonomy: Taxonomy, dim: int,
         else:
             vectors[node.lemma] = rng.standard_normal(dim)
     return EmbeddingTable(vectors)
+
+
+def save_embeddings(table: EmbeddingTable, path) -> None:
+    """Write `table` in the `word v1 ... vd` text format, `%.17g` per value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for word in table.words():
+            coords = " ".join("%.17g" % c for c in table.get(word))
+            fh.write(f"{word} {coords}\n")
+
+
+def ancestors(taxonomy: Taxonomy, node: SenseId) -> list[SenseId]:
+    """Chain of hypernyms from direct parent up to a root."""
+    out = []
+    cur = taxonomy.parent_of(node)
+    while cur is not None:
+        out.append(cur)
+        cur = taxonomy.parent_of(cur)
+    return out
 
 
 def ancestor_or_self(taxonomy: Taxonomy, a: SenseId, b: SenseId) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 from ballwsd.cli import main
 from ballwsd.construct import construct_balls
 from ballwsd.corpus import parse_annotated_corpus, save_records
-from ballwsd.embeddings import EmbeddingTable, save_embeddings
+from ballwsd.embeddings import EmbeddingTable
 from ballwsd.encoder import init_params
 from ballwsd.evaluator import make_synthetic_fixture, score, split_records
 from ballwsd.geometry import Ball, GeometryConfig, cos_sim, verify_configuration
@@ -25,7 +25,7 @@ from ballwsd.selector import Candidate, deduction_query, select_sense
 
 from conftest import acceptance_lines
 from helpers import (ancestor_or_self, gradient_check, random_table,
-                     random_taxonomy)
+                     random_taxonomy, save_embeddings)
 
 
 def check(criterion: int, ok: bool, detail: str) -> None:

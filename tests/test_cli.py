@@ -6,10 +6,12 @@ import pytest
 
 from ballwsd.cli import main, resolve_config, DEFAULTS, UsageError
 from ballwsd.corpus import parse_annotated_corpus
-from ballwsd.embeddings import EmbeddingTable, save_embeddings
+from ballwsd.embeddings import EmbeddingTable
 from ballwsd.encoder import init_params, load_encoder
 from ballwsd.geometry import VerificationReport, Violation
 from ballwsd.inventory import SenseId
+
+from helpers import save_embeddings
 
 EDGES = (
     "entity.n.01\t-\n"
@@ -290,7 +292,9 @@ class TestTrainEval:
         assert len(err) == 1 and "model width is 12" in err[0]
 
     @pytest.mark.parametrize("tamper", ["version-1", "missing-array", "extra-layer",
-                                        "wrong-shape"])
+                                        "wrong-shape", "top-level-list", "arrays-list",
+                                        "no-arrays", "no-data", "not-base64",
+                                        "train-config-value", "truncated"])
     def test_eval_rejects_checkpoint_that_does_not_fit(self, workspace, capsys, tamper):
         balls = build(workspace)
         data = prepare(workspace, balls)
@@ -303,9 +307,22 @@ class TestTrainEval:
             del arrays["l1.wq"]
         elif tamper == "extra-layer":
             arrays["l2.wq"] = arrays["l1.wq"]
-        else:
+        elif tamper == "wrong-shape":
             arrays["head.w1"]["shape"] = [48, 12]  # same data, wrong shape
-        ckpt.write_text(json.dumps(doc))
+        elif tamper == "top-level-list":
+            doc = [doc]
+        elif tamper == "arrays-list":
+            doc["arrays"] = list(arrays.values())
+        elif tamper == "no-arrays":
+            del doc["arrays"]
+        elif tamper == "no-data":
+            del arrays["role"]["data"]
+        elif tamper == "not-base64":
+            arrays["role"]["data"] = "not base64!"
+        elif tamper == "train-config-value":
+            doc["train_config"]["lr"] = -1.0
+        text = json.dumps(doc)
+        ckpt.write_text(text[:100] if tamper == "truncated" else text)
         out = workspace["dir"] / "e"
         capsys.readouterr()
         code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
@@ -315,9 +332,17 @@ class TestTrainEval:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert str(ckpt) in captured.err
         assert {"version-1": "version 1 unsupported", "missing-array": "missing l1.wq",
                 "extra-layer": "unexpected l2.wq",
-                "wrong-shape": "head.w1 is (48, 12), expected (24, 24)"}[tamper] in captured.err
+                "wrong-shape": "head.w1 is (48, 12), expected (24, 24)",
+                "top-level-list": "not an encoder checkpoint",
+                "arrays-list": "no 'arrays' object", "no-arrays": "no 'arrays' object",
+                "no-data": "unreadable array 'role' (KeyError: 'data')",
+                "not-base64": "unreadable array 'role' (Error: Only base64 data is allowed)",
+                "train-config-value": "bad train_config: lr must be finite and > 0",
+                "truncated": "not valid JSON: Unterminated string",
+                }[tamper] in captured.err
         assert not out.exists()
 
 

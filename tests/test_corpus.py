@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from ballwsd.corpus import (CorpusError, TrainingRecord, dataset_report,
+from ballwsd.corpus import (CorpusError, TrainingRecord, anchor_at, dataset_report,
                             lift_to_level, parse_annotated_corpus,
                             save_records)
 from ballwsd.geometry import Ball, BallConfiguration
@@ -196,15 +194,29 @@ class TestDatasetReport:
         recs = [TrainingRecord(AIM, AIM, TOKENS, (4,))] * 3 + \
                [TrainingRecord(GOAL, GOAL, ("x",), (0,))] * 2
         kept = lift_to_level(recs, tax, 1, balls)
-        stats = dataset_report("d", 1, recs, kept, tax, balls)
         # aim lifts to goal (ball), goal lifts to content (no ball)
-        assert stats.total_senses == 2 and stats.senses_with_balls == 1
-        assert stats.total_records == 5 and stats.records_kept == 3
-        assert stats.sense_ratio == Fraction(1, 2)
-        assert stats.record_ratio == Fraction(3, 5)
-        assert "3/5" in stats.render() and "60.00%" in stats.render()
+        assert dataset_report("d", 1, recs, kept) == \
+            "d L1: senses 1/2 (50.00%), records 3/5 (60.00%)"
 
     def test_empty_corpus(self):
-        tax = aim_taxonomy()
-        stats = dataset_report("d", 0, [], [], tax, ball_config([AIM]))
-        assert stats.total_records == 0 and stats.sense_ratio == Fraction(0)
+        assert dataset_report("d", 0, [], []) == \
+            "d L0: senses 0/0 (0.00%), records 0/0 (0.00%)"
+
+    def test_covered_senses_are_those_with_an_anchor(self):
+        """Counting the kept records' originals gives the senses that have
+        an anchor at the level, on random taxonomies and ball subsets."""
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            tax = random_taxonomy(rng, int(rng.integers(1, 50)))
+            nodes = tax.nodes()
+            with_ball = [n for n in nodes if rng.random() < 0.7]
+            balls = ball_config(with_ball, dim=2)
+            stray = SenseId("stray", "n", 1)   # not in the taxonomy
+            pool = nodes + [stray]
+            recs = [TrainingRecord(s, s, ("t",), (0,))
+                    for s in (pool[int(rng.integers(0, len(pool)))] for _ in range(40))]
+            level = int(rng.integers(0, 5))
+            seen = {r.original for r in recs}
+            want = sum(1 for s in seen if anchor_at(tax, s, level, balls) is not None)
+            line = dataset_report("d", level, recs, lift_to_level(recs, tax, level, balls))
+            assert f"senses {want}/{len(seen)} " in line

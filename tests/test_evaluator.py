@@ -7,6 +7,8 @@ from ballwsd.evaluator import (EvalReport, make_synthetic_fixture, save_reports,
                                score, split_records)
 from ballwsd.inventory import SenseId
 
+from helpers import ancestors
+
 
 def sid(i):
     return SenseId(f"s{i}", "n", 1)
@@ -64,14 +66,18 @@ class TestScore:
             for k in range(n_gold):
                 if rng.random() < 0.7:
                     predicted[f"i{k}"] = sid(int(rng.integers(0, 5)))
-            report = score(predicted, gold)
+            inside = {k: bool(rng.random() < 0.5) for k in gold}
+            report = score(predicted, gold, inside)
             correct = sum(1 for k, p in predicted.items() if p == gold[k])
+            n_inside = sum(1 for k in predicted if inside[k])
             p = Fraction(correct, len(predicted)) if predicted else Fraction(0)
             r = Fraction(correct, n_gold)
             f1 = 2 * p * r / (p + r) if p + r else Fraction(0)
+            rate = Fraction(n_inside, len(predicted)) if predicted else Fraction(0)
             assert report.precision == float(p)
             assert report.recall == float(r)
             assert report.f1 == float(f1)
+            assert report.inside_rate == float(rate)
 
     def test_report_render_mentions_counts(self):
         report = EvalReport.from_counts(3, 4, 5, inside_count=2)
@@ -118,10 +124,10 @@ class TestSyntheticFixture:
                                     records_per_sense=1, chain_levels=3)
         tax = fx.taxonomy
         for leaf in fx.leaves:
-            assert len(tax.ancestors(leaf)) == 1 + 3 + 1   # top + chain + root
+            assert len(ancestors(tax, leaf)) == 1 + 3 + 1   # top + chain + root
         flat = make_synthetic_fixture(seed=0, n_top=3, senses_per_parent=2,
                                       records_per_sense=1, chain_levels=0)
-        assert all(len(flat.taxonomy.ancestors(leaf)) == 2 for leaf in flat.leaves)
+        assert all(len(ancestors(flat.taxonomy, leaf)) == 2 for leaf in flat.leaves)
 
     def test_record_counts_and_targets(self):
         fx = make_synthetic_fixture(seed=1, n_top=2, senses_per_parent=2,
