@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .embeddings import EmbeddingTable, hash_unit_vector
-from .geometry import Ball, BallConfiguration, GeometryConfig
+from .geometry import BallConfiguration, GeometryConfig
 from .inventory import SenseId, Taxonomy
 
 # relative slack added to every separation distance so float noise can
@@ -172,11 +172,7 @@ def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
                      [i % cfg.code_width for i in range(len(roots))])
 
     # final homothety into the unit ball
-    rows = list(zip(builder.centers, builder.radii))
-    outer = max(float(np.linalg.norm(c)) + r for c, r in rows)
+    outer = max(float(np.linalg.norm(c)) + r for c, r in zip(builder.centers, builder.radii))
     scale = 1.0 / outer
-    balls = {
-        str(node): Ball(str(node), c * scale, r * scale)
-        for (node, _), (c, r) in zip(builder.order, rows)
-    }
-    return BallConfiguration(dim=builder.dim, embedding_prefix_dim=builder.pdim, balls=balls)
+    return BallConfiguration([str(node) for node, _ in builder.order], builder.centers * scale,
+                             builder.radii * scale, builder.pdim)

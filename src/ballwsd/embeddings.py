@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -56,25 +57,36 @@ class EmbeddingTable:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Read a text table: `word v1 v2 ... vd` per line, space separated."""
+    """Read a text table: `word v1 v2 ... vd` per line, space separated.
+
+    A malformed row or a non-finite value raises one ValueError that
+    starts `path:lineno:`.
+    """
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    # v @ v overflows quietly; a row whose square is not finite gets the entrywise test
+    with open(path, encoding="utf-8") as fh, np.errstate(over="ignore"):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split(" ")
             word, coords = parts[0], parts[1:]
-            if not coords:
-                raise ValueError(f"{path}:{lineno}: no coordinates for {word!r}")
-            if dim is None:
-                dim = len(coords)
-            elif len(coords) != dim:
-                raise ValueError(f"{path}:{lineno}: expected {dim} coordinates, got {len(coords)}")
-            if word in vectors:
-                raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
-            vectors[word] = np.array([float(c) for c in coords], dtype=np.float64)
+            try:
+                if not coords:
+                    raise ValueError(f"no coordinates for {word!r}")
+                if dim is None:
+                    dim = len(coords)
+                elif len(coords) != dim:
+                    raise ValueError(f"expected {dim} coordinates, got {len(coords)}")
+                if word in vectors:
+                    raise ValueError(f"duplicate word {word!r}")
+                v = np.array(coords, dtype=np.float64)
+                if not math.isfinite(v @ v) and not np.isfinite(v).all():
+                    raise ValueError(f"{word!r} has a non-finite value")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            vectors[word] = v
     if not vectors:
         raise ValueError(f"{path}: empty embedding table")
     return EmbeddingTable(vectors)

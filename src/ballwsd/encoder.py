@@ -291,18 +291,18 @@ def prepare_arrays(records, table: EmbeddingTable, balls: BallConfiguration,
                    window_k: int):
     """Embed records into (T, C, Y) matrices.
 
-    Inputs come from embed_records; Y rows are the target senses' ball
-    centers, so every record's target must have a ball.
+    Inputs come from embed_records; Y rows are the target senses' center
+    rows, so every record's target must have a ball.
     """
     recs = list(records)
     T, C = embed_records(recs, table, window_k)
-    centers = []
+    rows = []
     for rec in recs:
-        ball = balls.get(str(rec.target))
-        if ball is None:
+        i = balls.row.get(str(rec.target))
+        if i is None:
             raise ValueError(f"no ball for target sense {rec.target}")
-        centers.append(ball.center)
-    return T, C, np.stack(centers)
+        rows.append(i)
+    return T, C, balls.centers[rows]
 
 
 @dataclass

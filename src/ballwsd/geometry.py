@@ -9,9 +9,10 @@ contains itself and tangent balls count as disconnected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, TYPE_CHECKING
+from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -24,7 +25,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
@@ -64,6 +65,11 @@ class Ball:
     def dim(self) -> int:
         return self.center.shape[0]
 
+    @functools.cached_property
+    def norm(self) -> float:
+        """|center|, computed once per ball object."""
+        return float(np.linalg.norm(self.center))
+
 
 @dataclass
 class GeometryConfig:
@@ -89,22 +95,34 @@ def _dimension_error(a: Ball, b: Ball) -> ValueError:
     return ValueError(f"dimension mismatch: {a.sense_id} is {a.dim}-d, {b.sense_id} is {b.dim}-d")
 
 
+def containment_rule(gap, r_outer, r_inner, epsilon: float):
+    """The containment test on a center distance: gap + r_in - r_out - eps.
+    Arrays broadcast, so the verifier checks a sibling group with it too."""
+    return gap + r_inner - r_outer - epsilon
+
+
+def overlap_rule(gap, r_a, r_b, epsilon: float):
+    """The disconnection test on a center distance: r_a + r_b - gap - eps.
+    Arrays broadcast."""
+    return r_a + r_b - gap - epsilon
+
+
 def containment_slack(outer: Ball, inner: Ball, epsilon: float = GeometryConfig.epsilon) -> float:
-    """How far `inner` sticks out of `outer` past the tolerance:
-    |c_in - c_out| + r_in - r_out - eps.  Positive means not contained."""
+    """How far `inner` sticks out of `outer` past the tolerance
+    (`containment_rule`).  Positive means not contained."""
     if outer.dim != inner.dim:
         raise _dimension_error(outer, inner)
     gap = float(np.linalg.norm(inner.center - outer.center))
-    return gap + inner.radius - outer.radius - epsilon
+    return containment_rule(gap, outer.radius, inner.radius, epsilon)
 
 
 def overlap_slack(a: Ball, b: Ball, epsilon: float = GeometryConfig.epsilon) -> float:
-    """How deep the balls overlap past the tolerance:
-    r_a + r_b - |c_a - c_b| - eps.  Positive means they share interior."""
+    """How deep the balls overlap past the tolerance (`overlap_rule`).
+    Positive means they share interior."""
     if a.dim != b.dim:
         raise _dimension_error(a, b)
     gap = float(np.linalg.norm(a.center - b.center))
-    return a.radius + b.radius - gap - epsilon
+    return overlap_rule(gap, a.radius, b.radius, epsilon)
 
 
 def contains(outer: Ball, inner: Ball, epsilon: float = GeometryConfig.epsilon) -> bool:
@@ -123,34 +141,77 @@ def point_inside(v, ball: Ball, epsilon: float = GeometryConfig.epsilon) -> bool
     return float(np.linalg.norm(p - ball.center)) <= ball.radius + epsilon
 
 
-@dataclass
-class BallConfiguration:
-    """All balls of one taxonomy plus the layout of their center vectors.
+class RowError(ValueError):
+    """A configuration row that fails validation; `row` is its index."""
 
-    Centers are `dim`-dimensional; the first `embedding_prefix_dim`
-    components of each center are a positive multiple of the static word
-    embedding the ball was built from.
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+@dataclass(eq=False)
+class BallConfiguration:
+    """All balls of one taxonomy, as rows: sense `ids[i]` has center
+    `centers[i]` (an N x dim float64 matrix) and radius `radii[i]`, and
+    `row` maps each id to its row.
+
+    The first `embedding_prefix_dim` components of each center are a
+    positive multiple of the static word embedding the ball was built from.
+    Rows are validated once, here; `get` returns a `Ball` viewing one row.
     """
 
-    dim: int
+    ids: list[str]
+    centers: np.ndarray
+    radii: np.ndarray
     embedding_prefix_dim: int
-    balls: dict[str, Ball] = field(default_factory=dict)
+    row: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.ids = list(self.ids)
+        self.centers = np.asarray(self.centers, dtype=np.float64)
+        self.radii = np.asarray(self.radii, dtype=np.float64)
+        n = len(self.ids)
+        if self.centers.ndim != 2 or self.centers.shape[0] != n or self.radii.shape != (n,):
+            raise ValueError(f"{n} ids need {n} center rows and {n} radii, "
+                             f"got shapes {self.centers.shape} and {self.radii.shape}")
         if not (0 < self.embedding_prefix_dim <= self.dim):
             raise ValueError("need 0 < embedding_prefix_dim <= dim")
-        for sid, ball in self.balls.items():
-            if ball.dim != self.dim:
-                raise ValueError(f"{sid}: ball dimension {ball.dim} != configuration dim {self.dim}")
+        self.row = {}
+        for i, sid in enumerate(self.ids):
+            self.row.setdefault(sid, i)
+        duplicate = np.array([self.row[sid] != i for i, sid in enumerate(self.ids)], dtype=bool)
+        bad_center = ~np.isfinite(self.centers).all(axis=1)
+        bad_radius = ~(np.isfinite(self.radii) & (self.radii > 0.0))
+        bad = duplicate | bad_center | bad_radius
+        if bad.any():
+            i = int(np.argmax(bad))
+            sid = self.ids[i]
+            if duplicate[i]:
+                raise RowError(i, f"duplicate sense id {sid!r}")
+            if bad_center[i]:
+                raise RowError(i, f"{sid}: center has non-finite entries")
+            raise RowError(i, f"{sid}: radius must be positive and finite, "
+                              f"got {float(self.radii[i])}")
+
+    @property
+    def dim(self) -> int:
+        return self.centers.shape[1]
 
     def __len__(self) -> int:
-        return len(self.balls)
+        return len(self.ids)
 
     def __contains__(self, sense_id: str) -> bool:
-        return sense_id in self.balls
+        return sense_id in self.row
 
     def get(self, sense_id: str) -> Ball | None:
-        return self.balls.get(sense_id)
+        """The ball of `sense_id`, its center a view of the row, or None.
+        Rows were checked on construction, so Ball's checks are not rerun."""
+        i = self.row.get(sense_id)
+        if i is None:
+            return None
+        ball = object.__new__(Ball)
+        ball.__dict__.update(sense_id=sense_id, center=self.centers[i], radius=float(self.radii[i]))
+        return ball
 
 
 # ---------------------------------------------------------------------------
@@ -161,41 +222,61 @@ class BallConfiguration:
 # %.17g guarantees float64 round-trips to the identical bit pattern.
 
 _FMT = "%.17g"
+_HEADER = "'#dim n prefix p' header"
 
 
 def save_balls(config: BallConfiguration, path) -> None:
+    """Write one line per ball, in sorted-id order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#dim {config.dim} prefix {config.embedding_prefix_dim}\n")
-        for sid in sorted(config.balls):
-            ball = config.balls[sid]
-            coords = " ".join(_FMT % c for c in ball.center)
-            fh.write(f"{sid}\t{_FMT % ball.radius}\t{coords}\n")
+        for sid in sorted(config.ids):
+            i = config.row[sid]
+            coords = " ".join(_FMT % c for c in config.centers[i].tolist())
+            fh.write(f"{sid}\t{_FMT % config.radii[i]}\t{coords}\n")
 
 
 def load_balls(path) -> BallConfiguration:
+    """Read a ball file.  A malformed row, a row before the header or a
+    second header raises one ValueError that starts `path:lineno:`."""
     dim = prefix = None
-    balls: dict[str, Ball] = {}
+    ids, radii, rows, linenos = [], [], [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 4 and parts[0] == "dim" and parts[2] == "prefix":
-                    dim, prefix = int(parts[1]), int(parts[3])
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            sid, radius_s, coords_s = fields
-            if sid in balls:
-                raise ValueError(f"{path}:{lineno}: duplicate sense id {sid!r}")
-            center = np.array([float(t) for t in coords_s.split()], dtype=np.float64)
-            balls[sid] = Ball(sid, center, float(radius_s))
-    if dim is None or prefix is None:
-        raise ValueError(f"{path}: missing '#dim n prefix p' header")
-    return BallConfiguration(dim=dim, embedding_prefix_dim=prefix, balls=balls)
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if len(parts) == 4 and parts[0] == "dim" and parts[2] == "prefix":
+                        if dim is not None:
+                            raise ValueError(f"second {_HEADER}")
+                        dim, prefix = int(parts[1]), int(parts[3])
+                    continue
+                if dim is None:
+                    raise ValueError(f"ball row before the {_HEADER}")
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
+                sid, radius_s, coords_s = fields
+                center = np.array(coords_s.split(), dtype=np.float64)
+                if center.shape[0] != dim:
+                    raise ValueError(f"{sid}: expected {dim} coordinates, got {center.shape[0]}")
+                radius = float(radius_s)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            ids.append(sid)
+            radii.append(radius)
+            rows.append(center)
+            linenos.append(lineno)
+    if dim is None:
+        raise ValueError(f"{path}: missing {_HEADER}")
+    try:
+        return BallConfiguration(ids, np.array(rows).reshape(len(rows), dim), radii, prefix)
+    except RowError as exc:
+        raise ValueError(f"{path}:{linenos[exc.row]}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +314,15 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _gaps(block: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """|row - point| for each row of `block`.  The batched 1 x d by d x 1
+    products take, row by row, the dot product `np.linalg.norm` takes on
+    one vector, so each gap equals the scalar slack functions' gap (bit for
+    bit where numpy sends both to the same BLAS dot; tests allow 1e-12)."""
+    d = block - point
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+
+
 def verify_configuration(
     config: BallConfiguration,
     taxonomy: "Taxonomy",
@@ -243,33 +333,38 @@ def verify_configuration(
 
     Only taxonomy nodes that have a ball participate; a child with a ball
     whose parent lacks one is reported as "missing" since its nesting
-    cannot be verified.
+    cannot be verified.  Each sibling group's rows are gathered once:
+    containment is one block against the parent's row, disconnection one
+    row against the rest of the group after it, so violations come out
+    in the order of the pairwise loop.
     """
     cfg = cfg or GeometryConfig()
     eps = cfg.epsilon
     report = VerificationReport()
-    balls = config.balls
+    found = report.violations
+    ids, row, centers, radii = config.ids, config.row, config.centers, config.radii
 
     groups = [(parent, taxonomy.children_of(parent)) for parent in taxonomy.nodes()]
     groups.append((None, taxonomy.roots()))  # co-roots: no covering ball, still disjoint
     for parent, group in groups:
-        # (id, ball) of each child that has one, looked up once per group
-        kids = [(k, balls[k]) for k in map(str, group) if k in balls]
+        rows = [r for r in map(row.get, map(str, group)) if r is not None]
+        if not rows:
+            continue
+        kids, block, kid_radii = [ids[r] for r in rows], centers[rows], radii[rows]
         if parent is not None:
             pid = str(parent)
-            pb = balls.get(pid)
-            for kid, kb in kids:
-                if pb is None:
-                    report.violations.append(Violation("missing", pid, kid, math.inf))
-                    continue
-                report.checked_containment += 1
-                slack = containment_slack(pb, kb, eps)
-                if slack > 0.0:
-                    report.violations.append(Violation("containment", pid, kid, slack))
-        for i, (a, ab) in enumerate(kids):
-            for b, bb in kids[i + 1:]:
-                report.checked_disconnection += 1
-                slack = overlap_slack(ab, bb, eps)
-                if slack > 0.0:
-                    report.violations.append(Violation("disconnection", a, b, slack))
+            p = row.get(pid)
+            if p is None:
+                found.extend(Violation("missing", pid, kid, math.inf) for kid in kids)
+            else:
+                report.checked_containment += len(rows)
+                slack = containment_rule(_gaps(block, centers[p]), radii[p], kid_radii, eps)
+                found.extend(Violation("containment", pid, kids[j], float(slack[j]))
+                             for j in np.flatnonzero(slack > 0.0))
+        for i in range(len(rows) - 1):
+            slack = overlap_rule(_gaps(block[i + 1:], block[i]), kid_radii[i],
+                                 kid_radii[i + 1:], eps)
+            found.extend(Violation("disconnection", kids[i], kids[i + 1 + j], float(slack[j]))
+                         for j in np.flatnonzero(slack > 0.0))
+        report.checked_disconnection += len(rows) * (len(rows) - 1) // 2
     return report

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import anchor_at
-from .geometry import Ball, BallConfiguration, GeometryConfig, cos_sim, contains, point_inside
+from .geometry import (Ball, BallConfiguration, GeometryConfig, as_vector, contains,
+                       point_inside)
 from .inventory import Inventory, SenseId
 
 
@@ -56,7 +57,17 @@ def select_sense(v, candidates: list[Candidate],
     cfg = cfg or GeometryConfig()
     if not candidates:
         raise ValueError("no candidates to select from")
-    scores = [cos_sim(v, c.ball.center) for c in candidates]
+    # cos_sim's arithmetic, with v validated once and each center's norm cached
+    v = as_vector(v)
+    nv = float(np.linalg.norm(v))
+    scores = []
+    for c in candidates:
+        ball = c.ball
+        if ball.dim != v.shape[0]:
+            raise ValueError(f"dimension mismatch: expected {v.shape[0]}, got {ball.dim}")
+        if nv == 0.0 or ball.norm == 0.0:
+            raise ValueError("cosine similarity undefined for zero-norm input")
+        scores.append(float(np.dot(v, ball.center) / (nv * ball.norm)))
     best = 0
     for i in range(1, len(scores)):
         if scores[i] > scores[best]:
@@ -69,8 +80,7 @@ def select_sense(v, candidates: list[Candidate],
     return Prediction(
         chosen=chosen.sense,
         score=scores[best],
-        inside_anchor_ball=point_inside(np.asarray(v, dtype=np.float64),
-                                        chosen.ball, cfg.epsilon),
+        inside_anchor_ball=point_inside(v, chosen.ball, cfg.epsilon),
         margin=margin,
     )
 

@@ -1,11 +1,12 @@
 """Shared test helpers: random taxonomies and embedding tables, table
-files, ancestor chains and gradient checks."""
+files, ball configurations from balls, ancestor chains and gradient checks."""
 
 import copy
 
 import numpy as np
 
 from ballwsd.embeddings import EmbeddingTable
+from ballwsd.geometry import BallConfiguration
 from ballwsd.inventory import SenseId, Taxonomy
 
 
@@ -55,6 +56,17 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
         for word in table.words():
             coords = " ".join("%.17g" % c for c in table.get(word))
             fh.write(f"{word} {coords}\n")
+
+
+def configuration(balls, prefix: int | None = None, dim: int | None = None) -> BallConfiguration:
+    """The configuration whose rows are `balls` (an iterable of `Ball`), in
+    order.  `dim` is needed only when there are no balls; the embedding
+    prefix spans `prefix` dimensions, or all of them."""
+    balls = list(balls)
+    dim = dim or balls[0].dim
+    centers = np.array([b.center for b in balls]).reshape(len(balls), dim)
+    return BallConfiguration([b.sense_id for b in balls], centers, [b.radius for b in balls],
+                             prefix or dim)
 
 
 def ancestors(taxonomy: Taxonomy, node: SenseId) -> list[SenseId]:

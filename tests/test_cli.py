@@ -367,6 +367,32 @@ class TestOneLineErrors:
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_embedding_is_one_line_data_error(self, workspace, capsys, value):
+        lines = workspace["embeddings"].read_text().splitlines()
+        word, *coords = lines[2].split(" ")
+        lines[2] = " ".join([word, value, *coords[1:]])
+        workspace["embeddings"].write_text("\n".join(lines) + "\n")
+        code = main(["build-balls", "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]),
+                     "--out", str(workspace["dir"] / "b")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {workspace['embeddings']}:3: {word!r} has a non-finite value"]
+
+    def test_malformed_ball_file_is_one_line_data_error(self, workspace, capsys):
+        balls = build(workspace)
+        lines = balls.read_text().splitlines()
+        sid, radius, coords = lines[4].split("\t")
+        lines[4] = "\t".join([sid, "0", coords])
+        balls.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["query", "--balls", str(balls), "fly.n.01", "move.n.01"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {balls}:5: {sid}: radius must be positive and finite, got 0.0"]
+
+
 class TestQuery:
     def test_yes_no_and_unknown(self, workspace, capsys):
         balls = build(workspace)

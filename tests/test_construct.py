@@ -121,8 +121,8 @@ class TestDeterminism:
     def test_identical_reruns(self, tmp_path):
         tax1, table1, balls1, _ = build_random(8, 70, 10)
         tax2, table2, balls2, _ = build_random(8, 70, 10)
-        assert sorted(balls1.balls) == sorted(balls2.balls)
-        for sid in balls1.balls:
+        assert balls1.ids == balls2.ids
+        for sid in balls1.ids:
             a, b = balls1.get(sid), balls2.get(sid)
             assert a.radius == b.radius
             assert np.array_equal(a.center, b.center)
@@ -133,7 +133,7 @@ class TestDeterminism:
         save_balls(balls, path)
         back = load_balls(path)
         assert verify_configuration(back, tax, cfg).ok
-        for sid in balls.balls:
+        for sid in balls.ids:
             assert np.array_equal(back.get(sid).center, balls.get(sid).center)
             assert back.get(sid).radius == balls.get(sid).radius
 

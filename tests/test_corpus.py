@@ -4,10 +4,10 @@ import pytest
 from ballwsd.corpus import (CorpusError, TrainingRecord, anchor_at, dataset_report,
                             lift_to_level, parse_annotated_corpus,
                             save_records)
-from ballwsd.geometry import Ball, BallConfiguration
+from ballwsd.geometry import Ball
 from ballwsd.inventory import SenseId, Taxonomy, hypernym_at
 
-from helpers import random_taxonomy
+from helpers import configuration, random_taxonomy
 
 AIM = SenseId("aim", "n", 2)
 GOAL = SenseId("goal", "n", 1)
@@ -26,7 +26,7 @@ def ball_config(senses, dim=3):
         center = np.zeros(dim)
         center[0] = float(i + 1)
         balls[str(s)] = Ball(str(s), center, 0.25)
-    return BallConfiguration(dim=dim, embedding_prefix_dim=dim, balls=balls)
+    return configuration(balls.values(), dim=dim)
 
 
 class TestTrainingRecord:

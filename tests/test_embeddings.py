@@ -76,6 +76,25 @@ class TestFiles:
         with pytest.raises(ValueError):
             load_embeddings(p)
 
+    @pytest.mark.parametrize("value, message", [
+        ("zz", "could not convert string to float: 'zz'"),
+        ("nan", "'b' has a non-finite value"),
+        ("inf", "'b' has a non-finite value"),
+        ("-1e999", "'b' has a non-finite value"),
+    ])
+    def test_load_error_names_file_and_line(self, tmp_path, value, message):
+        p = tmp_path / "emb.txt"
+        p.write_text(f"a 1.0 2.0\nb 1.0 {value}\nc 3.0 4.0\n")
+        with pytest.raises(ValueError) as exc:
+            load_embeddings(p)
+        assert str(exc.value) == f"{p}:2: {message}"
+
+    def test_large_finite_values_load(self, tmp_path):
+        # their squares overflow; the values themselves are finite
+        p = tmp_path / "emb.txt"
+        p.write_text("a 1e200 -1.5e300\n")
+        assert np.array_equal(load_embeddings(p).vector("a"), [1e200, -1.5e300])
+
 
 class TestEmbedTokens:
     def test_shape_and_rows(self):

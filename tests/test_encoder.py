@@ -7,10 +7,10 @@ from ballwsd.encoder import (TrainConfig, batch_loss_and_grads,
                              embed_records, forward_batch,
                              init_params, load_encoder, prepare_arrays,
                              save_encoder, train)
-from ballwsd.geometry import Ball, BallConfiguration
+from ballwsd.geometry import Ball
 from ballwsd.inventory import SenseId
 
-from helpers import gradient_check
+from helpers import configuration, gradient_check
 
 
 def toy_setup():
@@ -26,8 +26,7 @@ def toy_setup():
     })
     centers = {str(s1): np.array([1.0, 0.0, 0.0, 0.0]),
                str(s2): np.array([-1.0, 0.5, 0.0, 0.0])}
-    balls = BallConfiguration(dim=4, embedding_prefix_dim=2, balls={
-        sid: Ball(sid, c, 0.1) for sid, c in centers.items()})
+    balls = configuration((Ball(sid, c, 0.1) for sid, c in centers.items()), prefix=2)
     records = []
     for sense, ctx in ((s1, "ctxa"), (s2, "ctxb")):
         for i in range(12):

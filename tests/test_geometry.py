@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ballwsd.geometry import (Ball, BallConfiguration, GeometryConfig,
+from ballwsd.construct import construct_balls
+from ballwsd.geometry import (Ball, BallConfiguration, GeometryConfig, RowError,
                               as_vector, containment_slack, contains, cos_sim,
                               disconnected, load_balls, overlap_slack,
                               point_inside, save_balls, verify_configuration)
 from ballwsd.inventory import SenseId, Taxonomy
+
+from helpers import configuration, random_table, random_taxonomy
 
 
 def ball(name, center, radius):
@@ -139,14 +142,37 @@ class TestConfigs:
             GeometryConfig(code_width=0)
 
     def test_ball_configuration_validation(self):
-        b = ball("a.n.01", [0.0, 0.0, 0.0], 1.0)
-        cfg = BallConfiguration(dim=3, embedding_prefix_dim=2, balls={"a.n.01": b})
-        assert "a.n.01" in cfg and len(cfg) == 1
-        assert cfg.get("a.n.01") is b and cfg.get("zzz") is None
+        cfg = BallConfiguration(["a.n.01"], [[1.0, 2.0, 3.0]], [0.5], 2)
+        assert "a.n.01" in cfg and len(cfg) == 1 and cfg.dim == 3
+        b = cfg.get("a.n.01")
+        assert b.sense_id == "a.n.01" and b.radius == 0.5
+        assert np.shares_memory(b.center, cfg.centers)  # a view of its row
+        assert cfg.get("zzz") is None
         with pytest.raises(ValueError):
-            BallConfiguration(dim=3, embedding_prefix_dim=4, balls={})
+            BallConfiguration([], np.zeros((0, 3)), [], 4)
         with pytest.raises(ValueError):
-            BallConfiguration(dim=2, embedding_prefix_dim=1, balls={"a.n.01": b})
+            BallConfiguration(["a.n.01"], np.zeros((1, 3)), [1.0, 2.0], 1)
+        with pytest.raises(ValueError):
+            BallConfiguration(["a.n.01"], np.zeros(3), [1.0], 1)
+
+    @pytest.mark.parametrize("row, fault, message", [
+        (1, "radius", "b.n.01: radius must be positive and finite, got 0.0"),
+        (2, "center", "c.n.01: center has non-finite entries"),
+        (3, "duplicate", "duplicate sense id 'a.n.01'"),
+    ])
+    def test_first_bad_row_is_named(self, row, fault, message):
+        ids = ["a.n.01", "b.n.01", "c.n.01", "d.n.01", "e.n.01"]
+        centers, radii = np.zeros((5, 2)), np.ones(5)
+        radii[4] = -1.0  # a later fault is not the one reported
+        if fault == "radius":
+            radii[row] = 0.0
+        elif fault == "center":
+            centers[row, 1] = np.nan
+        else:
+            ids[row] = "a.n.01"
+        with pytest.raises(RowError) as exc:
+            BallConfiguration(ids, centers, radii, 1)
+        assert exc.value.row == row and str(exc.value) == message
 
 
 class TestRoundTrip:
@@ -157,12 +183,12 @@ class TestRoundTrip:
             name = f"s{i}.n.{i % 4 + 1:02d}"
             balls[name] = ball(name, rng.standard_normal(7) * 10.0 ** rng.integers(-8, 8),
                                float(10.0 ** rng.uniform(-9, 3)))
-        cfg = BallConfiguration(dim=7, embedding_prefix_dim=4, balls=balls)
+        cfg = configuration(balls.values(), prefix=4)
         path = tmp_path / "balls.tsv"
         save_balls(cfg, path)
         back = load_balls(path)
         assert back.dim == 7 and back.embedding_prefix_dim == 4
-        assert sorted(back.balls) == sorted(balls)
+        assert back.ids == sorted(balls)  # rows in the file's sorted-id order
         for name, b in balls.items():
             rb = back.get(name)
             assert rb.radius == b.radius
@@ -170,7 +196,7 @@ class TestRoundTrip:
 
     def test_save_is_deterministic(self, tmp_path):
         b = ball("a.n.01", [1.0 / 3.0, 2.0 / 7.0], 0.1)
-        cfg = BallConfiguration(dim=2, embedding_prefix_dim=1, balls={"a.n.01": b})
+        cfg = configuration([b], prefix=1)
         save_balls(cfg, tmp_path / "one.tsv")
         save_balls(cfg, tmp_path / "two.tsv")
         assert (tmp_path / "one.tsv").read_bytes() == (tmp_path / "two.tsv").read_bytes()
@@ -193,6 +219,20 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             load_balls(p)
 
+    @pytest.mark.parametrize("line, message", [
+        ("b.n.01\t1.0\t0 nan", "b.n.01: center has non-finite entries"),
+        ("b.n.01\t0\t5 5", "b.n.01: radius must be positive and finite, got 0.0"),
+        ("b.n.01\t1.0\t5 5 5", "b.n.01: expected 2 coordinates, got 3"),
+        ("b.n.01\t1.0\t5 x", "could not convert string to float: 'x'"),
+        ("#dim 3 prefix 1", "second '#dim n prefix p' header"),
+    ], ids=["nan", "radius-0", "long-row", "token", "second-header"])
+    def test_load_error_names_file_and_line(self, tmp_path, line, message):
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"#dim 2 prefix 1\na.n.01\t1.0\t0 0\n{line}\nc.n.01\t1.0\t9 9\n")
+        with pytest.raises(ValueError) as exc:
+            load_balls(p)
+        assert str(exc.value) == f"{p}:3: {message}"
+
 
 def chain_taxonomy():
     a = SenseId("top", "n", 1)
@@ -203,7 +243,7 @@ def chain_taxonomy():
 
 
 class TestVerifier:
-    def good_configuration(self):
+    def good_balls(self):
         a, b, c1, c2, tax = chain_taxonomy()
         balls = {
             str(a): ball(str(a), [0.0, 0.0], 4.0),
@@ -211,10 +251,11 @@ class TestVerifier:
             str(c1): ball(str(c1), [1.5, 0.0], 1.0),
             str(c2): ball(str(c2), [-1.0, 0.0], 1.0),
         }
-        return tax, BallConfiguration(dim=2, embedding_prefix_dim=1, balls=balls)
+        return tax, balls
 
     def test_good_configuration_passes(self):
-        tax, cfg = self.good_configuration()
+        tax, balls = self.good_balls()
+        cfg = configuration(balls.values(), prefix=1)
         report = verify_configuration(cfg, tax)
         assert report.ok
         assert report.checked_containment == 3
@@ -222,34 +263,35 @@ class TestVerifier:
         assert "violations:                   0" in report.render()
 
     def test_containment_violation_detected(self):
-        tax, cfg = self.good_configuration()
-        cfg.balls["mid.n.01"] = ball("mid.n.01", [0.5, 0.0], 1.2)
+        tax, balls = self.good_balls()
+        balls["mid.n.01"] = ball("mid.n.01", [0.5, 0.0], 1.2)
+        cfg = configuration(balls.values(), prefix=1)
         report = verify_configuration(cfg, tax)
         kinds = {v.kind for v in report.violations}
         assert "containment" in kinds
         assert all(v.slack > 0 for v in report.violations)
         # the reported slack is the value the verdict was decided on
         for v in report.violations:
-            want = containment_slack(cfg.balls[v.subject], cfg.balls[v.other], 1e-9)
+            want = containment_slack(cfg.get(v.subject), cfg.get(v.other), 1e-9)
             assert v.slack == want
 
     def test_disconnection_violation_detected(self):
-        tax, cfg = self.good_configuration()
-        cfg.balls["leaf.n.02"] = ball("leaf.n.02", [1.0, 0.0], 1.0)
-        report = verify_configuration(cfg, tax)
+        tax, balls = self.good_balls()
+        balls["leaf.n.02"] = ball("leaf.n.02", [1.0, 0.0], 1.0)
+        report = verify_configuration(configuration(balls.values(), prefix=1), tax)
         assert any(v.kind == "disconnection" for v in report.violations)
         assert not report.ok
 
     def test_missing_parent_ball_reported(self):
-        tax, cfg = self.good_configuration()
-        del cfg.balls["mid.n.01"]
-        report = verify_configuration(cfg, tax)
+        tax, balls = self.good_balls()
+        del balls["mid.n.01"]
+        report = verify_configuration(configuration(balls.values(), prefix=1), tax)
         assert any(v.kind == "missing" for v in report.violations)
 
     def test_nodes_without_balls_are_ignored(self):
         a, b, c1, c2, tax = chain_taxonomy()
         balls = {str(a): ball(str(a), [0.0, 0.0], 4.0)}
-        cfg = BallConfiguration(dim=2, embedding_prefix_dim=1, balls=balls)
+        cfg = configuration(balls.values(), prefix=1)
         report = verify_configuration(cfg, tax)
         assert report.ok
         assert report.checked_containment == 0
@@ -261,7 +303,7 @@ class TestVerifier:
             str(r1): ball(str(r1), [0.0, 0.0], 1.0),
             str(r2): ball(str(r2), [1.0, 0.0], 1.0),
         }
-        cfg = BallConfiguration(dim=2, embedding_prefix_dim=1, balls=balls)
+        cfg = configuration(balls.values(), prefix=1)
         report = verify_configuration(cfg, tax)
         assert not report.ok
         assert report.violations[0].kind == "disconnection"
@@ -273,6 +315,94 @@ class TestVerifier:
             str(a): ball(str(a), [0.0], 1.0),
             str(b): ball(str(b), [0.0], 1.0 + 5e-10),
         }
-        cfg = BallConfiguration(dim=1, embedding_prefix_dim=1, balls=balls)
+        cfg = configuration(balls.values(), prefix=1)
         assert verify_configuration(cfg, tax, GeometryConfig(epsilon=1e-9)).ok
         assert not verify_configuration(cfg, tax, GeometryConfig(epsilon=1e-12)).ok
+
+
+# ---------------------------------------------------------------------------
+# the row-block verifier against the scalar slack functions, pair by pair
+
+def pairwise_report(config, taxonomy, eps):
+    """(containment checked, disconnection checked, violations) of a loop
+    that calls the scalar slack functions once per pair of `Ball`s."""
+    checked_c = checked_d = 0
+    found = []
+    groups = [(p, taxonomy.children_of(p)) for p in taxonomy.nodes()]
+    groups.append((None, taxonomy.roots()))
+    for parent, group in groups:
+        kids = [(str(k), config.get(str(k))) for k in group if str(k) in config]
+        if parent is not None:
+            pb = config.get(str(parent))
+            for kid, kb in kids:
+                if pb is None:
+                    found.append(("missing", str(parent), kid, math.inf))
+                    continue
+                checked_c += 1
+                slack = containment_slack(pb, kb, eps)
+                if slack > 0.0:
+                    found.append(("containment", str(parent), kid, slack))
+        for i, (a, ab) in enumerate(kids):
+            for b, bb in kids[i + 1:]:
+                checked_d += 1
+                slack = overlap_slack(ab, bb, eps)
+                if slack > 0.0:
+                    found.append(("disconnection", a, b, slack))
+    return checked_c, checked_d, found
+
+
+def with_faults(rng, config, n_faults):
+    """A copy of `config` in which some radii are inflated, some centers
+    are moved next to another ball's, and some rows are dropped."""
+    n = len(config)
+    centers, radii = config.centers.copy(), config.radii.copy()
+    keep = np.ones(n, dtype=bool)
+    for i in rng.choice(n, size=min(n, n_faults), replace=False):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            radii[i] *= rng.uniform(1.5, 50.0)
+        elif kind == 1:
+            centers[i] = centers[int(rng.integers(0, n))] + 1e-3 * rng.standard_normal(config.dim)
+        else:
+            keep[i] = False
+    rows = np.flatnonzero(keep)
+    return BallConfiguration([config.ids[i] for i in rows], centers[rows], radii[rows],
+                             config.embedding_prefix_dim)
+
+
+def assert_same_as_pairwise(config, taxonomy, eps=1e-9):
+    report = verify_configuration(config, taxonomy, GeometryConfig(epsilon=eps))
+    checked_c, checked_d, want = pairwise_report(config, taxonomy, eps)
+    assert (report.checked_containment, report.checked_disconnection) == (checked_c, checked_d)
+    assert [(v.kind, v.subject, v.other) for v in report.violations] == [w[:3] for w in want]
+    for v, w in zip(report.violations, want):
+        assert math.isclose(v.slack, w[3], rel_tol=1e-12)
+    return report
+
+
+class TestBlockVerifier:
+    def test_random_forests_with_faults(self):
+        rng = np.random.default_rng(40)
+        kinds = set()
+        for _ in range(15):
+            tax = random_taxonomy(rng, int(rng.integers(10, 160)), forest_prob=0.5)
+            built = construct_balls(tax, random_table(rng, tax, int(rng.integers(2, 9))))
+            assert assert_same_as_pairwise(built, tax).ok
+            faulted = with_faults(rng, built, int(rng.integers(1, 12)))
+            kinds |= {v.kind for v in assert_same_as_pairwise(faulted, tax).violations}
+        assert kinds == {"containment", "disconnection", "missing"}
+
+    def test_400_child_star(self):
+        rng = np.random.default_rng(41)
+        root = SenseId("hub", "n", 1)
+        kids = [SenseId(f"k{i}", "n", 1) for i in range(400)]
+        tax = Taxonomy({root: None, **{k: root for k in kids}})
+        built = construct_balls(tax, random_table(rng, tax, 12))
+        report = assert_same_as_pairwise(built, tax)
+        assert report.ok and report.checked_disconnection == 400 * 399 // 2
+        # every 50th radius x50, as tools/same_bytes.py faults a ball file
+        radii = built.radii.copy()
+        radii[::50] *= 50.0
+        faulted = BallConfiguration(built.ids, built.centers, radii, built.embedding_prefix_dim)
+        assert len(assert_same_as_pairwise(faulted, tax).violations) > 400
+        assert_same_as_pairwise(with_faults(rng, built, 40), tax)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ballwsd.geometry import Ball, BallConfiguration, GeometryConfig, cos_sim, point_inside
+from ballwsd.geometry import Ball, GeometryConfig, cos_sim, point_inside
 from ballwsd.inventory import Inventory, SenseId, Taxonomy
 from ballwsd.selector import (Candidate, Prediction, candidate_set,
                               deduction_query, save_predictions,
                               select_sense)
+
+from helpers import configuration
 
 
 def make_candidate(lemma, index, center, radius=0.5, anchor=None):
@@ -95,6 +97,33 @@ class TestSelectSense:
         with pytest.raises(ValueError):
             select_sense([1.0], [])
 
+    def test_bad_inputs_raise(self):
+        cands = [make_candidate("w", 1, [1.0, 0.0])]
+        for v in ([0.0, 0.0], [1.0, float("nan")], [1.0, float("inf")], [1.0, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                select_sense(v, cands)
+        with pytest.raises(ValueError, match="zero-norm"):
+            select_sense([1.0, 0.0], [make_candidate("w", 1, [0.0, 0.0])])
+
+    def test_scores_and_margins_equal_cos_sim_bit_for_bit(self):
+        # candidates whose balls view rows of one configuration, as in eval
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            dim = int(rng.integers(2, 120))
+            n = int(rng.integers(1, 10))
+            anchors = [SenseId("p", "n", i + 1) for i in range(n)]
+            config = configuration(Ball(str(a), rng.standard_normal(dim), 0.5) for a in anchors)
+            cands = [Candidate(SenseId("w", "n", i + 1), a, config.get(str(a)))
+                     for i, a in enumerate(anchors)]
+            v = rng.standard_normal((3, dim))[1]  # a row of a matrix, like encoder output
+            pred = select_sense(v, cands)
+            scores = [cos_sim(v, c.ball.center) for c in cands]
+            best = scores.index(max(scores))
+            assert pred.chosen == cands[best].sense
+            assert pred.score == scores[best]
+            rest = scores[:best] + scores[best + 1:]
+            assert pred.margin == (scores[best] - max(rest) if rest else math.inf)
+
 
 class TestCandidateSet:
     def fixture(self):
@@ -108,7 +137,7 @@ class TestCandidateSet:
             c = np.zeros(3)
             c[0] = i + 1.0
             balls[str(sid)] = Ball(str(sid), c, 0.1)
-        config = BallConfiguration(dim=3, embedding_prefix_dim=3, balls=balls)
+        config = configuration(balls.values())
         return Inventory(taxonomy=tax), config
 
     def test_level0_uses_own_balls(self):
@@ -141,7 +170,7 @@ class TestDeductionQuery:
             "greek.n.01": Ball("greek.n.01", np.array([1.5, 0.0]), 0.5),
             "dog.n.01": Ball("dog.n.01", np.array([-2.0, 0.0]), 1.0),
         }
-        return BallConfiguration(dim=2, embedding_prefix_dim=2, balls=balls)
+        return configuration(balls.values())
 
     def test_chain_is_transitive(self):
         config = self.fixture()

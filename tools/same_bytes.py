@@ -10,9 +10,12 @@ seed 0 by perfbench/workloads.py, then the benchmark's pipeline
 train with the workload's training keys, eval), QUERIES_PER_PASS seeded
 queries and show-config run once with REF's `src/` and once with this tree's, from
 sibling directories that read the same inputs by the same relative
-paths.  Every written file, exit code, stdout and stderr that differs is
-listed.  Exit status: 0 when nothing differs, 1 when something does, 2
-when REF cannot be extracted.
+paths.  Then the tree's balls.tsv is copied into inputs/ with every
+FAULT_EVERY-th radius times FAULT_SCALE, and verify-balls runs on that
+copy with both, so violation order and slack text are compared too.
+Every written file, exit code, stdout and stderr that differs is listed.
+Exit status: 0 when nothing differs, 1 when something does, 2 when REF
+cannot be extracted.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ import numpy as np  # noqa: E402
 from run import QUERIES_PER_PASS, child_env, commands, query_argv  # noqa: E402
 from workloads import WORKLOADS, draw_queries  # noqa: E402
 
+FAULT_EVERY, FAULT_SCALE = 50, 50.0
+
 
 def extract(ref: str, dest: Path) -> str:
     """Write REF's tree into dest; returns REF's commit id."""
@@ -46,13 +51,24 @@ def extract(ref: str, dest: Path) -> str:
 def run_pipeline(src: Path, cwd: Path, argvs: list[list[str]]) -> list[tuple]:
     """(argv, exit code, stdout, stderr) of each command, run in order."""
     env = dict(child_env(), PYTHONPATH=str(src))
-    cwd.mkdir()
+    cwd.mkdir(exist_ok=True)
     out = []
     for argv in argvs:
         proc = subprocess.run([sys.executable, "-m", "ballwsd", *argv], cwd=cwd, env=env,
                               capture_output=True, text=True)
         out.append((argv, proc.returncode, proc.stdout, proc.stderr))
     return out
+
+
+def write_faulted(balls: Path, dest: Path) -> None:
+    """Copy a ball file, multiplying every FAULT_EVERY-th ball's radius by
+    FAULT_SCALE."""
+    lines = balls.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    for i in rows[FAULT_EVERY - 1::FAULT_EVERY]:
+        sid, radius, coords = lines[i].split("\t")
+        lines[i] = f"{sid}\t{'%.17g' % (float(radius) * FAULT_SCALE)}\t{coords}"
+    dest.write_text("".join(lines), encoding="utf-8")
 
 
 def files(top: Path) -> dict[str, bytes]:
@@ -98,6 +114,14 @@ def main(argv=None) -> int:
             argvs += [query_argv("", q) for q in queries] + [["show-config"]]
             ref_runs = run_pipeline(tmp / "ref-tree" / "src", work / "ref", argvs)
             tree_runs = run_pipeline(ROOT / "src", work / "tree", argvs)
+            built = work / "tree" / "balls" / "balls.tsv"
+            if built.is_file():
+                write_faulted(built, work / "inputs" / "balls-faulted.tsv")
+                verify = [["verify-balls", "--balls", "../inputs/balls-faulted.tsv",
+                           "--inventory", "../inputs/inventory.tsv"]]
+                argvs += verify
+                ref_runs += run_pipeline(tmp / "ref-tree" / "src", work / "ref", verify)
+                tree_runs += run_pipeline(ROOT / "src", work / "tree", verify)
             found = compare(name, ref_runs, tree_runs, work / "ref", work / "tree")
             n_files = len(files(work / "tree"))
             print(f"{name}: {len(argvs)} commands, {n_files} files written: "
