@@ -294,7 +294,7 @@ def predict_records(params: EncoderParams, records, level: int,
         candidates = cand_cache[word]
         if not candidates:
             continue
-        pred = select_sense(V[i], candidates, geometry)
+        pred = select_sense(V[i], candidates, balls, geometry)
         anchor = next(c.anchor for c in candidates if c.sense == pred.chosen)
         predicted[iid] = anchor
         inside[iid] = pred.inside_anchor_ball

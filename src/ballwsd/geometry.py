@@ -1,10 +1,11 @@
 """Ball geometry: n-dimensional balls, region predicates, and file round-trip.
 
-A taxonomy is encoded as a family of balls, one per sense.  A hypernym's
-ball contains the balls of its hyponyms; co-hyponym balls are disjoint.
-All predicates take an explicit tolerance so callers can trade strictness
-for float noise.  Comparisons are inclusive at the boundary: a ball
-contains itself and tangent balls count as disconnected.
+A taxonomy is encoded as a family of balls, one per sense, held as the
+rows of one `BallConfiguration`.  A hypernym's ball contains the balls of
+its hyponyms; co-hyponym balls are disjoint.  The predicates name balls
+by sense id in a configuration and take an explicit tolerance so callers
+can trade strictness for float noise.  Comparisons are inclusive at the
+boundary: a ball contains itself and tangent balls count as disconnected.
 """
 
 from __future__ import annotations
@@ -46,31 +47,6 @@ def cos_sim(a, b) -> float:
     return float(np.dot(va, vb) / (na * nb))
 
 
-@dataclass(frozen=True)
-class Ball:
-    """A sense ball: center vector plus radius."""
-
-    sense_id: str
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
-        r = float(self.radius)
-        if not math.isfinite(r) or r <= 0.0:
-            raise ValueError(f"{self.sense_id}: radius must be positive and finite, got {r}")
-        object.__setattr__(self, "radius", r)
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
-    @functools.cached_property
-    def norm(self) -> float:
-        """|center|, computed once per ball object."""
-        return float(np.linalg.norm(self.center))
-
-
 @dataclass
 class GeometryConfig:
     """Tolerances and construction knobs shared across the pipeline."""
@@ -91,10 +67,6 @@ class GeometryConfig:
             raise ValueError("code_width must be >= 1")
 
 
-def _dimension_error(a: Ball, b: Ball) -> ValueError:
-    return ValueError(f"dimension mismatch: {a.sense_id} is {a.dim}-d, {b.sense_id} is {b.dim}-d")
-
-
 def containment_rule(gap, r_outer, r_inner, epsilon: float):
     """The containment test on a center distance: gap + r_in - r_out - eps.
     Arrays broadcast, so the verifier checks a sibling group with it too."""
@@ -107,38 +79,43 @@ def overlap_rule(gap, r_a, r_b, epsilon: float):
     return r_a + r_b - gap - epsilon
 
 
-def containment_slack(outer: Ball, inner: Ball, epsilon: float = GeometryConfig.epsilon) -> float:
-    """How far `inner` sticks out of `outer` past the tolerance
+def containment_slack(config: BallConfiguration, outer: str, inner: str,
+                      epsilon: float = GeometryConfig.epsilon) -> float:
+    """How far ball `inner` sticks out of ball `outer` past the tolerance
     (`containment_rule`).  Positive means not contained."""
-    if outer.dim != inner.dim:
-        raise _dimension_error(outer, inner)
-    gap = float(np.linalg.norm(inner.center - outer.center))
-    return containment_rule(gap, outer.radius, inner.radius, epsilon)
+    o, i = config.row[outer], config.row[inner]
+    gap = float(np.linalg.norm(config.centers[i] - config.centers[o]))
+    return containment_rule(gap, float(config.radii[o]), float(config.radii[i]), epsilon)
 
 
-def overlap_slack(a: Ball, b: Ball, epsilon: float = GeometryConfig.epsilon) -> float:
-    """How deep the balls overlap past the tolerance (`overlap_rule`).
-    Positive means they share interior."""
-    if a.dim != b.dim:
-        raise _dimension_error(a, b)
-    gap = float(np.linalg.norm(a.center - b.center))
-    return overlap_rule(gap, a.radius, b.radius, epsilon)
+def overlap_slack(config: BallConfiguration, a: str, b: str,
+                  epsilon: float = GeometryConfig.epsilon) -> float:
+    """How deep balls `a` and `b` overlap past the tolerance
+    (`overlap_rule`).  Positive means they share interior."""
+    i, j = config.row[a], config.row[b]
+    gap = float(np.linalg.norm(config.centers[i] - config.centers[j]))
+    return overlap_rule(gap, float(config.radii[i]), float(config.radii[j]), epsilon)
 
 
-def contains(outer: Ball, inner: Ball, epsilon: float = GeometryConfig.epsilon) -> bool:
-    """True iff `inner` lies inside `outer`, within the tolerance."""
-    return containment_slack(outer, inner, epsilon) <= 0.0
+def contains(config: BallConfiguration, outer: str, inner: str,
+             epsilon: float = GeometryConfig.epsilon) -> bool:
+    """True iff ball `inner` lies inside ball `outer`, within the tolerance."""
+    return containment_slack(config, outer, inner, epsilon) <= 0.0
 
 
-def disconnected(a: Ball, b: Ball, epsilon: float = GeometryConfig.epsilon) -> bool:
-    """True iff the balls share no interior, within the tolerance."""
-    return overlap_slack(a, b, epsilon) <= 0.0
+def disconnected(config: BallConfiguration, a: str, b: str,
+                 epsilon: float = GeometryConfig.epsilon) -> bool:
+    """True iff balls `a` and `b` share no interior, within the tolerance."""
+    return overlap_slack(config, a, b, epsilon) <= 0.0
 
 
-def point_inside(v, ball: Ball, epsilon: float = GeometryConfig.epsilon) -> bool:
-    """True iff point v lies in the ball: |v - c| <= r + eps."""
-    p = as_vector(v, dim=ball.dim)
-    return float(np.linalg.norm(p - ball.center)) <= ball.radius + epsilon
+def point_inside(v, config: BallConfiguration, sense_id: str,
+                 epsilon: float = GeometryConfig.epsilon) -> bool:
+    """True iff point v lies in the ball of `sense_id`: a ball of radius 0
+    at v is contained in it (`containment_rule`)."""
+    i = config.row[sense_id]
+    gap = float(np.linalg.norm(as_vector(v, dim=config.dim) - config.centers[i]))
+    return containment_rule(gap, float(config.radii[i]), 0.0, epsilon) <= 0.0
 
 
 class RowError(ValueError):
@@ -157,7 +134,7 @@ class BallConfiguration:
 
     The first `embedding_prefix_dim` components of each center are a
     positive multiple of the static word embedding the ball was built from.
-    Rows are validated once, here; `get` returns a `Ball` viewing one row.
+    Rows are validated once, here; a ball exists only as its row.
     """
 
     ids: list[str]
@@ -203,15 +180,12 @@ class BallConfiguration:
     def __contains__(self, sense_id: str) -> bool:
         return sense_id in self.row
 
-    def get(self, sense_id: str) -> Ball | None:
-        """The ball of `sense_id`, its center a view of the row, or None.
-        Rows were checked on construction, so Ball's checks are not rerun."""
-        i = self.row.get(sense_id)
-        if i is None:
-            return None
-        ball = object.__new__(Ball)
-        ball.__dict__.update(sense_id=sense_id, center=self.centers[i], radius=float(self.radii[i]))
-        return ball
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """|center| of each row, computed on first use.  One 1-d
+        `np.linalg.norm` per row, as `cos_sim` takes it: `axis=1` can
+        differ in the last bit."""
+        return np.array([np.linalg.norm(c) for c in self.centers])
 
 
 # ---------------------------------------------------------------------------

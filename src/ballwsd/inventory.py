@@ -63,7 +63,8 @@ class Taxonomy:
                 self._children[par].append(node)
         for kids in self._children.values():
             kids.sort()
-        self._roots = sorted(n for n, p in self._parent.items() if p is None)
+        self._nodes = sorted(self._parent)
+        self._roots = [n for n in self._nodes if self._parent[n] is None]
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
@@ -86,7 +87,7 @@ class Taxonomy:
         return node in self._parent
 
     def nodes(self) -> list[SenseId]:
-        return sorted(self._parent)
+        return list(self._nodes)
 
     def roots(self) -> list[SenseId]:
         return list(self._roots)
@@ -142,8 +143,11 @@ def load_inventory(path) -> Inventory:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise TaxonomyError(f"{path}:{lineno}: expected `child<TAB>parent`, got {line!r}")
-            child = SenseId.parse(fields[0])
-            par = None if fields[1] == "-" else SenseId.parse(fields[1])
+            try:
+                child = SenseId.parse(fields[0])
+                par = None if fields[1] == "-" else SenseId.parse(fields[1])
+            except ValueError as exc:
+                raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
             if par is not None and par not in parent:
                 parent[par] = None  # provisional root until its own edge shows up
             if child in defined:
@@ -155,7 +159,10 @@ def load_inventory(path) -> Inventory:
     if dropped:
         log.warning("%s: %d extra parent edges dropped, first %s -> %s (keeping %s)",
                     path, len(dropped), *dropped[0], parent[dropped[0][0]] or "-")
-    taxonomy = Taxonomy(parent)
+    try:
+        taxonomy = Taxonomy(parent)
+    except TaxonomyError as exc:
+        raise TaxonomyError(f"{path}: {exc}") from None
     return Inventory(taxonomy=taxonomy, dropped_edges=dropped)
 
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import anchor_at
-from .geometry import (Ball, BallConfiguration, GeometryConfig, as_vector, contains,
-                       point_inside)
+from .geometry import BallConfiguration, GeometryConfig, as_vector, contains, point_inside
 from .inventory import Inventory, SenseId
 
 
@@ -24,7 +23,7 @@ from .inventory import Inventory, SenseId
 class Candidate:
     sense: SenseId
     anchor: SenseId
-    ball: Ball     # the anchor's ball
+    row: int       # the anchor ball's row in the configuration
 
 
 @dataclass(frozen=True)
@@ -45,29 +44,29 @@ def candidate_set(lemma: str, pos: str, level: int,
     for sense in inventory.senses_of(lemma, pos):
         anchor = anchor_at(inventory.taxonomy, sense, level, balls)
         if anchor is not None:
-            out.append(Candidate(sense=sense, anchor=anchor, ball=balls.get(str(anchor))))
+            out.append(Candidate(sense=sense, anchor=anchor, row=balls.row[str(anchor)]))
     return out
 
 
-def select_sense(v, candidates: list[Candidate],
+def select_sense(v, candidates: list[Candidate], balls: BallConfiguration,
                  cfg: GeometryConfig | None = None) -> Prediction:
-    """Argmax of cos(v, anchor center); strict comparison keeps the first
-    (lowest-index) candidate on exact ties.
+    """Argmax of cos(v, anchor center) over the candidates' rows of
+    `balls`; strict comparison keeps the first (lowest-index) candidate on
+    exact ties.
     """
     cfg = cfg or GeometryConfig()
     if not candidates:
         raise ValueError("no candidates to select from")
-    # cos_sim's arithmetic, with v validated once and each center's norm cached
-    v = as_vector(v)
+    # cos_sim's arithmetic, with v validated once and the row norms cached
+    v = as_vector(v, dim=balls.dim)
     nv = float(np.linalg.norm(v))
+    centers, norms = balls.centers, balls.norms
     scores = []
     for c in candidates:
-        ball = c.ball
-        if ball.dim != v.shape[0]:
-            raise ValueError(f"dimension mismatch: expected {v.shape[0]}, got {ball.dim}")
-        if nv == 0.0 or ball.norm == 0.0:
+        nc = norms[c.row]
+        if nv == 0.0 or nc == 0.0:
             raise ValueError("cosine similarity undefined for zero-norm input")
-        scores.append(float(np.dot(v, ball.center) / (nv * ball.norm)))
+        scores.append(float(np.dot(v, centers[c.row]) / (nv * nc)))
     best = 0
     for i in range(1, len(scores)):
         if scores[i] > scores[best]:
@@ -80,7 +79,7 @@ def select_sense(v, candidates: list[Candidate],
     return Prediction(
         chosen=chosen.sense,
         score=scores[best],
-        inside_anchor_ball=point_inside(v, chosen.ball, cfg.epsilon),
+        inside_anchor_ball=point_inside(v, balls, balls.ids[chosen.row], cfg.epsilon),
         margin=margin,
     )
 
@@ -94,12 +93,11 @@ def deduction_query(hyponym: SenseId, hypernym: SenseId,
     by the inclusive containment predicate.
     """
     cfg = cfg or GeometryConfig()
-    inner = balls.get(str(hyponym))
-    outer = balls.get(str(hypernym))
-    if inner is None or outer is None:
-        missing = hyponym if inner is None else hypernym
-        raise KeyError(f"no ball for sense {missing}")
-    return contains(outer, inner, cfg.epsilon)
+    inner, outer = str(hyponym), str(hypernym)
+    for sense_id in (inner, outer):
+        if sense_id not in balls:
+            raise KeyError(f"no ball for sense {sense_id}")
+    return contains(balls, outer, inner, cfg.epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,14 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
 
 
 def configuration(balls, prefix: int | None = None, dim: int | None = None) -> BallConfiguration:
-    """The configuration whose rows are `balls` (an iterable of `Ball`), in
-    order.  `dim` is needed only when there are no balls; the embedding
-    prefix spans `prefix` dimensions, or all of them."""
+    """The configuration whose rows are `balls`, an iterable of
+    `(sense_id, center, radius)` triples, in order.  `dim` is needed only
+    when there are no balls; the embedding prefix spans `prefix`
+    dimensions, or all of them."""
     balls = list(balls)
-    dim = dim or balls[0].dim
-    centers = np.array([b.center for b in balls]).reshape(len(balls), dim)
-    return BallConfiguration([b.sense_id for b in balls], centers, [b.radius for b in balls],
+    dim = dim or len(balls[0][1])
+    centers = np.array([c for _, c, _ in balls], dtype=np.float64).reshape(len(balls), dim)
+    return BallConfiguration([sid for sid, _, _ in balls], centers, [r for _, _, r in balls],
                              prefix or dim)
 
 

@@ -19,12 +19,12 @@ from ballwsd.corpus import parse_annotated_corpus, save_records
 from ballwsd.embeddings import EmbeddingTable
 from ballwsd.encoder import init_params
 from ballwsd.evaluator import make_synthetic_fixture, score, split_records
-from ballwsd.geometry import Ball, GeometryConfig, cos_sim, verify_configuration
+from ballwsd.geometry import GeometryConfig, cos_sim, verify_configuration
 from ballwsd.inventory import SenseId, Taxonomy
 from ballwsd.selector import Candidate, deduction_query, select_sense
 
 from conftest import acceptance_lines
-from helpers import (ancestor_or_self, gradient_check, random_table,
+from helpers import (ancestor_or_self, configuration, gradient_check, random_table,
                      random_taxonomy, save_embeddings)
 
 
@@ -53,21 +53,22 @@ def test_criterion_1_geometry_invariants():
             bad += 1
             continue
         # independent re-check with raw norm arithmetic
+        centers, radii, row = balls.centers, balls.radii, balls.row
         for node in tax.nodes():
             par = tax.parent_of(node)
             if par is not None:
-                bp, bn = balls.get(str(par)), balls.get(str(node))
-                gap = float(np.linalg.norm(bn.center - bp.center))
+                p, k = row[str(par)], row[str(node)]
+                gap = float(np.linalg.norm(centers[k] - centers[p]))
                 containment_pairs += 1
-                if gap + bn.radius > bp.radius + cfg.epsilon:
+                if gap + radii[k] > radii[p] + cfg.epsilon:
                     bad += 1
-            kids = tax.children_of(node)
+            kids = [row[str(k)] for k in tax.children_of(node)]
             for i in range(len(kids)):
                 for j in range(i + 1, len(kids)):
-                    a, b = balls.get(str(kids[i])), balls.get(str(kids[j]))
-                    gap = float(np.linalg.norm(a.center - b.center))
+                    a, b = kids[i], kids[j]
+                    gap = float(np.linalg.norm(centers[a] - centers[b]))
                     disconnection_pairs += 1
-                    if gap < a.radius + b.radius - cfg.epsilon:
+                    if gap < radii[a] + radii[b] - cfg.epsilon:
                         bad += 1
     elapsed = time.time() - t0
     ok = bad == 0 and elapsed < 60.0
@@ -148,33 +149,31 @@ def test_criterion_4_selector_oracle():
     for trial in range(10_000):
         dim = int(rng.integers(2, 9))
         n = int(rng.integers(1, 7))
-        cands = []
+        centers, radii = [], []
         for i in range(n):
             center = rng.standard_normal(dim)
             while float(np.linalg.norm(center)) < 1e-6:
                 center = rng.standard_normal(dim)
-            sense = SenseId("w", "n", i + 1)
-            anchor = SenseId("p", "n", i + 1)
-            cands.append(Candidate(sense, anchor,
-                                   Ball(str(anchor), center, float(rng.uniform(0.1, 2.0)))))
+            centers.append(center)
+            radii.append(float(rng.uniform(0.1, 2.0)))
         if n > 1 and rng.random() < 0.25:
             # duplicate an anchor center to force an exact tie
-            src = cands[int(rng.integers(0, n - 1))]
-            t = int(rng.integers(1, n))
-            cands[t] = Candidate(cands[t].sense, cands[t].anchor,
-                                 Ball(str(cands[t].anchor), src.ball.center.copy(),
-                                      cands[t].ball.radius))
+            src = int(rng.integers(0, n - 1))
+            centers[int(rng.integers(1, n))] = centers[src].copy()
+        anchors = [SenseId("p", "n", i + 1) for i in range(n)]
+        balls = configuration(zip(map(str, anchors), centers, radii))
+        cands = [Candidate(SenseId("w", "n", i + 1), anchors[i], i) for i in range(n)]
         v = rng.standard_normal(dim)
         while float(np.linalg.norm(v)) < 1e-6:
             v = rng.standard_normal(dim)
-        pred = select_sense(v, cands)
-        scores = [cos_sim(v, c.ball.center) for c in cands]
+        pred = select_sense(v, cands, balls)
+        scores = [cos_sim(v, balls.centers[c.row]) for c in cands]
         best = max(scores)
         want = min(i for i, s in enumerate(scores) if s == best)
         if pred.chosen != cands[want].sense:
             mism += 1
         scale = float(10.0 ** rng.uniform(-3, 3))
-        if select_sense(scale * v, cands).chosen != pred.chosen:
+        if select_sense(scale * v, cands, balls).chosen != pred.chosen:
             scale_mism += 1
     ok = mism == 0 and scale_mism == 0
     check(4, ok,

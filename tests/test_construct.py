@@ -39,7 +39,7 @@ class TestInvariants:
             base = table.vector(node.lemma)
             if np.linalg.norm(base) == 0.0:
                 base = hash_unit_vector(node.lemma, table.dim)
-            prefix = balls.get(str(node)).center[:table.dim]
+            prefix = balls.centers[balls.row[str(node)], :table.dim]
             norm = float(np.linalg.norm(prefix))
             assert norm > 0.0
             cos = float(np.dot(prefix, base) / (norm * np.linalg.norm(base)))
@@ -49,15 +49,15 @@ class TestInvariants:
         for seed in (2, 3):
             tax, table, balls, _ = build_random(seed, 80, 16)
             for node in tax.nodes():
-                b = balls.get(str(node))
-                assert float(np.linalg.norm(b.center)) + b.radius <= 1.0 + 1e-9
+                i = balls.row[str(node)]
+                assert float(np.linalg.norm(balls.centers[i])) + balls.radii[i] <= 1.0 + 1e-9
 
     def test_radii_positive_and_finite(self):
         tax, table, balls, _ = build_random(4, 100, 8)
         for node in tax.nodes():
-            b = balls.get(str(node))
-            assert 0.0 < b.radius < 1.0
-            assert np.all(np.isfinite(b.center))
+            i = balls.row[str(node)]
+            assert 0.0 < balls.radii[i] < 1.0
+            assert np.all(np.isfinite(balls.centers[i]))
 
 
 class TestContainmentSemantics:
@@ -66,7 +66,7 @@ class TestContainmentSemantics:
         nodes = tax.nodes()
         for a in nodes:
             for b in nodes:
-                got = contains(balls.get(str(b)), balls.get(str(a)), cfg.epsilon)
+                got = contains(balls, str(b), str(a), cfg.epsilon)
                 assert got == ancestor_or_self(tax, a, b), (a, b)
 
     def test_deep_chain(self):
@@ -81,7 +81,7 @@ class TestContainmentSemantics:
         assert verify_configuration(balls, tax, cfg).ok
         for i in range(len(nodes)):
             for j in range(len(nodes)):
-                got = contains(balls.get(str(nodes[j])), balls.get(str(nodes[i])), cfg.epsilon)
+                got = contains(balls, str(nodes[j]), str(nodes[i]), cfg.epsilon)
                 assert got == (j <= i)
 
     def test_wide_star_overflows_code_width(self):
@@ -113,8 +113,7 @@ class TestContainmentSemantics:
         tax = Taxonomy({only: None})
         table = EmbeddingTable({"solo": np.array([1.0, 2.0])})
         balls = construct_balls(tax, table, GeometryConfig())
-        b = balls.get(str(only))
-        assert b is not None and b.radius > 0
+        assert balls.ids == [str(only)] and balls.radii[0] > 0
 
 
 class TestDeterminism:
@@ -122,10 +121,8 @@ class TestDeterminism:
         tax1, table1, balls1, _ = build_random(8, 70, 10)
         tax2, table2, balls2, _ = build_random(8, 70, 10)
         assert balls1.ids == balls2.ids
-        for sid in balls1.ids:
-            a, b = balls1.get(sid), balls2.get(sid)
-            assert a.radius == b.radius
-            assert np.array_equal(a.center, b.center)
+        assert np.array_equal(balls1.radii, balls2.radii)
+        assert np.array_equal(balls1.centers, balls2.centers)
 
     def test_file_round_trip_preserves_verification(self, tmp_path):
         tax, table, balls, cfg = build_random(9, 40, 8)
@@ -134,8 +131,8 @@ class TestDeterminism:
         back = load_balls(path)
         assert verify_configuration(back, tax, cfg).ok
         for sid in balls.ids:
-            assert np.array_equal(back.get(sid).center, balls.get(sid).center)
-            assert back.get(sid).radius == balls.get(sid).radius
+            assert np.array_equal(back.centers[back.row[sid]], balls.centers[balls.row[sid]])
+            assert back.radii[back.row[sid]] == balls.radii[balls.row[sid]]
 
 
 class TestConfigKnobs:
@@ -161,7 +158,7 @@ class TestConfigKnobs:
         assert verify_configuration(large, tax, cfg).ok
 
         def prefix_share(cfgb, node):
-            c = cfgb.get(str(node)).center
+            c = cfgb.centers[cfgb.row[str(node)]]
             return np.linalg.norm(c[:6]) / np.linalg.norm(c)
 
         leaf = [n for n in tax.nodes() if not tax.children_of(n)][0]

@@ -4,7 +4,6 @@ import pytest
 from ballwsd.corpus import (CorpusError, TrainingRecord, anchor_at, dataset_report,
                             lift_to_level, parse_annotated_corpus,
                             save_records)
-from ballwsd.geometry import Ball
 from ballwsd.inventory import SenseId, Taxonomy, hypernym_at
 
 from helpers import configuration, random_taxonomy
@@ -25,7 +24,7 @@ def ball_config(senses, dim=3):
     for i, s in enumerate(senses):
         center = np.zeros(dim)
         center[0] = float(i + 1)
-        balls[str(s)] = Ball(str(s), center, 0.25)
+        balls[str(s)] = (str(s), center, 0.25)
     return configuration(balls.values(), dim=dim)
 
 

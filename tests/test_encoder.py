@@ -7,7 +7,6 @@ from ballwsd.encoder import (TrainConfig, batch_loss_and_grads,
                              embed_records, forward_batch,
                              init_params, load_encoder, prepare_arrays,
                              save_encoder, train)
-from ballwsd.geometry import Ball
 from ballwsd.inventory import SenseId
 
 from helpers import configuration, gradient_check
@@ -26,7 +25,7 @@ def toy_setup():
     })
     centers = {str(s1): np.array([1.0, 0.0, 0.0, 0.0]),
                str(s2): np.array([-1.0, 0.5, 0.0, 0.0])}
-    balls = configuration((Ball(sid, c, 0.1) for sid, c in centers.items()), prefix=2)
+    balls = configuration(((sid, c, 0.1) for sid, c in centers.items()), prefix=2)
     records = []
     for sense, ctx in ((s1, "ctxa"), (s2, "ctxb")):
         for i in range(12):
@@ -172,7 +171,7 @@ class TestArrays:
         table, balls, records = toy_setup()
         T, C, Y = prepare_arrays(records, table, balls, window_k=2)
         assert T.shape == (24, 8) and Y.shape == (24, 4)
-        assert np.array_equal(Y[0], balls.get(str(records[0].target)).center)
+        assert np.array_equal(Y[0], balls.centers[balls.row[str(records[0].target)]])
 
     def test_prepare_arrays_missing_ball_raises(self):
         table, balls, records = toy_setup()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ballwsd.construct import construct_balls
-from ballwsd.geometry import (Ball, BallConfiguration, GeometryConfig, RowError,
+from ballwsd.geometry import (BallConfiguration, GeometryConfig, RowError,
                               as_vector, containment_slack, contains, cos_sim,
                               disconnected, load_balls, overlap_slack,
                               point_inside, save_balls, verify_configuration)
@@ -14,7 +14,8 @@ from helpers import configuration, random_table, random_taxonomy
 
 
 def ball(name, center, radius):
-    return Ball(name, np.asarray(center, dtype=float), radius)
+    """A `(sense_id, center, radius)` row for `configuration`."""
+    return (name, np.asarray(center, dtype=float), radius)
 
 
 class TestVectors:
@@ -54,35 +55,24 @@ class TestVectors:
             cos_sim([1.0], [1.0, 2.0])
 
 
-class TestBall:
-    def test_radius_must_be_positive(self):
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                ball("x", [0.0, 0.0], bad)
-
-    def test_center_validated(self):
-        with pytest.raises(ValueError):
-            ball("x", [float("inf"), 0.0], 1.0)
-
-    def test_dim(self):
-        assert ball("x", [1.0, 2.0, 3.0], 0.5).dim == 3
-
-
 class TestPredicates:
     def test_containment_hand_cases(self):
-        outer = ball("o", [0.0, 0.0], 2.0)
-        assert contains(outer, ball("i", [0.5, 0.0], 1.0))
-        assert contains(outer, outer)                        # inclusive: itself
-        assert contains(outer, ball("t", [1.0, 0.0], 1.0))   # inclusive: tangent inside
-        assert not contains(outer, ball("b", [1.5, 0.0], 1.0))
-        assert not contains(ball("i", [0.5, 0.0], 1.0), outer)
+        cfg = configuration([ball("o", [0.0, 0.0], 2.0), ball("i", [0.5, 0.0], 1.0),
+                             ball("t", [1.0, 0.0], 1.0), ball("b", [1.5, 0.0], 1.0)])
+        assert contains(cfg, "o", "i")
+        assert contains(cfg, "o", "o")                      # inclusive: itself
+        assert contains(cfg, "o", "t")                      # inclusive: tangent inside
+        assert not contains(cfg, "o", "b")
+        assert not contains(cfg, "i", "o")
 
     def test_disconnection_hand_cases(self):
-        a = ball("a", [0.0, 0.0], 1.0)
-        assert disconnected(a, ball("b", [3.0, 0.0], 1.0))
-        assert disconnected(a, ball("t", [2.0, 0.0], 1.0))   # inclusive: tangent
-        assert not disconnected(a, ball("c", [1.5, 0.0], 1.0))
-        assert not disconnected(a, ball("d", [0.1, 0.0], 0.5))
+        cfg = configuration([ball("a", [0.0, 0.0], 1.0), ball("b", [3.0, 0.0], 1.0),
+                             ball("t", [2.0, 0.0], 1.0), ball("c", [1.5, 0.0], 1.0),
+                             ball("d", [0.1, 0.0], 0.5)])
+        assert disconnected(cfg, "a", "b")
+        assert disconnected(cfg, "a", "t")                  # inclusive: tangent
+        assert not disconnected(cfg, "a", "c")
+        assert not disconnected(cfg, "a", "d")
 
     def test_predicates_against_norm_arithmetic(self):
         rng = np.random.default_rng(2)
@@ -90,11 +80,12 @@ class TestPredicates:
             d = int(rng.integers(1, 6))
             a = ball("a", rng.standard_normal(d), float(rng.uniform(0.1, 2.0)))
             b = ball("b", rng.standard_normal(d), float(rng.uniform(0.1, 2.0)))
-            gap = float(np.linalg.norm(a.center - b.center))
-            assert contains(a, b, 0.0) == (gap + b.radius <= a.radius)
-            assert disconnected(a, b, 0.0) == (gap >= a.radius + b.radius)
-            assert containment_slack(a, b, 0.25) == gap + b.radius - a.radius - 0.25
-            assert overlap_slack(a, b, 0.25) == a.radius + b.radius - gap - 0.25
+            cfg = configuration([a, b])
+            gap, ra, rb = float(np.linalg.norm(a[1] - b[1])), a[2], b[2]
+            assert contains(cfg, "a", "b", 0.0) == (gap + rb <= ra)
+            assert disconnected(cfg, "a", "b", 0.0) == (gap >= ra + rb)
+            assert containment_slack(cfg, "a", "b", 0.25) == gap + rb - ra - 0.25
+            assert overlap_slack(cfg, "a", "b", 0.25) == ra + rb - gap - 0.25
 
     def test_containment_transitive(self):
         rng = np.random.default_rng(3)
@@ -103,28 +94,31 @@ class TestPredicates:
             c = ball("c", rng.standard_normal(3), float(rng.uniform(0.05, 0.3)))
             shift = rng.standard_normal(3)
             shift *= rng.uniform(0, 0.4) / np.linalg.norm(shift)
-            b = ball("b", c.center + shift, c.radius + float(np.linalg.norm(shift)) + 0.1)
+            b = ball("b", c[1] + shift, c[2] + float(np.linalg.norm(shift)) + 0.1)
             shift2 = rng.standard_normal(3)
             shift2 *= rng.uniform(0, 0.4) / np.linalg.norm(shift2)
-            a = ball("a", b.center + shift2, b.radius + float(np.linalg.norm(shift2)) + 0.1)
-            assert contains(b, c) and contains(a, b)
-            assert contains(a, c)
+            a = ball("a", b[1] + shift2, b[2] + float(np.linalg.norm(shift2)) + 0.1)
+            cfg = configuration([a, b, c])
+            assert contains(cfg, "b", "c") and contains(cfg, "a", "b")
+            assert contains(cfg, "a", "c")
             hits += 1
         assert hits == 500
 
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            contains(ball("a", [0.0], 1.0), ball("b", [0.0, 0.0], 1.0))
-        with pytest.raises(ValueError):
-            disconnected(ball("a", [0.0], 1.0), ball("b", [0.0, 0.0], 1.0))
-
     def test_point_inside(self):
-        b = ball("b", [1.0, 1.0], 0.5)
-        assert point_inside([1.0, 1.0], b)
-        assert point_inside([1.5, 1.0], b)        # boundary inclusive
-        assert not point_inside([1.6, 1.0], b)
+        cfg = configuration([ball("b", [1.0, 1.0], 0.5)])
+        assert point_inside([1.0, 1.0], cfg, "b")
+        assert point_inside([1.5, 1.0], cfg, "b")          # boundary inclusive
+        assert not point_inside([1.6, 1.0], cfg, "b")
         with pytest.raises(ValueError):
-            point_inside([1.0], b)
+            point_inside([1.0], cfg, "b")
+
+    def test_unknown_id_raises(self):
+        cfg = configuration([ball("a", [0.0], 1.0)])
+        for predicate in (contains, disconnected, containment_slack, overlap_slack):
+            with pytest.raises(KeyError):
+                predicate(cfg, "a", "zzz")
+        with pytest.raises(KeyError):
+            point_inside([0.0], cfg, "zzz")
 
 
 class TestConfigs:
@@ -144,10 +138,7 @@ class TestConfigs:
     def test_ball_configuration_validation(self):
         cfg = BallConfiguration(["a.n.01"], [[1.0, 2.0, 3.0]], [0.5], 2)
         assert "a.n.01" in cfg and len(cfg) == 1 and cfg.dim == 3
-        b = cfg.get("a.n.01")
-        assert b.sense_id == "a.n.01" and b.radius == 0.5
-        assert np.shares_memory(b.center, cfg.centers)  # a view of its row
-        assert cfg.get("zzz") is None
+        assert cfg.row == {"a.n.01": 0} and "zzz" not in cfg
         with pytest.raises(ValueError):
             BallConfiguration([], np.zeros((0, 3)), [], 4)
         with pytest.raises(ValueError):
@@ -155,19 +146,31 @@ class TestConfigs:
         with pytest.raises(ValueError):
             BallConfiguration(["a.n.01"], np.zeros(3), [1.0], 1)
 
+    def test_norms_are_one_norm_per_row(self):
+        centers = np.random.default_rng(5).standard_normal((40, 33))
+        cfg = BallConfiguration([f"s{i}.n.01" for i in range(40)], centers, np.ones(40), 1)
+        assert cfg.norms is cfg.norms  # computed once
+        assert cfg.norms.tolist() == [float(np.linalg.norm(c)) for c in centers]
+
     @pytest.mark.parametrize("row, fault, message", [
         (1, "radius", "b.n.01: radius must be positive and finite, got 0.0"),
+        (1, "radius-negative", "b.n.01: radius must be positive and finite, got -1.0"),
+        (1, "radius-nan", "b.n.01: radius must be positive and finite, got nan"),
+        (1, "radius-inf", "b.n.01: radius must be positive and finite, got inf"),
         (2, "center", "c.n.01: center has non-finite entries"),
+        (2, "center-inf", "c.n.01: center has non-finite entries"),
         (3, "duplicate", "duplicate sense id 'a.n.01'"),
     ])
     def test_first_bad_row_is_named(self, row, fault, message):
         ids = ["a.n.01", "b.n.01", "c.n.01", "d.n.01", "e.n.01"]
         centers, radii = np.zeros((5, 2)), np.ones(5)
         radii[4] = -1.0  # a later fault is not the one reported
-        if fault == "radius":
-            radii[row] = 0.0
-        elif fault == "center":
-            centers[row, 1] = np.nan
+        bad = {"radius": 0.0, "radius-negative": -1.0, "radius-nan": np.nan,
+               "radius-inf": np.inf, "center": np.nan, "center-inf": np.inf}
+        if fault.startswith("radius"):
+            radii[row] = bad[fault]
+        elif fault.startswith("center"):
+            centers[row, 1] = bad[fault]
         else:
             ids[row] = "a.n.01"
         with pytest.raises(RowError) as exc:
@@ -189,10 +192,9 @@ class TestRoundTrip:
         back = load_balls(path)
         assert back.dim == 7 and back.embedding_prefix_dim == 4
         assert back.ids == sorted(balls)  # rows in the file's sorted-id order
-        for name, b in balls.items():
-            rb = back.get(name)
-            assert rb.radius == b.radius
-            assert np.array_equal(rb.center, b.center)
+        for name, (_, center, radius) in balls.items():
+            assert back.radii[back.row[name]] == radius
+            assert np.array_equal(back.centers[back.row[name]], center)
 
     def test_save_is_deterministic(self, tmp_path):
         b = ball("a.n.01", [1.0 / 3.0, 2.0 / 7.0], 0.1)
@@ -272,7 +274,7 @@ class TestVerifier:
         assert all(v.slack > 0 for v in report.violations)
         # the reported slack is the value the verdict was decided on
         for v in report.violations:
-            want = containment_slack(cfg.get(v.subject), cfg.get(v.other), 1e-9)
+            want = containment_slack(cfg, v.subject, v.other, 1e-9)
             assert v.slack == want
 
     def test_disconnection_violation_detected(self):
@@ -325,27 +327,27 @@ class TestVerifier:
 
 def pairwise_report(config, taxonomy, eps):
     """(containment checked, disconnection checked, violations) of a loop
-    that calls the scalar slack functions once per pair of `Ball`s."""
+    that calls the scalar slack functions once per pair of sense ids."""
     checked_c = checked_d = 0
     found = []
     groups = [(p, taxonomy.children_of(p)) for p in taxonomy.nodes()]
     groups.append((None, taxonomy.roots()))
     for parent, group in groups:
-        kids = [(str(k), config.get(str(k))) for k in group if str(k) in config]
+        kids = [str(k) for k in group if str(k) in config]
         if parent is not None:
-            pb = config.get(str(parent))
-            for kid, kb in kids:
-                if pb is None:
-                    found.append(("missing", str(parent), kid, math.inf))
+            pid = str(parent)
+            for kid in kids:
+                if pid not in config:
+                    found.append(("missing", pid, kid, math.inf))
                     continue
                 checked_c += 1
-                slack = containment_slack(pb, kb, eps)
+                slack = containment_slack(config, pid, kid, eps)
                 if slack > 0.0:
-                    found.append(("containment", str(parent), kid, slack))
-        for i, (a, ab) in enumerate(kids):
-            for b, bb in kids[i + 1:]:
+                    found.append(("containment", pid, kid, slack))
+        for i, a in enumerate(kids):
+            for b in kids[i + 1:]:
                 checked_d += 1
-                slack = overlap_slack(ab, bb, eps)
+                slack = overlap_slack(config, a, b, eps)
                 if slack > 0.0:
                     found.append(("disconnection", a, b, slack))
     return checked_c, checked_d, found

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ballwsd.geometry import Ball, GeometryConfig, cos_sim, point_inside
+from ballwsd.geometry import cos_sim, point_inside
 from ballwsd.inventory import Inventory, SenseId, Taxonomy
 from ballwsd.selector import (Candidate, Prediction, candidate_set,
                               deduction_query, save_predictions,
@@ -12,35 +12,42 @@ from ballwsd.selector import (Candidate, Prediction, candidate_set,
 from helpers import configuration
 
 
-def make_candidate(lemma, index, center, radius=0.5, anchor=None):
-    sense = SenseId(lemma, "n", index)
-    anchor = anchor or SenseId(f"{lemma}par", "n", index)
-    return Candidate(sense=sense, anchor=anchor,
-                     ball=Ball(str(anchor), np.asarray(center, dtype=float), radius))
+def make_candidates(centers, radii=None, indices=None, lemma="w"):
+    """Candidates for the senses `lemma.n.<index>` (indices 1, 2, ... by
+    default), each anchored at `<lemma>par.n.<index>`, and the
+    configuration whose rows are those anchors' balls, in order."""
+    indices = indices or range(1, len(centers) + 1)
+    radii = radii or [0.5] * len(centers)
+    anchors = [SenseId(f"{lemma}par", "n", i) for i in indices]
+    config = configuration((str(a), np.asarray(c, dtype=float), r)
+                           for a, c, r in zip(anchors, centers, radii))
+    cands = [Candidate(SenseId(lemma, "n", i), a, config.row[str(a)])
+             for i, a in zip(indices, anchors)]
+    return cands, config
 
 
-def random_candidates(rng, n, dim):
-    cands = []
-    for i in range(n):
+def random_rows(rng, n, dim):
+    centers, radii = [], []
+    for _ in range(n):
         center = rng.standard_normal(dim)
         while np.linalg.norm(center) < 1e-6:
             center = rng.standard_normal(dim)
-        cands.append(make_candidate("w", i + 1, center, float(rng.uniform(0.1, 2.0))))
-    return cands
+        centers.append(center)
+        radii.append(float(rng.uniform(0.1, 2.0)))
+    return centers, radii
 
 
 class TestSelectSense:
     def test_picks_highest_cosine(self):
-        cands = [make_candidate("w", 1, [1.0, 0.0]),
-                 make_candidate("w", 2, [0.0, 1.0])]
-        pred = select_sense([0.1, 0.9], cands)
+        cands, config = make_candidates([[1.0, 0.0], [0.0, 1.0]])
+        pred = select_sense([0.1, 0.9], cands, config)
         assert pred.chosen == SenseId("w", "n", 2)
         assert pred.score == pytest.approx(cos_sim([0.1, 0.9], [0.0, 1.0]))
 
     def test_tie_breaks_to_lowest_index(self):
         shared = [1.0, 1.0]
-        cands = [make_candidate("w", 3, shared), make_candidate("w", 7, shared)]
-        pred = select_sense([2.0, 2.0], cands)
+        cands, config = make_candidates([shared, shared], indices=[3, 7])
+        pred = select_sense([2.0, 2.0], cands, config)
         assert pred.chosen == SenseId("w", "n", 3)
         assert pred.margin == 0.0
 
@@ -48,16 +55,14 @@ class TestSelectSense:
         rng = np.random.default_rng(20)
         for _ in range(800):
             dim = int(rng.integers(2, 7))
-            cands = random_candidates(rng, int(rng.integers(1, 6)), dim)
-            if rng.random() < 0.3 and len(cands) > 1:
+            centers, radii = random_rows(rng, int(rng.integers(1, 6)), dim)
+            if rng.random() < 0.3 and len(centers) > 1:
                 # force a tie by duplicating the first anchor center
-                dup = cands[0]
-                cands[1] = Candidate(cands[1].sense, cands[1].anchor,
-                                     Ball(str(cands[1].anchor), dup.ball.center.copy(),
-                                          cands[1].ball.radius))
+                centers[1] = centers[0].copy()
+            cands, config = make_candidates(centers, radii)
             v = rng.standard_normal(dim)
-            pred = select_sense(v, cands)
-            scores = [cos_sim(v, c.ball.center) for c in cands]
+            pred = select_sense(v, cands, config)
+            scores = [cos_sim(v, config.centers[c.row]) for c in cands]
             best = max(scores)
             want = min(i for i, s in enumerate(scores) if s == best)
             assert pred.chosen == cands[want].sense
@@ -67,57 +72,57 @@ class TestSelectSense:
         rng = np.random.default_rng(21)
         for _ in range(200):
             dim = int(rng.integers(2, 6))
-            cands = random_candidates(rng, 4, dim)
+            cands, config = make_candidates(*random_rows(rng, 4, dim))
             v = rng.standard_normal(dim)
             for scale in (1e-3, 7.3, 1e4):
-                assert select_sense(v, cands).chosen == select_sense(scale * v, cands).chosen
+                assert (select_sense(v, cands, config).chosen
+                        == select_sense(scale * v, cands, config).chosen)
 
     def test_margin_is_top_gap(self):
-        cands = [make_candidate("w", 1, [1.0, 0.0]),
-                 make_candidate("w", 2, [0.0, 1.0]),
-                 make_candidate("w", 3, [-1.0, 0.0])]
+        cands, config = make_candidates([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         v = [3.0, 1.0]
-        pred = select_sense(v, cands)
-        scores = sorted((cos_sim(v, c.ball.center) for c in cands), reverse=True)
+        pred = select_sense(v, cands, config)
+        scores = sorted((cos_sim(v, c) for c in config.centers), reverse=True)
         assert pred.margin == pytest.approx(scores[0] - scores[1])
 
     def test_lone_candidate_margin_is_inf(self):
-        pred = select_sense([1.0, 0.0], [make_candidate("w", 1, [1.0, 0.1])])
+        pred = select_sense([1.0, 0.0], *make_candidates([[1.0, 0.1]]))
         assert pred.margin == math.inf
 
     def test_inside_flag_matches_point_inside(self):
-        near = make_candidate("w", 1, [1.0, 0.0], radius=0.5)
-        pred = select_sense([1.2, 0.0], [near])
-        assert pred.inside_anchor_ball == point_inside([1.2, 0.0], near.ball)
+        near, config = make_candidates([[1.0, 0.0]], radii=[0.5])
+        pred = select_sense([1.2, 0.0], near, config)
+        assert pred.inside_anchor_ball == point_inside([1.2, 0.0], config, str(near[0].anchor))
         assert pred.inside_anchor_ball
-        far = make_candidate("w", 1, [10.0, 0.0], radius=0.5)
-        assert not select_sense([1.0, 0.0], [far]).inside_anchor_ball
+        far, config = make_candidates([[10.0, 0.0]], radii=[0.5])
+        assert not select_sense([1.0, 0.0], far, config).inside_anchor_ball
 
     def test_empty_candidates_raise(self):
+        _, config = make_candidates([[1.0]])
         with pytest.raises(ValueError):
-            select_sense([1.0], [])
+            select_sense([1.0], [], config)
 
     def test_bad_inputs_raise(self):
-        cands = [make_candidate("w", 1, [1.0, 0.0])]
+        cands, config = make_candidates([[1.0, 0.0]])
         for v in ([0.0, 0.0], [1.0, float("nan")], [1.0, float("inf")], [1.0, 0.0, 0.0]):
             with pytest.raises(ValueError):
-                select_sense(v, cands)
+                select_sense(v, cands, config)
         with pytest.raises(ValueError, match="zero-norm"):
-            select_sense([1.0, 0.0], [make_candidate("w", 1, [0.0, 0.0])])
+            select_sense([1.0, 0.0], *make_candidates([[0.0, 0.0]]))
 
     def test_scores_and_margins_equal_cos_sim_bit_for_bit(self):
-        # candidates whose balls view rows of one configuration, as in eval
+        # candidates are rows of one configuration, as in eval
         rng = np.random.default_rng(22)
         for _ in range(300):
             dim = int(rng.integers(2, 120))
             n = int(rng.integers(1, 10))
             anchors = [SenseId("p", "n", i + 1) for i in range(n)]
-            config = configuration(Ball(str(a), rng.standard_normal(dim), 0.5) for a in anchors)
-            cands = [Candidate(SenseId("w", "n", i + 1), a, config.get(str(a)))
+            config = configuration((str(a), rng.standard_normal(dim), 0.5) for a in anchors)
+            cands = [Candidate(SenseId("w", "n", i + 1), a, config.row[str(a)])
                      for i, a in enumerate(anchors)]
             v = rng.standard_normal((3, dim))[1]  # a row of a matrix, like encoder output
-            pred = select_sense(v, cands)
-            scores = [cos_sim(v, c.ball.center) for c in cands]
+            pred = select_sense(v, cands, config)
+            scores = [cos_sim(v, config.centers[c.row]) for c in cands]
             best = scores.index(max(scores))
             assert pred.chosen == cands[best].sense
             assert pred.score == scores[best]
@@ -136,7 +141,7 @@ class TestCandidateSet:
         for i, sid in enumerate([root, top1, top2, f1, f2]):
             c = np.zeros(3)
             c[0] = i + 1.0
-            balls[str(sid)] = Ball(str(sid), c, 0.1)
+            balls[str(sid)] = (str(sid), c, 0.1)
         config = configuration(balls.values())
         return Inventory(taxonomy=tax), config
 
@@ -152,6 +157,7 @@ class TestCandidateSet:
         cands = candidate_set("fly", "v", 1, inv, config)
         assert [str(c.anchor) for c in cands] == ["move.v.01", "make.v.01", "move.v.01"]
         assert [c.sense.index for c in cands] == [1, 2, 9]
+        assert all(config.ids[c.row] == str(c.anchor) for c in cands)
 
     def test_level_past_root_gives_empty(self):
         inv, config = self.fixture()
@@ -164,13 +170,12 @@ class TestCandidateSet:
 
 class TestDeductionQuery:
     def fixture(self):
-        balls = {
-            "mammal.n.01": Ball("mammal.n.01", np.array([0.0, 0.0]), 4.0),
-            "human.n.01": Ball("human.n.01", np.array([1.0, 0.0]), 2.0),
-            "greek.n.01": Ball("greek.n.01", np.array([1.5, 0.0]), 0.5),
-            "dog.n.01": Ball("dog.n.01", np.array([-2.0, 0.0]), 1.0),
-        }
-        return configuration(balls.values())
+        return configuration([
+            ("mammal.n.01", [0.0, 0.0], 4.0),
+            ("human.n.01", [1.0, 0.0], 2.0),
+            ("greek.n.01", [1.5, 0.0], 0.5),
+            ("dog.n.01", [-2.0, 0.0], 1.0),
+        ])
 
     def test_chain_is_transitive(self):
         config = self.fixture()
