@@ -2,9 +2,10 @@
 
 Subcommands cover the batch workflow: build and verify ball files,
 prepare per-level datasets, train the encoder, evaluate, and answer
-containment queries.  Every command writes a JSON manifest naming its
-inputs and outputs with content hashes plus the seed and package
-version, and is byte-for-byte idempotent given identical inputs.
+containment queries.  Each command that takes `--out` writes a JSON
+manifest there, naming its inputs and outputs with content hashes plus
+the seed and package version.  Every command is byte-for-byte
+idempotent given identical inputs.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 verification failure.
 """
@@ -109,6 +110,8 @@ def _levels(cfg: dict) -> list[int]:
         raise UsageError(f"levels expects comma-separated integers, got {cfg['levels']!r}")
     if not out or any(v < 0 for v in out):
         raise UsageError("levels must name at least one level >= 0")
+    if len(set(out)) != len(out):
+        raise UsageError(f"levels must not repeat a level, got {cfg['levels']!r}")
     return out
 
 
@@ -141,15 +144,27 @@ def write_manifest(out_dir, command: str, cfg: dict, inputs, outputs) -> str:
     return path
 
 
-def _ensure_out(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+def _dataset_paths(data_dir: str, levels) -> list[str]:
+    """The per-level dataset files `prepare` writes into data_dir."""
+    return [os.path.join(data_dir, f"dataset-l{level}.tsv") for level in levels]
+
+
+class _Outputs:
+    """`out(name)` creates `--out` on first use and records the path it returns."""
+
+    def __init__(self, out_dir: str | None, manifest_config: dict):
+        self.dir, self.manifest_config, self.paths = out_dir, manifest_config, []
+
+    def __call__(self, name: str) -> str:
+        os.makedirs(self.dir, exist_ok=True)
+        self.paths.append(os.path.join(self.dir, name))
+        return self.paths[-1]
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (args, cfg, out) and returns an exit code
 
-def cmd_build_balls(args, cfg) -> int:
+def cmd_build_balls(args, cfg, out) -> int:
     inventory = load_inventory(args.inventory)
     table = load_embeddings(args.embeddings)
     balls = construct_balls(inventory.taxonomy, table, cfg.geometry)
@@ -157,18 +172,13 @@ def cmd_build_balls(args, cfg) -> int:
     print(report.render())
     if not report.ok:
         return EXIT_VERIFY
-    out = _ensure_out(args)
-    ball_path = os.path.join(out, "balls.tsv")
-    save_balls(balls, ball_path)
-    report_path = os.path.join(out, "verify-report.txt")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    save_balls(balls, out("balls.tsv"))
+    with open(out("verify-report.txt"), "w", encoding="utf-8") as fh:
         fh.write(report.render() + "\n")
-    write_manifest(out, "build-balls", cfg.values,
-                   [args.inventory, args.embeddings], [ball_path, report_path])
     return EXIT_OK
 
 
-def cmd_verify_balls(args, cfg) -> int:
+def cmd_verify_balls(args, cfg, out) -> int:
     balls = load_balls(args.balls)
     inventory = load_inventory(args.inventory)
     report = verify_configuration(balls, inventory.taxonomy, cfg.geometry)
@@ -176,89 +186,67 @@ def cmd_verify_balls(args, cfg) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def cmd_prepare(args, cfg) -> int:
+def cmd_prepare(args, cfg, out) -> int:
     records = parse_annotated_corpus(args.corpus)
     inventory = load_inventory(args.inventory)
     balls = load_balls(args.balls)
-    out = _ensure_out(args)
-    outputs = []
     stats_lines = []
     for level in cfg.levels:
         kept = lift_to_level(records, inventory.taxonomy, level, balls)
-        path = os.path.join(out, f"dataset-l{level}.tsv")
-        save_records(kept, path)
-        outputs.append(path)
-        line = dataset_report(f"dataset-l{level}", level, records, kept)
-        stats_lines.append(line)
-        print(line)
-    stats_path = os.path.join(out, "stats.txt")
-    with open(stats_path, "w", encoding="utf-8") as fh:
+        save_records(kept, out(f"dataset-l{level}.tsv"))
+        stats_lines.append(dataset_report(f"dataset-l{level}", level, records, kept))
+        print(stats_lines[-1])
+    with open(out("stats.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(stats_lines) + "\n")
-    outputs.append(stats_path)
-    write_manifest(out, "prepare", cfg.values,
-                   [args.corpus, args.inventory, args.balls], outputs)
     return EXIT_OK
 
 
-def cmd_train(args, cfg) -> int:
+def cmd_train(args, cfg, out) -> int:
     records = parse_annotated_corpus(args.corpus)
     if not records:
-        print("training corpus is empty", file=sys.stderr)
-        return EXIT_DATA
+        raise ValueError(f"{args.corpus}: training corpus is empty")
     table = load_embeddings(args.embeddings)
     balls = load_balls(args.balls)
     result = train(records, table, balls, cfg.train)
-    out = _ensure_out(args)
-    ckpt_path = os.path.join(out, "checkpoint.json")
-    save_encoder(result.params, ckpt_path, cfg.train)
-    curve_path = os.path.join(out, "curve.tsv")
-    with open(curve_path, "w", encoding="utf-8") as fh:
+    save_encoder(result.params, out("checkpoint.json"), cfg.train)
+    with open(out("curve.tsv"), "w", encoding="utf-8") as fh:
         for epoch, value in result.curve:
             fh.write("%d\t%.17g\n" % (epoch, value))
     if result.curve:
         print(f"trained {cfg.train.epochs} epochs, final loss {result.curve[-1][1]:.6f}")
     else:
         print("trained 0 epochs, checkpoint equals initialization")
-    write_manifest(out, "train", cfg.values,
-                   [args.corpus, args.embeddings, args.balls],
-                   [ckpt_path, curve_path])
     return EXIT_OK
 
 
-def cmd_eval(args, cfg) -> int:
+def cmd_eval(args, cfg, out) -> int:
+    data_paths = _dataset_paths(args.data, cfg.levels)
+    for level, path in zip(cfg.levels, data_paths):
+        if not os.path.exists(path):
+            raise ValueError(f"{path}: no dataset for level {level}")
     table = load_embeddings(args.embeddings)
     balls = load_balls(args.balls)
     inventory = load_inventory(args.inventory)
     params, tc = load_encoder(args.checkpoint)
-    out = _ensure_out(args)
+    if params.out_dim != balls.dim:
+        raise ValueError(f"{args.checkpoint} predicts {params.out_dim}-d vectors, "
+                         f"but {args.balls} holds {balls.dim}-d balls")
+    # training keys describe the evaluated model, so they come from its checkpoint
+    out.manifest_config = {**cfg.values, **asdict(tc)}
     reports = {}
-    outputs = []
-    inputs = [args.embeddings, args.balls, args.inventory, args.checkpoint]
-    for level in cfg.levels:
-        data_path = os.path.join(args.data, f"dataset-l{level}.tsv")
-        if not os.path.exists(data_path):
-            print(f"no dataset for level {level}: {data_path}", file=sys.stderr)
-            return EXIT_DATA
-        inputs.append(data_path)
-        records = parse_annotated_corpus(data_path)
-        report, preds = predict_records(params, records, level, inventory,
-                                        table, balls, cfg.geometry, tc.window_k)
+    for level, path in zip(cfg.levels, data_paths):
+        report, preds = predict_records(params, parse_annotated_corpus(path), level,
+                                        inventory, table, balls, cfg.geometry, tc.window_k)
         reports[level] = report
-        pred_path = os.path.join(out, f"predictions-l{level}.tsv")
-        save_predictions(preds, pred_path)
-        outputs.append(pred_path)
+        save_predictions(preds, out(f"predictions-l{level}.tsv"))
         print(f"level {level}: {report.render()}")
     # an anchor-based selector cannot split senses of one word that share a hypernym
     print(f"shared-hypernym sense pairs: {len(check_distinct_hypernym_assumption(inventory))}")
-    report_path = os.path.join(out, "report.tsv")
-    save_reports(reports, report_path, dataset=os.path.basename(args.data.rstrip("/")))
-    outputs.append(report_path)
-    # training keys describe the evaluated model, so they come from its checkpoint
-    write_manifest(out, "eval", {**cfg.values, **asdict(tc)}, inputs, outputs)
+    save_reports(reports, out("report.tsv"), dataset=os.path.basename(args.data.rstrip("/")))
     return EXIT_OK
 
 
-def cmd_query(args, cfg) -> int:
+def cmd_query(args, cfg, out) -> int:
     balls = load_balls(args.balls)
     a = SenseId.parse(args.hyponym)
     b = SenseId.parse(args.hypernym)
@@ -271,7 +259,7 @@ def cmd_query(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_show_config(args, cfg) -> int:
+def cmd_show_config(args, cfg, out) -> int:
     for key in sorted(cfg.values):
         print(f"{key}={cfg.values[key]}")
     return EXIT_OK
@@ -279,6 +267,24 @@ def cmd_show_config(args, cfg) -> int:
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+# name -> (handler, help, {file flag: its help}); every file flag is required
+COMMANDS = {
+    "build-balls": (cmd_build_balls, "construct and verify sense balls",
+                    {"inventory": None, "embeddings": None, "out": None}),
+    "verify-balls": (cmd_verify_balls, "check a ball file against a taxonomy",
+                     {"balls": None, "inventory": None}),
+    "prepare": (cmd_prepare, "lift a corpus to per-level datasets",
+                {"corpus": None, "inventory": None, "balls": None, "out": None}),
+    "train": (cmd_train, "train the encoder on a prepared dataset",
+              {"corpus": "prepared dataset file", "embeddings": None, "balls": None, "out": None}),
+    "eval": (cmd_eval, "evaluate a checkpoint on prepared datasets",
+             {"data": "directory with dataset-l<K>.tsv files", "checkpoint": None,
+              "inventory": None, "embeddings": None, "balls": None, "out": None}),
+    "query": (cmd_query, "ask whether one sense's ball contains another's", {"balls": None}),
+    "show-config": (cmd_show_config, "print the resolved configuration", {}),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is 1."""
@@ -288,77 +294,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="override one config key (repeatable)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ballwsd", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=_Parser)
-
-    p = subs.add_parser("build-balls", help="construct and verify sense balls")
-    p.add_argument("--inventory", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_build_balls)
-
-    p = subs.add_parser("verify-balls", help="check a ball file against a taxonomy")
-    p.add_argument("--balls", required=True)
-    p.add_argument("--inventory", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_balls)
-
-    p = subs.add_parser("prepare", help="lift a corpus to per-level datasets")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--inventory", required=True)
-    p.add_argument("--balls", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_prepare)
-
-    p = subs.add_parser("train", help="train the encoder on a prepared dataset")
-    p.add_argument("--corpus", required=True, help="prepared dataset file")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--balls", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("eval", help="evaluate a checkpoint on prepared datasets")
-    p.add_argument("--data", required=True, help="directory with dataset-l<K>.tsv files")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--inventory", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--balls", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = subs.add_parser("query", help="ask whether one sense's ball contains another's")
-    p.add_argument("--balls", required=True)
-    p.add_argument("hyponym", help="inner sense, e.g. human.n.01")
-    p.add_argument("hypernym", help="outer sense, e.g. mammal.n.01")
-    _add_common(p)
-    p.set_defaults(func=cmd_query)
-
-    p = subs.add_parser("show-config", help="print the resolved configuration")
-    _add_common(p)
-    p.set_defaults(func=cmd_show_config)
-
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (handler, text, flags) in COMMANDS.items():
+        p = subs.add_parser(name, help=text)
+        for flag, flag_help in flags.items():
+            p.add_argument(f"--{flag}", required=True, help=flag_help)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override one config key (repeatable)")
+        p.set_defaults(func=handler)
+    query = subs.choices["query"]
+    query.add_argument("hyponym", help="inner sense, e.g. human.n.01")
+    query.add_argument("hypernym", help="outer sense, e.g. mammal.n.01")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.config, args.set)
-        return args.func(args, cfg)
+        out = _Outputs(getattr(args, "out", None), cfg.values)
+        code = args.func(args, cfg, out)
+        if code == EXIT_OK and out.paths:
+            # inputs: every file flag given except --out; --data stands for its datasets
+            flags = COMMANDS[args.command][2]
+            inputs = [getattr(args, flag) for flag in flags if flag not in ("data", "out")]
+            inputs += _dataset_paths(args.data, cfg.levels) if "data" in flags else []
+            write_manifest(out.dir, args.command, out.manifest_config, inputs, out.paths)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 log = logging.getLogger(__name__)
 
@@ -61,9 +62,11 @@ class Taxonomy:
                 if par not in self._parent:
                     raise TaxonomyError(f"parent {par} of {node} is not a node")
                 self._children[par].append(node)
+        # the order=True order, without a Python __lt__ call per comparison
+        key = attrgetter("lemma", "pos", "index")
         for kids in self._children.values():
-            kids.sort()
-        self._nodes = sorted(self._parent)
+            kids.sort(key=key)
+        self._nodes = sorted(self._parent, key=key)
         self._roots = [n for n in self._nodes if self._parent[n] is None]
         self._check_acyclic()
 

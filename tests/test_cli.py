@@ -185,6 +185,38 @@ class TestPrepare:
         assert code == 2
 
 
+class TestManifests:
+    @pytest.mark.parametrize("command", ["build-balls", "prepare", "train", "eval"])
+    def test_manifest_names_every_file_flag_and_output(self, workspace, command):
+        ws = workspace
+        balls = build(ws)
+        data = prepare(ws, balls)
+        ckpt = train(ws, balls, data)
+        flags = {
+            "build-balls": {"--inventory": ws["inventory"], "--embeddings": ws["embeddings"]},
+            "prepare": {"--corpus": ws["corpus"], "--inventory": ws["inventory"],
+                        "--balls": balls},
+            "train": {"--corpus": data / "dataset-l1.tsv", "--embeddings": ws["embeddings"],
+                      "--balls": balls},
+            "eval": {"--data": data, "--checkpoint": ckpt, "--inventory": ws["inventory"],
+                     "--embeddings": ws["embeddings"], "--balls": balls},
+        }[command]
+        out = ws["dir"] / "out"
+        argv = [command, *(str(v) for pair in flags.items() for v in pair), "--out", str(out),
+                "--set", "levels=0,2", "--set", "epochs=1"]
+        assert main(argv) == 0
+        manifest = json.loads((out / f"manifest-{command}.json").read_text())
+        inputs = {str(p) for flag, p in flags.items() if flag != "--data"}
+        if command == "eval":
+            inputs |= {str(data / "dataset-l0.tsv"), str(data / "dataset-l2.tsv")}
+        assert set(manifest["inputs"]) == inputs
+        written = {str(p) for p in out.iterdir() if p.name != f"manifest-{command}.json"}
+        assert set(manifest["outputs"]) == written
+        for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
 class TestTrainEval:
     def test_full_pipeline(self, workspace, capsys):
         balls = build(workspace)
@@ -225,10 +257,11 @@ class TestTrainEval:
         for name in fresh.arrays:
             assert np.array_equal(params.arrays[name], fresh.arrays[name])
 
-    def test_eval_missing_level_is_data_error(self, workspace):
+    def test_eval_missing_level_is_data_error(self, workspace, capsys):
         balls = build(workspace)
         data = prepare(workspace, balls, levels="1")
         ckpt = train(workspace, balls, data)
+        capsys.readouterr()
         code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
                      "--inventory", str(workspace["inventory"]),
                      "--embeddings", str(workspace["embeddings"]),
@@ -236,16 +269,24 @@ class TestTrainEval:
                      "--out", str(workspace["dir"] / "e"),
                      "--set", "levels=3"])
         assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert str(data / "dataset-l3.tsv") in err[0]
+        assert not (workspace["dir"] / "e").exists()
 
-    def test_empty_train_corpus_is_data_error(self, workspace):
+    def test_empty_train_corpus_is_data_error(self, workspace, capsys):
         balls = build(workspace)
         empty = workspace["dir"] / "empty.tsv"
         empty.write_text("")
+        capsys.readouterr()
         code = main(["train", "--corpus", str(empty),
                      "--embeddings", str(workspace["embeddings"]),
                      "--balls", str(balls),
                      "--out", str(workspace["dir"] / "m")])
         assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and str(empty) in err[0]
+        assert not (workspace["dir"] / "m").exists()
 
     def test_eval_window_k_comes_from_checkpoint(self, workspace):
         balls = build(workspace)
@@ -290,6 +331,28 @@ class TestTrainEval:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "model width is 12" in err[0]
+
+    def test_eval_ball_width_mismatch_names_both_files(self, workspace, capsys):
+        balls = build(workspace)                       # 12 + 16 = 28-d
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+        narrow = workspace["dir"] / "narrow"
+        assert main(["build-balls", "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]), "--out", str(narrow),
+                     "--set", "code_width=4"]) == 0       # 12 + 4 = 16-d
+        out = workspace["dir"] / "e"
+        capsys.readouterr()
+        code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]),
+                     "--balls", str(narrow / "balls.tsv"), "--out", str(out),
+                     "--set", "levels=1"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert str(ckpt) in err[0] and str(narrow / "balls.tsv") in err[0]
+        assert "28-d" in err[0] and "16-d" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("tamper", ["version-1", "missing-array", "extra-layer",
                                         "wrong-shape", "top-level-list", "arrays-list",
@@ -427,6 +490,14 @@ class TestShowConfigAndUsage:
     def test_unknown_config_key_is_usage_error(self):
         assert main(["show-config", "--set", "bogus=1"]) == 1
 
+    @pytest.mark.parametrize("command", ["build-balls", "verify-balls", "prepare", "train",
+                                         "eval", "query", "show-config"])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: ballwsd {command} ")
+
     def test_unknown_command_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -449,6 +520,7 @@ class TestShowConfigAndUsage:
         ("show-config", "lr=inf"),
         ("show-config", "margin=inf"),
         ("show-config", "seed=-1"),
+        ("show-config", "levels=1,1"),
     ])
     def test_bad_config_value_is_usage_error(self, workspace, capsys, command, pair):
         balls = build(workspace)

@@ -4,15 +4,18 @@
 
 Run from anywhere inside a checkout.  REF's files are extracted with
 `git archive` into a temporary directory; nothing in the repository
-changes.  For each benchmark workload the inputs are generated once at
-seed 0 by perfbench/workloads.py, then the benchmark's pipeline
-(perfbench/run.py `commands`: build-balls, verify-balls, both prepares,
-train with the workload's training keys, eval), QUERIES_PER_PASS seeded
-queries and show-config run once with REF's `src/` and once with this tree's, from
-sibling directories that read the same inputs by the same relative
-paths.  Then the tree's balls.tsv is copied into inputs/ with every
-FAULT_EVERY-th radius times FAULT_SCALE, and verify-balls runs on that
-copy with both, so violation order and slack text are compared too.
+changes.  First `ballwsd --help` and `ballwsd <command> --help`, for
+every command in this tree's `cli.COMMANDS`, run under both trees, so a
+lost flag or help string shows.  Then, for each benchmark workload, the
+inputs are generated once at seed 0 by perfbench/workloads.py, and the
+benchmark's pipeline (perfbench/run.py `commands`: build-balls,
+verify-balls, both prepares, train with the workload's training keys,
+eval), QUERIES_PER_PASS seeded queries and show-config run once with
+REF's `src/` and once with this tree's, from sibling directories that
+read the same inputs by the same relative paths.  Then the tree's
+balls.tsv is copied into inputs/ with every FAULT_EVERY-th radius times
+FAULT_SCALE, and verify-balls runs on that copy with both, so violation
+order and slack text are compared too.
 Every written file, exit code, stdout and stderr that differs is listed.
 Exit status: 0 when nothing differs, 1 when something does, 2 when REF
 cannot be extracted.
@@ -31,6 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 from run import QUERIES_PER_PASS, child_env, commands, query_argv  # noqa: E402
+from ballwsd.cli import COMMANDS  # noqa: E402
 from workloads import WORKLOADS, draw_queries  # noqa: E402
 
 FAULT_EVERY, FAULT_SCALE = 50, 50.0
@@ -103,7 +107,12 @@ def main(argv=None) -> int:
         except (OSError, subprocess.CalledProcessError) as exc:
             print(f"cannot extract {args.ref!r}: {exc}", file=sys.stderr)
             return 2
-        diffs = []
+        helps = [["--help"]] + [[name, "--help"] for name in COMMANDS]
+        diffs = compare("help", run_pipeline(tmp / "ref-tree" / "src", tmp / "help-ref", helps),
+                        run_pipeline(ROOT / "src", tmp / "help-tree", helps),
+                        tmp / "help-ref", tmp / "help-tree")
+        print(f"help: {len(helps)} commands: "
+              + (f"{len(diffs)} differences" if diffs else "identical"))
         for name, generate in WORKLOADS.items():
             work = tmp / name
             (work / "inputs").mkdir(parents=True)
