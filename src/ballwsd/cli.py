@@ -24,7 +24,7 @@ from .construct import ConstructionError, construct_balls
 from .corpus import dataset_report, lift_to_level, parse_annotated_corpus, save_records
 from .embeddings import load_embeddings
 from .encoder import TrainConfig, load_encoder, save_encoder, train
-from .evaluator import predict_records, save_reports
+from .evaluator import encode_records, predict_records, save_reports
 from .geometry import (GeometryConfig, load_balls, save_balls,
                        verify_configuration)
 from .inventory import SenseId, check_distinct_hypernym_assumption, load_inventory
@@ -228,15 +228,23 @@ def cmd_eval(args, cfg, out) -> int:
     balls = load_balls(args.balls)
     inventory = load_inventory(args.inventory)
     params, tc = load_encoder(args.checkpoint)
+    if params.dim != table.dim:
+        raise ValueError(f"model width is {params.dim} in {args.checkpoint}, "
+                         f"but {args.embeddings} holds {table.dim}-d vectors")
     if params.out_dim != balls.dim:
         raise ValueError(f"{args.checkpoint} predicts {params.out_dim}-d vectors, "
                          f"but {args.balls} holds {balls.dim}-d balls")
     # training keys describe the evaluated model, so they come from its checkpoint
     out.manifest_config = {**cfg.values, **asdict(tc)}
     reports = {}
+    inputs = V = None
     for level, path in zip(cfg.levels, data_paths):
-        report, preds = predict_records(params, parse_annotated_corpus(path), level,
-                                        inventory, table, balls, cfg.geometry, tc.window_k)
+        records = parse_annotated_corpus(path)
+        # lifting rewrites targets only, so levels often share one batch of inputs
+        key = [(r.tokens, r.indices) for r in records]
+        if key != inputs:
+            V, inputs = encode_records(params, records, table, tc.window_k), key
+        report, preds = predict_records(V, records, level, inventory, balls, cfg.geometry)
         reports[level] = report
         save_predictions(preds, out(f"predictions-l{level}.tsv"))
         print(f"level {level}: {report.render()}")

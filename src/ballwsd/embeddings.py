@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import math
+import warnings
 
 import numpy as np
 
@@ -25,7 +25,10 @@ def hash_unit_vector(token: str, dim: int) -> np.ndarray:
 
 
 class EmbeddingTable:
-    """Word -> vector lookup with a deterministic out-of-vocabulary fallback."""
+    """Word -> vector lookup with a deterministic out-of-vocabulary fallback.
+
+    Word w's vector is row `row[w]` of the (N, dim) float64 `matrix`.
+    """
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         if not vectors:
@@ -33,17 +36,25 @@ class EmbeddingTable:
         dims = {v.shape[0] for v in vectors.values()}
         if len(dims) != 1:
             raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        self.dim = dims.pop()
-        self._vectors = {w: np.asarray(v, dtype=np.float64) for w, v in vectors.items()}
+        self.matrix = np.array(list(vectors.values()), dtype=np.float64)
+        self.row = {w: i for i, w in enumerate(vectors)}
+        self.dim = self.matrix.shape[1]
+
+    @classmethod
+    def from_rows(cls, matrix: np.ndarray, row: dict[str, int]) -> "EmbeddingTable":
+        """A table over `matrix` as given; `row` maps each word to its row."""
+        table = cls.__new__(cls)
+        table.matrix, table.row, table.dim = matrix, row, matrix.shape[1]
+        return table
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self.row)
 
     def get(self, word: str) -> np.ndarray | None:
-        v = self._vectors.get(word)
-        if v is None:
-            v = self._vectors.get(word.lower())
-        return v
+        i = self.row.get(word)
+        if i is None:
+            i = self.row.get(word.lower())
+        return None if i is None else self.matrix[i]
 
     def vector(self, word: str) -> np.ndarray:
         """Lookup with fallback: unknown words get a stable hashed direction."""
@@ -53,43 +64,85 @@ class EmbeddingTable:
         return v
 
     def words(self) -> list[str]:
-        return sorted(self._vectors)
+        return sorted(self.row)
+
+
+# lines converted per np.loadtxt call
+_BLOCK = 4096
+
+
+def _convert_block(path, lines: list[tuple[int, str, str]], dim: int) -> np.ndarray:
+    """The (lineno, word, coordinate text) lines as one (len(lines), dim) block.
+
+    One C-parsed np.loadtxt call converts the block.  Where it raises or
+    reads another shape (it skips an empty text as a blank line), the
+    block is converted row by row with `np.array(coords, dtype=np.float64)`,
+    which also accepts tokens the C reader rejects (`1_000`, Unicode
+    digits).  The first bad line in the block is the one reported.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an all-empty block warns "no data"
+            block = np.loadtxt([text for _, _, text in lines], delimiter=" ",
+                               comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        block = None
+    error = None
+    if block is None or block.shape != (len(lines), dim):
+        rows = []
+        for lineno, _, text in lines:
+            try:
+                rows.append(np.array(text.rstrip("\n").split(" "), dtype=np.float64))
+            except ValueError as exc:
+                error = f"{path}:{lineno}: {exc}"
+                break
+        block = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+    if bad.size:
+        lineno, word, _ = lines[bad[0]]
+        error = f"{path}:{lineno}: {word!r} has a non-finite value"
+    if error:
+        raise ValueError(error)
+    return block
 
 
 def load_embeddings(path) -> EmbeddingTable:
     """Read a text table: `word v1 v2 ... vd` per line, space separated.
 
     A malformed row or a non-finite value raises one ValueError that
-    starts `path:lineno:`.
+    starts `path:lineno:`, for the first bad line in the file.
     """
-    vectors: dict[str, np.ndarray] = {}
+    row: dict[str, int] = {}
+    blocks: list[np.ndarray] = []
+    pending: list[tuple[int, str, str]] = []  # checked lines not yet converted
     dim = None
-    # v @ v overflows quietly; a row whose square is not finite gets the entrywise test
-    with open(path, encoding="utf-8") as fh, np.errstate(over="ignore"):
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
+            if raw.isspace():
                 continue
-            parts = line.split(" ")
-            word, coords = parts[0], parts[1:]
-            try:
-                if not coords:
-                    raise ValueError(f"no coordinates for {word!r}")
-                if dim is None:
-                    dim = len(coords)
-                elif len(coords) != dim:
-                    raise ValueError(f"expected {dim} coordinates, got {len(coords)}")
-                if word in vectors:
-                    raise ValueError(f"duplicate word {word!r}")
-                v = np.array(coords, dtype=np.float64)
-                if not math.isfinite(v @ v) and not np.isfinite(v).all():
-                    raise ValueError(f"{word!r} has a non-finite value")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            vectors[word] = v
-    if not vectors:
+            word, _, text = raw.partition(" ")
+            n = raw.count(" ")  # as many coordinates as line.split(" ") gives
+            if n != dim or word in row:
+                if dim is None and n:
+                    dim = n
+                else:
+                    if pending:  # an earlier bad value comes first
+                        _convert_block(path, pending, dim)
+                    word = word.rstrip("\n")
+                    problem = (f"no coordinates for {word!r}" if not n else
+                               f"expected {dim} coordinates, got {n}" if n != dim else
+                               f"duplicate word {word!r}")
+                    raise ValueError(f"{path}:{lineno}: {problem}")
+            row[word] = len(row)
+            pending.append((lineno, word, text))
+            if len(pending) == _BLOCK:
+                blocks.append(_convert_block(path, pending, dim))
+                pending = []
+    if pending:
+        blocks.append(_convert_block(path, pending, dim))
+    if not row:
         raise ValueError(f"{path}: empty embedding table")
-    return EmbeddingTable(vectors)
+    return EmbeddingTable.from_rows(np.concatenate(blocks), row)
 
 
 def embed_tokens(tokens, table: EmbeddingTable) -> np.ndarray:

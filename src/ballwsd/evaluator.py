@@ -265,24 +265,34 @@ def split_records(records, n_train: int, n_test: int):
 # ---------------------------------------------------------------------------
 # prediction
 
-def predict_records(params: EncoderParams, records, level: int,
-                    inventory: Inventory, table: EmbeddingTable,
-                    balls: BallConfiguration, geometry: GeometryConfig,
-                    window_k: int) -> tuple[EvalReport, dict[str, Prediction]]:
+def encode_records(params: EncoderParams, records, table: EmbeddingTable,
+                   window_k: int) -> np.ndarray:
+    """Encoder outputs for records, one batch: row i is record i's vector."""
+    records = list(records)
+    if not records:
+        return np.empty((0, params.out_dim))
+    T, C = embed_records(records, table, window_k)
+    return forward_batch(params, T, C)
+
+
+def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
+                    balls: BallConfiguration,
+                    geometry: GeometryConfig) -> tuple[EvalReport, dict[str, Prediction]]:
     """Predict already-lifted records at one level and score them.
 
-    Gold is each record's target; a record whose word has no candidate
-    with a ball at this level goes unattempted.
+    Row i of V is record i's encoder output (see encode_records).  Gold
+    is each record's target; a record whose word has no candidate with a
+    ball at this level goes unattempted.
     """
     records = list(records)
+    if len(V) != len(records):
+        raise ValueError(f"{len(V)} encoded rows for {len(records)} records")
     gold: dict[str, SenseId] = {}
     predicted: dict[str, SenseId] = {}
     inside: dict[str, bool] = {}
     predictions: dict[str, Prediction] = {}
     if not records:
         return EvalReport.from_counts(0, 0, 0, 0), {}
-    T, C = embed_records(records, table, window_k)
-    V = forward_batch(params, T, C)
     cand_cache: dict[tuple[str, str], list] = {}
     for i, rec in enumerate(records):
         iid = f"l{level}.{i:06d}"

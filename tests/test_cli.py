@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ballwsd import evaluator
 from ballwsd.cli import main, resolve_config, DEFAULTS, UsageError
 from ballwsd.corpus import parse_annotated_corpus
 from ballwsd.embeddings import EmbeddingTable
@@ -323,14 +324,81 @@ class TestTrainEval:
         rng = np.random.default_rng(41)
         narrow = workspace["dir"] / "narrow.txt"
         save_embeddings(EmbeddingTable({w: rng.standard_normal(6) for w in LEMMAS}), narrow)
+        out = workspace["dir"] / "e"
         capsys.readouterr()
         code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
                      "--inventory", str(workspace["inventory"]),
                      "--embeddings", str(narrow), "--balls", str(balls),
-                     "--out", str(workspace["dir"] / "e"), "--set", "levels=1"])
+                     "--out", str(out), "--set", "levels=1"])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "model width is 12" in err[0]
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert "model width is 12" in err[0] and "6-d" in err[0]
+        assert str(ckpt) in err[0] and str(narrow) in err[0]
+        assert not out.exists()
+
+    def test_eval_encodes_shared_inputs_once(self, workspace, monkeypatch):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+        rows = [[line.split("\t")[-2:] for line in (data / f"dataset-l{k}.tsv").read_text()
+                 .splitlines() if not line.startswith("#")] for k in range(3)]
+        assert rows[0] == rows[1] == rows[2]      # lifting rewrote targets only
+        calls = []
+        real = evaluator.forward_batch
+        monkeypatch.setattr(evaluator, "forward_batch",
+                            lambda *args: calls.append(1) or real(*args))
+        assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]), "--balls", str(balls),
+                     "--out", str(workspace["dir"] / "e"), "--set", "levels=0,1,2"]) == 0
+        assert len(calls) == 1
+
+    def test_eval_level_without_records_scores_nothing(self, workspace, capsys):
+        balls = build(workspace)
+        data = prepare(workspace, balls, levels="0,1,2,5")   # nothing sits 5 levels up
+        ckpt = train(workspace, balls, data)
+        out = workspace["dir"] / "e"
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]), "--balls", str(balls),
+                     "--out", str(out), "--set", "levels=1,5"]) == 0
+        assert (out / "predictions-l5.tsv").read_text() == ""
+        assert "level 5: P=0.0000 R=0.0000 F1=0.0000 attempted=0 correct=0 total=0" \
+            in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", ["drop-record", "change-token"])
+    def test_eval_levels_with_other_inputs_match_one_level_runs(self, workspace, edit):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+        edited = workspace["dir"] / "edited"
+        edited.mkdir()
+        for k in range(3):
+            lines = (data / f"dataset-l{k}.tsv").read_text().splitlines(keepends=True)
+            if k == 1:
+                body = [i for i, line in enumerate(lines) if not line.startswith("#")]
+                if edit == "drop-record":
+                    del lines[body[3]]
+                else:
+                    lines[body[3]] = lines[body[3]].replace("\tfly factory", "\tfly air")
+            (edited / f"dataset-l{k}.tsv").write_text("".join(lines))
+
+        def evaluate(out, levels):
+            assert main(["eval", "--data", str(edited), "--checkpoint", str(ckpt),
+                         "--inventory", str(workspace["inventory"]),
+                         "--embeddings", str(workspace["embeddings"]), "--balls", str(balls),
+                         "--out", str(workspace["dir"] / out), "--set", f"levels={levels}"]) == 0
+            return workspace["dir"] / out
+
+        together = evaluate("together", "0,1,2")
+        report = (together / "report.tsv").read_text().splitlines()
+        for k in range(3):
+            alone = evaluate(f"alone-{k}", str(k))
+            name = f"predictions-l{k}.tsv"
+            assert (together / name).read_bytes() == (alone / name).read_bytes()
+            assert report[1 + k] == (alone / "report.tsv").read_text().splitlines()[1]
 
     def test_eval_ball_width_mismatch_names_both_files(self, workspace, capsys):
         balls = build(workspace)                       # 12 + 16 = 28-d

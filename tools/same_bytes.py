@@ -15,7 +15,11 @@ REF's `src/` and once with this tree's, from sibling directories that
 read the same inputs by the same relative paths.  Then the tree's
 balls.tsv is copied into inputs/ with every FAULT_EVERY-th radius times
 FAULT_SCALE, and verify-balls runs on that copy with both, so violation
-order and slack text are compared too.
+order and slack text are compared too.  Two more faulted inputs follow:
+eval on a copy of the tree's test-data whose dataset-l1.tsv lacks its
+first record, so levels cannot share one encoded batch, and build-balls
+on a copy of embeddings.txt whose line UNDERSCORE_LINE carries a `1_0`
+style token and whose line RAGGED_LINE lacks its last coordinate.
 Every written file, exit code, stdout and stderr that differs is listed.
 Exit status: 0 when nothing differs, 1 when something does, 2 when REF
 cannot be extracted.
@@ -38,6 +42,7 @@ from ballwsd.cli import COMMANDS  # noqa: E402
 from workloads import WORKLOADS, draw_queries  # noqa: E402
 
 FAULT_EVERY, FAULT_SCALE = 50, 50.0
+UNDERSCORE_LINE, RAGGED_LINE = 10, 20
 
 
 def extract(ref: str, dest: Path) -> str:
@@ -73,6 +78,36 @@ def write_faulted(balls: Path, dest: Path) -> None:
         sid, radius, coords = lines[i].split("\t")
         lines[i] = f"{sid}\t{'%.17g' % (float(radius) * FAULT_SCALE)}\t{coords}"
     dest.write_text("".join(lines), encoding="utf-8")
+
+
+def write_dropped(data: Path, dest: Path) -> None:
+    """Copy a prepared dataset directory without dataset-l1.tsv's first record."""
+    dest.mkdir()
+    for path in sorted(data.glob("dataset-l*.tsv")):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if path.name == "dataset-l1.tsv":
+            del lines[next(i for i, line in enumerate(lines) if not line.startswith("#"))]
+        (dest / path.name).write_text("".join(lines), encoding="utf-8")
+
+
+def write_ragged(table: Path, dest: Path) -> None:
+    """Copy an embedding table with `_` between two digits of line
+    UNDERSCORE_LINE's first coordinate and line RAGGED_LINE's last
+    coordinate dropped."""
+    lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    word, first, rest = lines[UNDERSCORE_LINE - 1].split(" ", 2)
+    i = next(i for i in range(1, len(first)) if first[i - 1:i + 1].isdigit())
+    lines[UNDERSCORE_LINE - 1] = f"{word} {first[:i]}_{first[i:]} {rest}"
+    lines[RAGGED_LINE - 1] = lines[RAGGED_LINE - 1].rstrip("\n").rsplit(" ", 1)[0] + "\n"
+    dest.write_text("".join(lines), encoding="utf-8")
+
+
+def with_flags(argv: list[str], **flags: str) -> list[str]:
+    """argv with the value after each `--flag` replaced."""
+    argv = list(argv)
+    for flag, value in flags.items():
+        argv[argv.index(f"--{flag}") + 1] = value
+    return argv
 
 
 def files(top: Path) -> dict[str, bytes]:
@@ -123,14 +158,25 @@ def main(argv=None) -> int:
             argvs += [query_argv("", q) for q in queries] + [["show-config"]]
             ref_runs = run_pipeline(tmp / "ref-tree" / "src", work / "ref", argvs)
             tree_runs = run_pipeline(ROOT / "src", work / "tree", argvs)
+            faulted = []
             built = work / "tree" / "balls" / "balls.tsv"
             if built.is_file():
                 write_faulted(built, work / "inputs" / "balls-faulted.tsv")
-                verify = [["verify-balls", "--balls", "../inputs/balls-faulted.tsv",
-                           "--inventory", "../inputs/inventory.tsv"]]
-                argvs += verify
-                ref_runs += run_pipeline(tmp / "ref-tree" / "src", work / "ref", verify)
-                tree_runs += run_pipeline(ROOT / "src", work / "tree", verify)
+                faulted.append(["verify-balls", "--balls", "../inputs/balls-faulted.tsv",
+                                "--inventory", "../inputs/inventory.tsv"])
+            test_data = work / "tree" / "test-data"
+            if test_data.is_dir():
+                write_dropped(test_data, work / "inputs" / "test-data-dropped")
+                faulted.append(with_flags(commands(inputs, "")["eval"][1],
+                                          data="../inputs/test-data-dropped", out="eval-dropped"))
+            write_ragged(work / "inputs" / "embeddings.txt",
+                         work / "inputs" / "embeddings-faulted.txt")
+            faulted.append(with_flags(commands(inputs, "")["build-balls"][1],
+                                      embeddings="../inputs/embeddings-faulted.txt",
+                                      out="balls-faulted"))
+            argvs += faulted
+            ref_runs += run_pipeline(tmp / "ref-tree" / "src", work / "ref", faulted)
+            tree_runs += run_pipeline(ROOT / "src", work / "tree", faulted)
             found = compare(name, ref_runs, tree_runs, work / "ref", work / "tree")
             n_files = len(files(work / "tree"))
             print(f"{name}: {len(argvs)} commands, {n_files} files written: "
