@@ -10,6 +10,7 @@ boundary: a ball contains itself and tangent balls count as disconnected.
 
 from __future__ import annotations
 
+import base64
 import functools
 import math
 from dataclasses import dataclass, field
@@ -191,9 +192,10 @@ class BallConfiguration:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Line format: sense_id <TAB> radius <TAB> c1 c2 ... cn
+# Line format: sense_id <TAB> radius <TAB> base64 of the center's "<f8" bytes
 # Header:      #dim n prefix p
-# %.17g guarantees float64 round-trips to the identical bit pattern.
+# The center bytes round-trip bit for bit, as checkpoint arrays do
+# (`encoder.save_encoder`); %.17g gives the radius the same guarantee in text.
 
 _FMT = "%.17g"
 _HEADER = "'#dim n prefix p' header"
@@ -201,12 +203,13 @@ _HEADER = "'#dim n prefix p' header"
 
 def save_balls(config: BallConfiguration, path) -> None:
     """Write one line per ball, in sorted-id order."""
+    order = [config.row[sid] for sid in sorted(config.ids)]
+    centers = np.ascontiguousarray(config.centers[order], dtype="<f8")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#dim {config.dim} prefix {config.embedding_prefix_dim}\n")
-        for sid in sorted(config.ids):
-            i = config.row[sid]
-            coords = " ".join(_FMT % c for c in config.centers[i].tolist())
-            fh.write(f"{sid}\t{_FMT % config.radii[i]}\t{coords}\n")
+        for i, center in zip(order, centers):
+            fh.write(f"{config.ids[i]}\t{_FMT % config.radii[i]}\t"
+                     f"{base64.b64encode(center.tobytes()).decode('ascii')}\n")
 
 
 def load_balls(path) -> BallConfiguration:
@@ -216,7 +219,7 @@ def load_balls(path) -> BallConfiguration:
     ids, radii, rows, linenos = [], [], [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+            line = raw.rstrip("\n").removesuffix("\r")
             if not line.strip():
                 continue
             try:
@@ -232,10 +235,14 @@ def load_balls(path) -> BallConfiguration:
                 fields = line.split("\t")
                 if len(fields) != 3:
                     raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
-                sid, radius_s, coords_s = fields
-                center = np.array(coords_s.split(), dtype=np.float64)
-                if center.shape[0] != dim:
-                    raise ValueError(f"{sid}: expected {dim} coordinates, got {center.shape[0]}")
+                sid, radius_s, center_s = fields
+                try:
+                    center = base64.b64decode(center_s, validate=True)
+                except ValueError:
+                    raise ValueError(f"{sid}: center is not base64 float64") from None
+                if len(center) != 8 * dim:
+                    got = len(center) // 8 if len(center) % 8 == 0 else f"{len(center)} bytes"
+                    raise ValueError(f"{sid}: expected {dim} coordinates, got {got}")
                 radius = float(radius_s)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
@@ -245,8 +252,9 @@ def load_balls(path) -> BallConfiguration:
             linenos.append(lineno)
     if dim is None:
         raise ValueError(f"{path}: missing {_HEADER}")
+    centers = np.frombuffer(b"".join(rows), dtype="<f8").reshape(len(rows), dim).copy()
     try:
-        return BallConfiguration(ids, np.array(rows).reshape(len(rows), dim), radii, prefix)
+        return BallConfiguration(ids, centers, radii, prefix)
     except RowError as exc:
         raise ValueError(f"{path}:{linenos[exc.row]}: {exc}") from None
     except ValueError as exc:

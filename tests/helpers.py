@@ -1,6 +1,8 @@
 """Shared test helpers: random taxonomies and embedding tables, table
-files, ball configurations from balls, ancestor chains and gradient checks."""
+files, ball configurations from balls, ball file rows, ancestor chains
+and gradient checks."""
 
+import base64
 import copy
 
 import numpy as np
@@ -68,6 +70,13 @@ def configuration(balls, prefix: int | None = None, dim: int | None = None) -> B
     centers = np.array([c for _, c, _ in balls], dtype=np.float64).reshape(len(balls), dim)
     return BallConfiguration([sid for sid, _, _ in balls], centers, [r for _, _, r in balls],
                              prefix or dim)
+
+
+def ball_row(sid: str, radius: str, center) -> str:
+    """One ball file row: `sid`, the radius text as given, and base64 of
+    `center`'s little-endian float64 bytes."""
+    data = base64.b64encode(np.asarray(center, dtype="<f8").tobytes()).decode("ascii")
+    return f"{sid}\t{radius}\t{data}"
 
 
 def ancestors(taxonomy: Taxonomy, node: SenseId) -> list[SenseId]:

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 
@@ -534,6 +535,25 @@ class TestOneLineErrors:
         assert main(["query", "--balls", str(balls), "fly.n.01", "move.n.01"]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"data error: {balls}:5: {sid}: radius must be positive and finite, got 0.0"]
+
+    @pytest.mark.parametrize("command", ["query", "verify-balls"])
+    def test_truncated_center_is_one_line_data_error(self, workspace, capsys, command):
+        balls = build(workspace)
+        lines = balls.read_text().splitlines()
+        dim = int(lines[0].split()[1])
+        sid, radius, center = lines[3].split("\t")
+        lines[3] = "\t".join([sid, radius, center[:-4]])
+        balls.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = {"query": ["query", "--balls", str(balls), "fly.n.01", "move.n.01"],
+                "verify-balls": ["verify-balls", "--balls", str(balls),
+                                 "--inventory", str(workspace["inventory"])]}[command]
+        assert main(argv) == 2
+        got = len(base64.b64decode(center[:-4]))
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            f"data error: {balls}:4: {sid}: expected {dim} coordinates, got {got} bytes"]
 
 
 class TestQuery:

@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from ballwsd.geometry import (BallConfiguration, GeometryConfig, RowError,
                               point_inside, save_balls, verify_configuration)
 from ballwsd.inventory import SenseId, Taxonomy
 
-from helpers import configuration, random_table, random_taxonomy
+from helpers import ball_row, configuration, random_table, random_taxonomy
 
 
 def ball(name, center, radius):
@@ -211,9 +212,11 @@ class TestRoundTrip:
 
     def test_load_rejects_duplicate(self, tmp_path):
         p = tmp_path / "bad.tsv"
-        p.write_text("#dim 2 prefix 1\na.n.01\t1.0\t0 0\na.n.01\t1.0\t1 1\n")
-        with pytest.raises(ValueError):
+        p.write_text(f"#dim 2 prefix 1\n{ball_row('a.n.01', '1.0', [0, 0])}\n"
+                     f"{ball_row('a.n.01', '1.0', [1, 1])}\n")
+        with pytest.raises(ValueError) as exc:
             load_balls(p)
+        assert str(exc.value) == f"{p}:3: duplicate sense id 'a.n.01'"
 
     def test_load_rejects_bad_field_count(self, tmp_path):
         p = tmp_path / "bad.tsv"
@@ -222,18 +225,65 @@ class TestRoundTrip:
             load_balls(p)
 
     @pytest.mark.parametrize("line, message", [
-        ("b.n.01\t1.0\t0 nan", "b.n.01: center has non-finite entries"),
-        ("b.n.01\t0\t5 5", "b.n.01: radius must be positive and finite, got 0.0"),
-        ("b.n.01\t1.0\t5 5 5", "b.n.01: expected 2 coordinates, got 3"),
-        ("b.n.01\t1.0\t5 x", "could not convert string to float: 'x'"),
+        (ball_row("b.n.01", "1.0", [0, math.nan]), "b.n.01: center has non-finite entries"),
+        (ball_row("b.n.01", "0", [5, 5]),
+         "b.n.01: radius must be positive and finite, got 0.0"),
+        (ball_row("b.n.01", "1.0", [5, 5, 5]), "b.n.01: expected 2 coordinates, got 3"),
+        (ball_row("b.n.01", "1.0", [5, 5]).replace("A", "!", 1),
+         "b.n.01: center is not base64 float64"),
         ("#dim 3 prefix 1", "second '#dim n prefix p' header"),
-    ], ids=["nan", "radius-0", "long-row", "token", "second-header"])
+        ("b.n.01\t1.0\t" + base64.b64encode(bytes(17)).decode("ascii"),
+         "b.n.01: expected 2 coordinates, got 17 bytes"),
+    ], ids=["nan", "radius-0", "long-row", "token", "second-header", "ragged-bytes"])
     def test_load_error_names_file_and_line(self, tmp_path, line, message):
         p = tmp_path / "bad.tsv"
-        p.write_text(f"#dim 2 prefix 1\na.n.01\t1.0\t0 0\n{line}\nc.n.01\t1.0\t9 9\n")
+        p.write_text(f"#dim 2 prefix 1\n{ball_row('a.n.01', '1.0', [0, 0])}\n{line}\n"
+                     f"{ball_row('c.n.01', '1.0', [9, 9])}\n")
         with pytest.raises(ValueError) as exc:
             load_balls(p)
         assert str(exc.value) == f"{p}:3: {message}"
+
+    def test_load_rejects_file_with_decimal_centers(self, tmp_path):
+        # the ball file format before centers were written as base64
+        p = tmp_path / "old.tsv"
+        p.write_text("#dim 2 prefix 1\na.n.01\t1.0\t0.5 -0.25\nb.n.01\t0.5\t0 1\n")
+        with pytest.raises(ValueError) as exc:
+            load_balls(p)
+        assert str(exc.value) == f"{p}:2: a.n.01: center is not base64 float64"
+
+    def test_load_accepts_crlf(self, tmp_path):
+        cfg = configuration([ball("a.n.01", [0.1, 0.2], 0.5), ball("b.n.01", [3.0, -4.0], 1.5)],
+                            prefix=1)
+        path = tmp_path / "balls.tsv"
+        save_balls(cfg, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        back = load_balls(path)
+        assert back.ids == cfg.ids and back.embedding_prefix_dim == 1
+        assert np.array_equal(back.centers, cfg.centers)
+        assert np.array_equal(back.radii, cfg.radii)
+
+    def test_extreme_values_round_trip_bit_for_bit(self, tmp_path):
+        big = 1.7976931348623157e308
+        cfg = configuration([ball("a.n.01", [-0.0, 5e-324, big, -big], 5e-324),
+                             ball("b.n.01", [0.0, -5e-324, -0.0, 1.0], big)], prefix=2)
+        path = tmp_path / "balls.tsv"
+        save_balls(cfg, path)
+        back = load_balls(path)
+        assert np.array_equal(back.centers.view(np.uint64), cfg.centers.view(np.uint64))
+        assert np.array_equal(back.radii.view(np.uint64), cfg.radii.view(np.uint64))
+
+    def test_radius_column_reads_with_float(self, tmp_path):
+        # readers outside the package take the radius as text
+        rng = np.random.default_rng(5)
+        radii = 10.0 ** rng.uniform(-12, 3, size=30)
+        cfg = configuration([ball(f"s{i:02d}.n.01", rng.standard_normal(3), float(r))
+                             for i, r in enumerate(radii)])
+        path = tmp_path / "balls.tsv"
+        save_balls(cfg, path)
+        rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+        got = np.array([float(radius) for _, radius, _ in rows])
+        want = np.array([cfg.radii[cfg.row[sid]] for sid, _, _ in rows])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def chain_taxonomy():

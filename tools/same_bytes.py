@@ -12,15 +12,21 @@ benchmark's pipeline (perfbench/run.py `commands`: build-balls,
 verify-balls, both prepares, train with the workload's training keys,
 eval), QUERIES_PER_PASS seeded queries and show-config run once with
 REF's `src/` and once with this tree's, from sibling directories that
-read the same inputs by the same relative paths.  Then the tree's
-balls.tsv is copied into inputs/ with every FAULT_EVERY-th radius times
-FAULT_SCALE, and verify-balls runs on that copy with both, so violation
-order and slack text are compared too.  Two more faulted inputs follow:
-eval on a copy of the tree's test-data whose dataset-l1.tsv lacks its
-first record, so levels cannot share one encoded batch, and build-balls
-on a copy of embeddings.txt whose line UNDERSCORE_LINE carries a `1_0`
-style token and whose line RAGGED_LINE lacks its last coordinate.
-Every written file, exit code, stdout and stderr that differs is listed.
+read the same inputs by the same relative paths.  Then each side's own
+balls.tsv is copied to faulted-input/balls.tsv in its directory with
+every FAULT_EVERY-th radius times FAULT_SCALE, and verify-balls runs on
+that copy, so violation order and slack text are compared too.  Two
+more faulted inputs follow: eval on a copy of the tree's test-data whose
+dataset-l1.tsv lacks its first record, so levels cannot share one
+encoded batch, and build-balls on a copy of embeddings.txt whose line
+UNDERSCORE_LINE carries a `1_0` style token and whose line RAGGED_LINE
+lacks its last coordinate.
+Every written file, exit code, stdout and stderr that differs is listed,
+with two exceptions, which are listed as matching.  A `balls.tsv` whose
+bytes differ matches when its header, ids, radius text and center bits
+do; centers are read whether written as base64 float64 or, as before
+that format, as `%.17g` decimals.  A manifest whose bytes differ matches
+when they are equal with the hashes of its `balls.tsv` entries blanked.
 Exit status: 0 when nothing differs, 1 when something does, 2 when REF
 cannot be extracted.
 """
@@ -28,6 +34,8 @@ cannot be extracted.
 from __future__ import annotations
 
 import argparse
+import base64
+import json
 import subprocess
 import sys
 import tempfile
@@ -80,6 +88,53 @@ def write_faulted(balls: Path, dest: Path) -> None:
     dest.write_text("".join(lines), encoding="utf-8")
 
 
+def ball_rows(data: bytes):
+    """A ball file's header and (id, radius text, center bytes) rows, or
+    None if it does not parse.  A center is base64 of "<f8" bytes or, in
+    files written before that format, `%.17g` decimals."""
+    try:
+        header, *lines = data.decode("utf-8").splitlines()
+        dim = int(header.split()[1])
+        rows = []
+        for line in lines:
+            sid, radius, center = line.split("\t")
+            if " " in center:
+                raw = np.array(center.split(), dtype="<f8").tobytes()
+            else:
+                raw = base64.b64decode(center, validate=True)
+            if len(raw) != 8 * dim:
+                return None
+            rows.append((sid, radius, raw))
+        return header, rows
+    except (ValueError, IndexError):
+        return None
+
+
+def masked_manifest(data: bytes) -> bytes | None:
+    """A manifest's bytes with the hash of every `balls.tsv` input or
+    output blanked, or None if it is not a manifest."""
+    try:
+        doc = json.loads(data)
+        for key in ("inputs", "outputs"):
+            for path, digest in doc[key].items():
+                if Path(path).name == "balls.tsv":
+                    data = data.replace(digest.encode(), b"-" * len(digest))
+    except (ValueError, KeyError, AttributeError, TypeError):
+        return None
+    return data
+
+
+def same_content(name: str, a: bytes, b: bytes) -> str | None:
+    """Why files with different bytes still match, or None if they do not."""
+    base = Path(name).name
+    if base == "balls.tsv" and (rows := ball_rows(a)) is not None and rows == ball_rows(b):
+        return "same decoded ball rows"
+    if base.startswith("manifest-") and (masked := masked_manifest(a)) is not None \
+            and masked == masked_manifest(b):
+        return "same with balls.tsv hashes blanked"
+    return None
+
+
 def write_dropped(data: Path, dest: Path) -> None:
     """Copy a prepared dataset directory without dataset-l1.tsv's first record."""
     dest.mkdir()
@@ -115,19 +170,26 @@ def files(top: Path) -> dict[str, bytes]:
             if p.is_file()}
 
 
-def compare(workload: str, ref_runs, tree_runs, ref_dir: Path, tree_dir: Path) -> list[str]:
-    diffs = []
+def compare(workload: str, ref_runs, tree_runs, ref_dir: Path,
+            tree_dir: Path) -> tuple[list[str], list[str]]:
+    """(what differs, files whose bytes differ but match by `same_content`)."""
+    diffs, matched = [], []
     for (argv, *ref), (_, *tree) in zip(ref_runs, tree_runs):
         for what, a, b in zip(("exit code", "stdout", "stderr"), ref, tree):
             if a != b:
                 diffs.append(f"{workload}: {what} of `ballwsd {' '.join(argv)}`")
     ref_files, tree_files = files(ref_dir), files(tree_dir)
     for name in sorted(ref_files.keys() | tree_files.keys()):
-        if ref_files.get(name) != tree_files.get(name):
-            state = ("only at ref" if name not in tree_files else
-                     "only in tree" if name not in ref_files else "bytes differ")
-            diffs.append(f"{workload}: file {name} ({state})")
-    return diffs
+        a, b = ref_files.get(name), tree_files.get(name)
+        if a == b:
+            continue
+        how = same_content(name, a, b) if a is not None and b is not None else None
+        if how:
+            matched.append(f"{workload}: file {name} ({how})")
+            continue
+        state = ("only at ref" if b is None else "only in tree" if a is None else "bytes differ")
+        diffs.append(f"{workload}: file {name} ({state})")
+    return diffs, matched
 
 
 def main(argv=None) -> int:
@@ -143,9 +205,10 @@ def main(argv=None) -> int:
             print(f"cannot extract {args.ref!r}: {exc}", file=sys.stderr)
             return 2
         helps = [["--help"]] + [[name, "--help"] for name in COMMANDS]
-        diffs = compare("help", run_pipeline(tmp / "ref-tree" / "src", tmp / "help-ref", helps),
-                        run_pipeline(ROOT / "src", tmp / "help-tree", helps),
-                        tmp / "help-ref", tmp / "help-tree")
+        diffs, matched = compare("help",
+                                 run_pipeline(tmp / "ref-tree" / "src", tmp / "help-ref", helps),
+                                 run_pipeline(ROOT / "src", tmp / "help-tree", helps),
+                                 tmp / "help-ref", tmp / "help-tree")
         print(f"help: {len(helps)} commands: "
               + (f"{len(diffs)} differences" if diffs else "identical"))
         for name, generate in WORKLOADS.items():
@@ -159,10 +222,13 @@ def main(argv=None) -> int:
             ref_runs = run_pipeline(tmp / "ref-tree" / "src", work / "ref", argvs)
             tree_runs = run_pipeline(ROOT / "src", work / "tree", argvs)
             faulted = []
-            built = work / "tree" / "balls" / "balls.tsv"
-            if built.is_file():
-                write_faulted(built, work / "inputs" / "balls-faulted.tsv")
-                faulted.append(["verify-balls", "--balls", "../inputs/balls-faulted.tsv",
+            for side in ("ref", "tree"):
+                built = work / side / "balls" / "balls.tsv"
+                if built.is_file():
+                    (work / side / "faulted-input").mkdir()
+                    write_faulted(built, work / side / "faulted-input" / "balls.tsv")
+            if (work / "tree" / "faulted-input").is_dir():
+                faulted.append(["verify-balls", "--balls", "faulted-input/balls.tsv",
                                 "--inventory", "../inputs/inventory.tsv"])
             test_data = work / "tree" / "test-data"
             if test_data.is_dir():
@@ -177,11 +243,15 @@ def main(argv=None) -> int:
             argvs += faulted
             ref_runs += run_pipeline(tmp / "ref-tree" / "src", work / "ref", faulted)
             tree_runs += run_pipeline(ROOT / "src", work / "tree", faulted)
-            found = compare(name, ref_runs, tree_runs, work / "ref", work / "tree")
+            found, same = compare(name, ref_runs, tree_runs, work / "ref", work / "tree")
             n_files = len(files(work / "tree"))
             print(f"{name}: {len(argvs)} commands, {n_files} files written: "
-                  + (f"{len(found)} differences" if found else "identical"))
+                  + (f"{len(found)} differences" if found else "identical")
+                  + (f" ({len(same)} files matched by content)" if same else ""))
             diffs += found
+            matched += same
+    for line in matched:
+        print("  matching: " + line)
     for line in diffs:
         print("  " + line)
     print(f"{'same' if not diffs else 'different'} bytes as {args.ref} ({sha[:12]})")
