@@ -104,10 +104,11 @@ def init_params(dim: int, out_dim: int, seed: int = 0) -> EncoderParams:
 # forward / backward
 
 def _ln_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
+    # x.var's own steps, so the mean is subtracted once; same bits as x.var.
+    # Scaled in place, so no second centred copy is held.
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + _LN_EPS)
+    xhat *= inv
     return g * xhat + b, (xhat, inv)
 
 

@@ -291,8 +291,6 @@ def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
     predicted: dict[str, SenseId] = {}
     inside: dict[str, bool] = {}
     predictions: dict[str, Prediction] = {}
-    if not records:
-        return EvalReport.from_counts(0, 0, 0, 0), {}
     cand_cache: dict[tuple[str, str], list] = {}
     for i, rec in enumerate(records):
         iid = f"l{level}.{i:06d}"

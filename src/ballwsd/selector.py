@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import anchor_at
-from .geometry import BallConfiguration, GeometryConfig, as_vector, contains, point_inside
+from .geometry import BallConfiguration, GeometryConfig, as_vector, containment_rule, contains
 from .inventory import Inventory, SenseId
 
 
@@ -76,10 +76,13 @@ def select_sense(v, candidates: list[Candidate], balls: BallConfiguration,
     else:
         margin = math.inf
     chosen = candidates[best]
+    # point_inside's arithmetic on the chosen row
+    gap = float(np.linalg.norm(v - centers[chosen.row]))
     return Prediction(
         chosen=chosen.sense,
         score=scores[best],
-        inside_anchor_ball=point_inside(v, balls, balls.ids[chosen.row], cfg.epsilon),
+        inside_anchor_ball=containment_rule(gap, float(balls.radii[chosen.row]), 0.0,
+                                            cfg.epsilon) <= 0.0,
         margin=margin,
     )
 

@@ -3,8 +3,8 @@ import pytest
 
 from ballwsd.corpus import TrainingRecord
 from ballwsd.embeddings import EmbeddingTable
-from ballwsd.encoder import (TrainConfig, batch_loss_and_grads,
-                             embed_records, forward_batch,
+from ballwsd.encoder import (_LN_EPS, TrainConfig, _ln_forward,
+                             batch_loss_and_grads, embed_records, forward_batch,
                              init_params, load_encoder, prepare_arrays,
                              save_encoder, train)
 from ballwsd.inventory import SenseId
@@ -94,6 +94,21 @@ class TestForward:
             forward_batch(p, np.ones((1, 7)), np.zeros((1, 8)))
         with pytest.raises(ValueError, match="model width is 8"):
             forward_batch(p, np.ones((2, 8)), np.zeros((2, 6)))
+
+    def test_layer_norm_matches_var_form(self):
+        # the centred form must give x.var's bits, or checkpoints change
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            shape = tuple(int(n) for n in rng.integers(1, 9, size=rng.integers(1, 4)))
+            shape += (int(rng.integers(1, 130)),)
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5)
+            g, b = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+            inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS)
+            xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+            y, (got_xhat, got_inv) = _ln_forward(x, g, b)
+            assert np.array_equal(got_inv, inv)
+            assert np.array_equal(got_xhat, xhat)
+            assert np.array_equal(y, g * xhat + b)
 
     def test_order_sensitivity(self):
         # role embeddings break slot symmetry: swapping inputs changes output

@@ -67,6 +67,7 @@ class TestSelectSense:
             want = min(i for i, s in enumerate(scores) if s == best)
             assert pred.chosen == cands[want].sense
             assert pred.score == scores[want]
+            assert pred.inside_anchor_ball == point_inside(v, config, str(cands[want].anchor))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(21)

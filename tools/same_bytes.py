@@ -21,12 +21,8 @@ dataset-l1.tsv lacks its first record, so levels cannot share one
 encoded batch, and build-balls on a copy of embeddings.txt whose line
 UNDERSCORE_LINE carries a `1_0` style token and whose line RAGGED_LINE
 lacks its last coordinate.
-Every written file, exit code, stdout and stderr that differs is listed,
-with two exceptions, which are listed as matching.  A `balls.tsv` whose
-bytes differ matches when its header, ids, radius text and center bits
-do; centers are read whether written as base64 float64 or, as before
-that format, as `%.17g` decimals.  A manifest whose bytes differ matches
-when they are equal with the hashes of its `balls.tsv` entries blanked.
+Every written file, exit code, stdout and stderr that differs is listed;
+a file matches only when its bytes are equal.
 Exit status: 0 when nothing differs, 1 when something does, 2 when REF
 cannot be extracted.
 """
@@ -34,8 +30,6 @@ cannot be extracted.
 from __future__ import annotations
 
 import argparse
-import base64
-import json
 import subprocess
 import sys
 import tempfile
@@ -88,53 +82,6 @@ def write_faulted(balls: Path, dest: Path) -> None:
     dest.write_text("".join(lines), encoding="utf-8")
 
 
-def ball_rows(data: bytes):
-    """A ball file's header and (id, radius text, center bytes) rows, or
-    None if it does not parse.  A center is base64 of "<f8" bytes or, in
-    files written before that format, `%.17g` decimals."""
-    try:
-        header, *lines = data.decode("utf-8").splitlines()
-        dim = int(header.split()[1])
-        rows = []
-        for line in lines:
-            sid, radius, center = line.split("\t")
-            if " " in center:
-                raw = np.array(center.split(), dtype="<f8").tobytes()
-            else:
-                raw = base64.b64decode(center, validate=True)
-            if len(raw) != 8 * dim:
-                return None
-            rows.append((sid, radius, raw))
-        return header, rows
-    except (ValueError, IndexError):
-        return None
-
-
-def masked_manifest(data: bytes) -> bytes | None:
-    """A manifest's bytes with the hash of every `balls.tsv` input or
-    output blanked, or None if it is not a manifest."""
-    try:
-        doc = json.loads(data)
-        for key in ("inputs", "outputs"):
-            for path, digest in doc[key].items():
-                if Path(path).name == "balls.tsv":
-                    data = data.replace(digest.encode(), b"-" * len(digest))
-    except (ValueError, KeyError, AttributeError, TypeError):
-        return None
-    return data
-
-
-def same_content(name: str, a: bytes, b: bytes) -> str | None:
-    """Why files with different bytes still match, or None if they do not."""
-    base = Path(name).name
-    if base == "balls.tsv" and (rows := ball_rows(a)) is not None and rows == ball_rows(b):
-        return "same decoded ball rows"
-    if base.startswith("manifest-") and (masked := masked_manifest(a)) is not None \
-            and masked == masked_manifest(b):
-        return "same with balls.tsv hashes blanked"
-    return None
-
-
 def write_dropped(data: Path, dest: Path) -> None:
     """Copy a prepared dataset directory without dataset-l1.tsv's first record."""
     dest.mkdir()
@@ -170,10 +117,9 @@ def files(top: Path) -> dict[str, bytes]:
             if p.is_file()}
 
 
-def compare(workload: str, ref_runs, tree_runs, ref_dir: Path,
-            tree_dir: Path) -> tuple[list[str], list[str]]:
-    """(what differs, files whose bytes differ but match by `same_content`)."""
-    diffs, matched = [], []
+def compare(workload: str, ref_runs, tree_runs, ref_dir: Path, tree_dir: Path) -> list[str]:
+    """What differs: exit codes, stdout, stderr and written files."""
+    diffs = []
     for (argv, *ref), (_, *tree) in zip(ref_runs, tree_runs):
         for what, a, b in zip(("exit code", "stdout", "stderr"), ref, tree):
             if a != b:
@@ -183,13 +129,9 @@ def compare(workload: str, ref_runs, tree_runs, ref_dir: Path,
         a, b = ref_files.get(name), tree_files.get(name)
         if a == b:
             continue
-        how = same_content(name, a, b) if a is not None and b is not None else None
-        if how:
-            matched.append(f"{workload}: file {name} ({how})")
-            continue
         state = ("only at ref" if b is None else "only in tree" if a is None else "bytes differ")
         diffs.append(f"{workload}: file {name} ({state})")
-    return diffs, matched
+    return diffs
 
 
 def main(argv=None) -> int:
@@ -205,10 +147,10 @@ def main(argv=None) -> int:
             print(f"cannot extract {args.ref!r}: {exc}", file=sys.stderr)
             return 2
         helps = [["--help"]] + [[name, "--help"] for name in COMMANDS]
-        diffs, matched = compare("help",
-                                 run_pipeline(tmp / "ref-tree" / "src", tmp / "help-ref", helps),
-                                 run_pipeline(ROOT / "src", tmp / "help-tree", helps),
-                                 tmp / "help-ref", tmp / "help-tree")
+        diffs = compare("help",
+                        run_pipeline(tmp / "ref-tree" / "src", tmp / "help-ref", helps),
+                        run_pipeline(ROOT / "src", tmp / "help-tree", helps),
+                        tmp / "help-ref", tmp / "help-tree")
         print(f"help: {len(helps)} commands: "
               + (f"{len(diffs)} differences" if diffs else "identical"))
         for name, generate in WORKLOADS.items():
@@ -243,15 +185,11 @@ def main(argv=None) -> int:
             argvs += faulted
             ref_runs += run_pipeline(tmp / "ref-tree" / "src", work / "ref", faulted)
             tree_runs += run_pipeline(ROOT / "src", work / "tree", faulted)
-            found, same = compare(name, ref_runs, tree_runs, work / "ref", work / "tree")
+            found = compare(name, ref_runs, tree_runs, work / "ref", work / "tree")
             n_files = len(files(work / "tree"))
             print(f"{name}: {len(argvs)} commands, {n_files} files written: "
-                  + (f"{len(found)} differences" if found else "identical")
-                  + (f" ({len(same)} files matched by content)" if same else ""))
+                  + (f"{len(found)} differences" if found else "identical"))
             diffs += found
-            matched += same
-    for line in matched:
-        print("  matching: " + line)
     for line in diffs:
         print("  " + line)
     print(f"{'same' if not diffs else 'different'} bytes as {args.ref} ({sha[:12]})")
