@@ -23,8 +23,8 @@ from . import __version__
 from .construct import ConstructionError, construct_balls
 from .corpus import dataset_report, lift_to_level, parse_annotated_corpus, save_records
 from .embeddings import load_embeddings
-from .encoder import TrainConfig, load_encoder, save_encoder, train
-from .evaluator import encode_records, predict_records, save_reports
+from .encoder import TrainConfig, embed_records, forward_batch, load_encoder, save_encoder, train
+from .evaluator import predict_records, save_reports
 from .geometry import (GeometryConfig, load_balls, save_balls,
                        verify_configuration)
 from .inventory import SenseId, check_distinct_hypernym_assumption, load_inventory
@@ -243,7 +243,7 @@ def cmd_eval(args, cfg, out) -> int:
         # lifting rewrites targets only, so levels often share one batch of inputs
         key = [(r.tokens, r.indices) for r in records]
         if key != inputs:
-            V, inputs = encode_records(params, records, table, tc.window_k), key
+            V, inputs = forward_batch(params, *embed_records(records, table, tc.window_k)), key
         report, preds = predict_records(V, records, level, inventory, balls, cfg.geometry)
         reports[level] = report
         save_predictions(preds, out(f"predictions-l{level}.tsv"))

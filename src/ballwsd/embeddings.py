@@ -1,4 +1,4 @@
-"""Static word embeddings: table I/O, OOV fallback, and context windows."""
+"""Static word embeddings: the table, its text file, and the OOV fallback."""
 
 from __future__ import annotations
 
@@ -143,29 +143,3 @@ def load_embeddings(path) -> EmbeddingTable:
     if not row:
         raise ValueError(f"{path}: empty embedding table")
     return EmbeddingTable.from_rows(np.concatenate(blocks), row)
-
-
-def embed_tokens(tokens, table: EmbeddingTable) -> np.ndarray:
-    """Stack per-token vectors into a (len(tokens), dim) matrix."""
-    if not tokens:
-        raise ValueError("no tokens to embed")
-    return np.stack([table.vector(t) for t in tokens])
-
-
-def context_vector(vectors: np.ndarray, i: int, k: int) -> np.ndarray:
-    """Mean of up to k neighbor vectors on each side of position i.
-
-    Position i itself is excluded.  A sentence with no neighbors in the
-    window yields the zero vector.
-    """
-    n = vectors.shape[0]
-    if not (0 <= i < n):
-        raise ValueError(f"target index {i} out of range for {n} tokens")
-    if k < 0:
-        raise ValueError("window size k must be >= 0")
-    lo = max(0, i - k)
-    hi = min(n, i + k + 1)
-    rows = [j for j in range(lo, hi) if j != i]
-    if not rows:
-        return np.zeros(vectors.shape[1], dtype=np.float64)
-    return vectors[rows].mean(axis=0)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, context_vector, embed_tokens
+from .embeddings import EmbeddingTable
 from .geometry import BallConfiguration
 
 _LN_EPS = 1e-5
@@ -40,6 +40,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("window_k", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.lr, (int, float)) or isinstance(self.lr, bool):
+            raise ValueError(f"lr must be a number, got {self.lr!r}")
         if self.window_k < 0:
             raise ValueError("window_k must be >= 0")
         if not 0.0 < self.lr < math.inf or self.epochs < 0 or self.batch_size < 1 or self.seed < 0:
@@ -271,20 +277,29 @@ def batch_loss_and_grads(params: EncoderParams, T, C, Y):
 # training
 
 def embed_records(records, table: EmbeddingTable, window_k: int):
-    """Embed records into (T, C) input matrices.
+    """Embed records into (T, C) input matrices, row i from record i.
 
-    The target vector averages the indexed token embeddings; the context
-    window is taken around the first target index.
+    T averages the vectors at the record's indices; C averages up to
+    window_k vectors on each side of the first index, that index excluded
+    (zero when none).  Each distinct token read is looked up once with
+    `table.vector`.
     """
-    recs = list(records)
-    if not recs:
-        raise ValueError("no records to embed")
-    T = np.empty((len(recs), table.dim))
-    C = np.empty((len(recs), table.dim))
-    for i, rec in enumerate(recs):
-        vecs = embed_tokens(rec.tokens, table)
-        T[i] = vecs[list(rec.indices)].mean(axis=0)
-        C[i] = context_vector(vecs, rec.indices[0], window_k)
+    if window_k < 0:
+        raise ValueError("window_k must be >= 0")
+    row: dict[str, int] = {}  # token -> its row of vecs
+    picks = []                # per record: (target rows, window rows)
+    for rec in records:
+        tokens, at = rec.tokens, rec.indices[0]
+        window = tokens[max(0, at - window_k):at] + tokens[at + 1:at + window_k + 1]
+        picks.append(([row.setdefault(tokens[j], len(row)) for j in rec.indices],
+                      [row.setdefault(t, len(row)) for t in window]))
+    vecs = np.array([table.vector(t) for t in row]).reshape(len(row), table.dim)
+    T = np.empty((len(picks), table.dim))
+    C = np.zeros((len(picks), table.dim))
+    for i, (target, window) in enumerate(picks):
+        T[i] = vecs[target].mean(axis=0)
+        if window:
+            C[i] = vecs[window].mean(axis=0)
     return T, C
 
 
@@ -296,6 +311,8 @@ def prepare_arrays(records, table: EmbeddingTable, balls: BallConfiguration,
     rows, so every record's target must have a ball.
     """
     recs = list(records)
+    if not recs:
+        raise ValueError("no records to embed")
     T, C = embed_records(recs, table, window_k)
     rows = []
     for rec in recs:
@@ -395,8 +412,11 @@ def load_encoder(path) -> tuple[EncoderParams, TrainConfig]:
     if problems:
         raise ValueError(f"{path}: checkpoint arrays do not fit the encoder: "
                          + "; ".join(problems))
-    if "train_config" not in doc:
-        raise ValueError(f"{path}: checkpoint has no train_config")
+    if not isinstance(doc.get("train_config"), dict):
+        raise ValueError(f"{path}: checkpoint has no train_config object")
+    missing = [f.name for f in fields(TrainConfig) if f.name not in doc["train_config"]]
+    if missing:
+        raise ValueError(f"{path}: bad train_config: missing {', '.join(missing)}")
     try:
         tc = TrainConfig(**doc["train_config"])
     except (TypeError, ValueError) as exc:

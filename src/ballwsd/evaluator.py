@@ -22,7 +22,6 @@ import numpy as np
 
 from .corpus import TrainingRecord
 from .embeddings import EmbeddingTable
-from .encoder import EncoderParams, embed_records, forward_batch
 from .geometry import BallConfiguration, GeometryConfig
 from .inventory import Inventory, SenseId, Taxonomy
 from .selector import Prediction, candidate_set, select_sense
@@ -265,22 +264,13 @@ def split_records(records, n_train: int, n_test: int):
 # ---------------------------------------------------------------------------
 # prediction
 
-def encode_records(params: EncoderParams, records, table: EmbeddingTable,
-                   window_k: int) -> np.ndarray:
-    """Encoder outputs for records, one batch: row i is record i's vector."""
-    records = list(records)
-    if not records:
-        return np.empty((0, params.out_dim))
-    T, C = embed_records(records, table, window_k)
-    return forward_batch(params, T, C)
-
-
 def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
                     balls: BallConfiguration,
                     geometry: GeometryConfig) -> tuple[EvalReport, dict[str, Prediction]]:
     """Predict already-lifted records at one level and score them.
 
-    Row i of V is record i's encoder output (see encode_records).  Gold
+    Row i of V is record i's encoder output:
+    `forward_batch(params, *embed_records(records, table, window_k))`.  Gold
     is each record's target; a record whose word has no candidate with a
     ball at this level goes unattempted.
     """

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ballwsd import evaluator
+from ballwsd import cli
 from ballwsd.cli import main, resolve_config, DEFAULTS, UsageError
 from ballwsd.corpus import parse_annotated_corpus
 from ballwsd.embeddings import EmbeddingTable
@@ -346,8 +346,8 @@ class TestTrainEval:
                  .splitlines() if not line.startswith("#")] for k in range(3)]
         assert rows[0] == rows[1] == rows[2]      # lifting rewrote targets only
         calls = []
-        real = evaluator.forward_batch
-        monkeypatch.setattr(evaluator, "forward_batch",
+        real = cli.forward_batch
+        monkeypatch.setattr(cli, "forward_batch",
                             lambda *args: calls.append(1) or real(*args))
         assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
                      "--inventory", str(workspace["inventory"]),
@@ -426,7 +426,9 @@ class TestTrainEval:
     @pytest.mark.parametrize("tamper", ["version-1", "missing-array", "extra-layer",
                                         "wrong-shape", "top-level-list", "arrays-list",
                                         "no-arrays", "no-data", "not-base64",
-                                        "train-config-value", "truncated"])
+                                        "train-config-value", "truncated",
+                                        "window-k-float", "epochs-float", "seed-bool",
+                                        "missing-key"])
     def test_eval_rejects_checkpoint_that_does_not_fit(self, workspace, capsys, tamper):
         balls = build(workspace)
         data = prepare(workspace, balls)
@@ -453,6 +455,14 @@ class TestTrainEval:
             arrays["role"]["data"] = "not base64!"
         elif tamper == "train-config-value":
             doc["train_config"]["lr"] = -1.0
+        elif tamper == "window-k-float":
+            doc["train_config"]["window_k"] = 2.5
+        elif tamper == "epochs-float":
+            doc["train_config"]["epochs"] = 1.5
+        elif tamper == "seed-bool":
+            doc["train_config"]["seed"] = False
+        elif tamper == "missing-key":
+            del doc["train_config"]["epochs"]
         text = json.dumps(doc)
         ckpt.write_text(text[:100] if tamper == "truncated" else text)
         out = workspace["dir"] / "e"
@@ -474,6 +484,10 @@ class TestTrainEval:
                 "not-base64": "unreadable array 'role' (Error: Only base64 data is allowed)",
                 "train-config-value": "bad train_config: lr must be finite and > 0",
                 "truncated": "not valid JSON: Unterminated string",
+                "window-k-float": "bad train_config: window_k must be an integer, got 2.5",
+                "epochs-float": "bad train_config: epochs must be an integer, got 1.5",
+                "seed-bool": "bad train_config: seed must be an integer, got False",
+                "missing-key": "bad train_config: missing epochs",
                 }[tamper] in captured.err
         assert not out.exists()
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from ballwsd import embeddings
-from ballwsd.embeddings import (EmbeddingTable, context_vector, embed_tokens,
-                                hash_unit_vector, load_embeddings)
+from ballwsd.corpus import TrainingRecord
+from ballwsd.embeddings import EmbeddingTable, hash_unit_vector, load_embeddings
+from ballwsd.encoder import embed_records, prepare_arrays
+from ballwsd.inventory import SenseId
 
-from helpers import save_embeddings
+from helpers import configuration, save_embeddings
 
 
 class TestHashVector:
@@ -225,56 +227,133 @@ class TestBlockLoader:
         assert outcomes == {"error", "loaded"}
 
 
+def record(tokens, *indices):
+    sid = SenseId("w", "n", 1)
+    return TrainingRecord(sid, sid, tuple(tokens), indices)
+
+
+def embed_one(rec, table, k):
+    """Reference: one record's (T, C) rows from its own stacked token vectors."""
+    vecs = np.stack([table.vector(t) for t in rec.tokens])
+    at = rec.indices[0]
+    rows = [j for j in range(max(0, at - k), min(len(vecs), at + k + 1)) if j != at]
+    c = vecs[rows].mean(axis=0) if rows else np.zeros(table.dim)
+    return vecs[list(rec.indices)].mean(axis=0), c
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_matches_reference(records, table, k):
+    T, C = embed_records(records, table, k)
+    assert T.shape == C.shape == (len(records), table.dim)
+    for i, rec in enumerate(records):
+        t, c = embed_one(rec, table, k)
+        assert same_bits(T[i], t) and same_bits(C[i], c), (rec, k)
+
+
 class TestEmbedTokens:
+    """T rows of `embed_records`: each token looked up once, table rows or
+    the OOV hash, averaged over the target indices."""
+
     def test_shape_and_rows(self):
         t = EmbeddingTable({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
-        m = embed_tokens(("a", "b", "a"), t)
-        assert m.shape == (3, 2)
-        assert np.array_equal(m[0], m[2])
+        T, _ = embed_records([record(("a", "b", "a"), i) for i in range(3)], t, 1)
+        assert T.shape == (3, 2)
+        assert same_bits(T[0], T[2]) and same_bits(T[1], t.vector("b"))
+
+    def test_oov_token_repeated_across_records(self):
+        t = EmbeddingTable({"a": np.ones(3)})
+        records = [record(("zzz", "a"), 0), record(("a", "zzz"), 1), record(("zzz",), 0)]
+        T, C = embed_records(records, t, 2)
+        for row in T:
+            assert same_bits(row, hash_unit_vector("zzz", 3))
+        assert same_bits(C[1], t.vector("a")) and same_bits(C[2], np.zeros(3))
+        assert_matches_reference(records, t, 2)
+
+    def test_upper_case_token_uses_lowercase_row(self):
+        t = EmbeddingTable({"paris": np.array([1.0, 2.0]), "x": np.array([0.5, 0.25])})
+        records = [record(("Paris", "x"), 0), record(("x", "PARIS"), 0)]
+        T, C = embed_records(records, t, 1)
+        assert same_bits(T[0], t.matrix[t.row["paris"]])
+        assert same_bits(C[1], t.matrix[t.row["paris"]])
+        assert_matches_reference(records, t, 1)
+
+    def test_multi_index_target_in_descending_order(self):
+        rng = np.random.default_rng(3)
+        t = EmbeddingTable({w: rng.standard_normal(4) for w in "abcde"})
+        rec = record(("a", "b", "c", "d", "e"), 3, 1, 0)
+        T, C = embed_records([rec], t, 1)
+        vecs = np.stack([t.vector(w) for w in "abcde"])
+        assert same_bits(T[0], vecs[[3, 1, 0]].mean(axis=0))
+        assert same_bits(C[0], vecs[[2, 4]].mean(axis=0))  # window around index 3
+        assert_matches_reference([rec], t, 1)
+
+    def test_empty_list_gives_empty_arrays(self):
+        t = EmbeddingTable({"a": np.ones(5)})
+        T, C = embed_records([], t, 4)
+        assert T.shape == C.shape == (0, 5)
+        balls = configuration([("w.n.01", np.ones(2), 0.5)], prefix=1)
+        with pytest.raises(ValueError, match="no records to embed"):
+            prepare_arrays([], t, balls, 4)
 
 
 class TestContextVector:
+    """C rows of `embed_records`: the mean of up to k token vectors on each
+    side of the first target index, that index excluded."""
+
+    @staticmethod
+    def rows(n, d=2):
+        """A table whose i-th word `t{i}` has the vector (i*d, ..., i*d + d-1)."""
+        vecs = np.arange(float(n * d)).reshape(n, d)
+        return EmbeddingTable({f"t{i}": v for i, v in enumerate(vecs)}), vecs
+
+    def context(self, table, n, i, k):
+        return embed_records([record([f"t{j}" for j in range(n)], i)], table, k)[1][0]
+
     def test_mean_of_window_neighbors(self):
-        vecs = np.arange(10.0).reshape(5, 2)
-        got = context_vector(vecs, 2, 1)
-        assert np.array_equal(got, (vecs[1] + vecs[3]) / 2.0)
+        table, vecs = self.rows(5)
+        assert same_bits(self.context(table, 5, 2, 1), (vecs[1] + vecs[3]) / 2.0)
 
     def test_excludes_target_itself(self):
-        vecs = np.stack([np.zeros(2), np.full(2, 100.0), np.ones(2)])
-        got = context_vector(vecs, 1, 5)
-        assert np.array_equal(got, (vecs[0] + vecs[2]) / 2.0)
+        table = EmbeddingTable({"t0": np.zeros(2), "t1": np.full(2, 100.0), "t2": np.ones(2)})
+        assert same_bits(self.context(table, 3, 1, 5), np.full(2, 0.5))
 
     def test_window_clipped_at_edges(self):
-        vecs = np.arange(8.0).reshape(4, 2)
-        assert np.array_equal(context_vector(vecs, 0, 2), (vecs[1] + vecs[2]) / 2.0)
-        assert np.array_equal(context_vector(vecs, 3, 2), (vecs[1] + vecs[2]) / 2.0)
+        table, vecs = self.rows(4)
+        assert same_bits(self.context(table, 4, 0, 2), (vecs[1] + vecs[2]) / 2.0)
+        assert same_bits(self.context(table, 4, 3, 2), (vecs[1] + vecs[2]) / 2.0)
 
     def test_single_token_gives_zero(self):
-        vecs = np.ones((1, 3))
-        assert np.array_equal(context_vector(vecs, 0, 4), np.zeros(3))
+        table = EmbeddingTable({"t0": np.ones(3)})
+        assert same_bits(self.context(table, 1, 0, 4), np.zeros(3))
 
     def test_matches_manual_mean_on_random_cases(self):
+        """Random record sets against the per-record reference, bit for bit:
+        OOV and upper-case tokens, multi-index targets, windows 0-6."""
         rng = np.random.default_rng(9)
         for _ in range(200):
-            n = int(rng.integers(1, 12))
             d = int(rng.integers(1, 6))
-            vecs = rng.standard_normal((n, d))
-            i = int(rng.integers(0, n))
-            k = int(rng.integers(1, 6))
-            lo, hi = max(0, i - k), min(n, i + k + 1)
-            rows = [j for j in range(lo, hi) if j != i]
-            want = vecs[rows].mean(axis=0) if rows else np.zeros(d)
-            assert np.allclose(context_vector(vecs, i, k), want, atol=1e-15)
+            table = EmbeddingTable({f"w{j}": rng.standard_normal(d) for j in range(8)})
+            vocab = [f"w{j}" for j in range(8)] + ["W3", "W5", "oov", "Oov2"]
+            records = []
+            for _ in range(int(rng.integers(1, 6))):
+                n = int(rng.integers(1, 12))
+                tokens = [vocab[int(j)] for j in rng.integers(0, len(vocab), n)]
+                indices = rng.permutation(n)[:int(rng.integers(1, min(n, 3) + 1))]
+                records.append(record(tokens, *(int(j) for j in indices)))
+            assert_matches_reference(records, table, int(rng.integers(0, 7)))
 
     def test_zero_window_gives_zero_vector(self):
-        vecs = np.ones((3, 2))
-        assert np.array_equal(context_vector(vecs, 1, 0), np.zeros(2))
+        table = EmbeddingTable({"t0": np.ones(2), "t1": np.ones(2), "t2": np.ones(2)})
+        assert same_bits(self.context(table, 3, 1, 0), np.zeros(2))
 
     def test_bad_index_raises(self):
-        vecs = np.ones((3, 2))
+        table, _ = self.rows(3)
+        for i in (3, -1):
+            with pytest.raises(ValueError):
+                record(("t0", "t1", "t2"), i)
         with pytest.raises(ValueError):
-            context_vector(vecs, 3, 1)
-        with pytest.raises(ValueError):
-            context_vector(vecs, -1, 1)
-        with pytest.raises(ValueError):
-            context_vector(vecs, 0, -1)
+            embed_records([record(("t0", "t1", "t2"), 0)], table, -1)

@@ -71,6 +71,14 @@ class TestParams:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(window_k=-1)
+        # the types a checkpoint's JSON could carry in place of an int or a number
+        for field, bad in (("window_k", 2.5), ("epochs", 1.5), ("seed", 0.5),
+                           ("batch_size", 32.0), ("window_k", True), ("epochs", False),
+                           ("batch_size", True), ("seed", False), ("lr", True),
+                           ("lr", "0.01"), ("seed", None)):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                TrainConfig(**{field: bad})
+        TrainConfig(lr=1)
 
 
 class TestForward:
@@ -178,9 +186,9 @@ class TestArrays:
         T, C = embed_records(records[:1], table, window_k=2)
         rec = records[0]
         vecs = np.stack([table.vector(t) for t in rec.tokens])
-        assert np.allclose(T[0], vecs[rec.indices[0]], atol=1e-15)
+        assert T[0].tobytes() == vecs[rec.indices[0]].tobytes()
         rows = [j for j in range(3) if j != rec.indices[0]]
-        assert np.allclose(C[0], vecs[rows].mean(axis=0), atol=1e-15)
+        assert C[0].tobytes() == vecs[rows].mean(axis=0).tobytes()
 
     def test_prepare_arrays_targets_are_centers(self):
         table, balls, records = toy_setup()

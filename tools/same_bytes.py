@@ -15,10 +15,13 @@ REF's `src/` and once with this tree's, from sibling directories that
 read the same inputs by the same relative paths.  Then each side's own
 balls.tsv is copied to faulted-input/balls.tsv in its directory with
 every FAULT_EVERY-th radius times FAULT_SCALE, and verify-balls runs on
-that copy, so violation order and slack text are compared too.  Two
+that copy, so violation order and slack text are compared too.  Three
 more faulted inputs follow: eval on a copy of the tree's test-data whose
 dataset-l1.tsv lacks its first record, so levels cannot share one
-encoded batch, and build-balls on a copy of embeddings.txt whose line
+encoded batch; eval on a copy whose every OOV_EVERY-th record has a
+context token replaced by OOV_WORD and every UPPER_EVERY-th record one
+upper-cased, so the hashed OOV vectors and the lowercase fallback are
+compared; and build-balls on a copy of embeddings.txt whose line
 UNDERSCORE_LINE carries a `1_0` style token and whose line RAGGED_LINE
 lacks its last coordinate.
 Every written file, exit code, stdout and stderr that differs is listed;
@@ -45,6 +48,7 @@ from workloads import WORKLOADS, draw_queries  # noqa: E402
 
 FAULT_EVERY, FAULT_SCALE = 50, 50.0
 UNDERSCORE_LINE, RAGGED_LINE = 10, 20
+OOV_EVERY, OOV_WORD, UPPER_EVERY = 7, "qqxoovqq", 11
 
 
 def extract(ref: str, dest: Path) -> str:
@@ -89,6 +93,28 @@ def write_dropped(data: Path, dest: Path) -> None:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         if path.name == "dataset-l1.tsv":
             del lines[next(i for i, line in enumerate(lines) if not line.startswith("#"))]
+        (dest / path.name).write_text("".join(lines), encoding="utf-8")
+
+
+def write_oov(data: Path, dest: Path) -> None:
+    """Copy a prepared dataset directory, editing every level file alike:
+    the token next to a record's first target index (before it, or after
+    it at the sentence start) becomes OOV_WORD in every OOV_EVERY-th record
+    and is upper-cased in every UPPER_EVERY-th."""
+    dest.mkdir()
+    for path in sorted(data.glob("dataset-l*.tsv")):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+        for n, i in enumerate(rows, start=1):
+            *head, idx, text = lines[i].rstrip("\n").split("\t")
+            tokens, indices = text.split(" "), [int(k) for k in idx.split(",")]
+            j = indices[0] - 1 if indices[0] else 1
+            if j < len(tokens) and j not in indices:
+                if n % OOV_EVERY == 0:
+                    tokens[j] = OOV_WORD
+                if n % UPPER_EVERY == 0:
+                    tokens[j] = tokens[j].upper()
+            lines[i] = "\t".join([*head, idx, " ".join(tokens)]) + "\n"
         (dest / path.name).write_text("".join(lines), encoding="utf-8")
 
 
@@ -175,8 +201,11 @@ def main(argv=None) -> int:
             test_data = work / "tree" / "test-data"
             if test_data.is_dir():
                 write_dropped(test_data, work / "inputs" / "test-data-dropped")
-                faulted.append(with_flags(commands(inputs, "")["eval"][1],
-                                          data="../inputs/test-data-dropped", out="eval-dropped"))
+                write_oov(test_data, work / "inputs" / "test-data-oov")
+                for probe in ("dropped", "oov"):
+                    faulted.append(with_flags(commands(inputs, "")["eval"][1],
+                                              data=f"../inputs/test-data-{probe}",
+                                              out=f"eval-{probe}"))
             write_ragged(work / "inputs" / "embeddings.txt",
                          work / "inputs" / "embeddings-faulted.txt")
             faulted.append(with_flags(commands(inputs, "")["build-balls"][1],
