@@ -19,10 +19,10 @@ Packing runs bottom-up.  For every parent:
   3. wrap the children in a parent ball centered at their extension
      centroid on the parent's own prefix ray.
 
-Balls are rows of two arrays in pre-order, where each subtree is one
-contiguous run of rows.  Subtrees only ever move rigidly (one
-extension-block translation of their rows), so nesting and disconnection
-survive every later step exactly.  A final homothety about the origin
+Balls are rows of two arrays in `Taxonomy.preorder()` order, where each
+subtree is one contiguous run of rows.  Subtrees only ever move rigidly
+(one extension-block translation of their rows), so nesting and
+disconnection survive every later step exactly.  A final homothety about the origin
 scales everything into the unit ball.
 """
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, hash_unit_vector
 from .geometry import BallConfiguration, GeometryConfig
-from .inventory import SenseId, Taxonomy
+from .inventory import Taxonomy
 
 # relative slack added to every separation distance so float noise can
 # never flip a verifier comparison
@@ -43,21 +43,6 @@ _REL_SLACK = 1e-7
 
 class ConstructionError(RuntimeError):
     pass
-
-
-def _preorder(taxonomy: Taxonomy) -> list[tuple[SenseId, int]]:
-    """(node, depth) for every node, each parent listed before its children.
-
-    An explicit stack instead of recursion, so depth is bounded by memory
-    rather than by the interpreter's recursion limit.
-    """
-    order: list[tuple[SenseId, int]] = []
-    stack = [(root, 0) for root in taxonomy.roots()]
-    while stack:
-        node, depth = stack.pop()
-        order.append((node, depth))
-        stack.extend((kid, depth + 1) for kid in taxonomy.children_of(node))
-    return order
 
 
 def _slot_map(taxonomy: Taxonomy, order, width: int) -> dict[tuple[int, int], int]:
@@ -108,8 +93,8 @@ def _pack_offsets(radii: list[float], axes: list[int]) -> list[tuple[int, float]
 
 
 class _Builder:
-    """Centers (N x dim) and radii (N) in `_preorder` row order; the
-    subtree of row i is rows `i:end[i]`."""
+    """Centers (N x dim) and radii (N) in `Taxonomy.preorder()` row order;
+    the subtree of row i is rows `i:end[i]`."""
 
     def __init__(self, taxonomy: Taxonomy, table: EmbeddingTable, cfg: GeometryConfig):
         self.tax = taxonomy
@@ -117,7 +102,7 @@ class _Builder:
         self.cfg = cfg
         self.pdim = table.dim
         self.dim = table.dim + cfg.code_width
-        self.order = _preorder(taxonomy)
+        self.order = taxonomy.preorder()
         self.slots = _slot_map(taxonomy, self.order, cfg.code_width)
         self.row = {node: i for i, (node, _) in enumerate(self.order)}
         self.centers = np.zeros((len(self.order), self.dim))

@@ -46,7 +46,7 @@ class TrainingRecord:
                 raise CorpusError(f"target index {i} out of range for {len(self.tokens)} tokens")
 
 
-def _parse_line(line: str, lineno: int, path) -> TrainingRecord:
+def _parse_line(line: str) -> TrainingRecord:
     fields = line.split("\t")
     if len(fields) == 3:
         target_s, idx_s, tok_s = fields
@@ -54,21 +54,14 @@ def _parse_line(line: str, lineno: int, path) -> TrainingRecord:
     elif len(fields) == 4:
         target_s, original_s, idx_s, tok_s = fields
     else:
-        raise CorpusError(f"{path}:{lineno}: expected 3 or 4 tab-separated fields, got {len(fields)}")
-    try:
-        target = SenseId.parse(target_s)
-        original = SenseId.parse(original_s)
-    except ValueError as exc:
-        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(fields)}")
+    target = SenseId.parse(target_s)
+    original = SenseId.parse(original_s)
     try:
         indices = tuple(int(t) for t in idx_s.split(","))
-    except ValueError as exc:
-        raise CorpusError(f"{path}:{lineno}: bad index list {idx_s!r}") from exc
-    tokens = tuple(tok_s.split())
-    try:
-        return TrainingRecord(target, original, tokens, indices)
-    except CorpusError as exc:
-        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+    except ValueError:
+        raise ValueError(f"bad index list {idx_s!r}") from None
+    return TrainingRecord(target, original, tuple(tok_s.split()), indices)
 
 
 def parse_annotated_corpus(path) -> list[TrainingRecord]:
@@ -83,7 +76,10 @@ def parse_annotated_corpus(path) -> list[TrainingRecord]:
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
-            records.append(_parse_line(line, lineno, path))
+            try:
+                records.append(_parse_line(line))
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
     return records
 
 

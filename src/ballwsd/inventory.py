@@ -2,14 +2,16 @@
 
 The taxonomy is a forest: every sense has at most one hypernym.  Input
 edge files may disagree; extra parents for a node are dropped (first edge
-wins) and recorded so callers can report them.
+wins) and recorded so callers can report them.  A file with no edge is an
+error.  `Taxonomy` walks the forest once, in pre-order from its roots: that
+walk is construction's row order and the cycle check.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 log = logging.getLogger(__name__)
 
@@ -18,19 +20,19 @@ class TaxonomyError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class SenseId:
-    """A sense key of the form lemma.pos.index, e.g. aim.n.02."""
+class SenseId(namedtuple("SenseId", "lemma pos index")):
+    """A sense key of the form lemma.pos.index, e.g. aim.n.02; a tuple, so
+    it hashes, compares and sorts as `(lemma, pos, index)`."""
 
-    lemma: str
-    pos: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lemma or not self.pos:
+    def __new__(cls, lemma: str, pos: str, index: int):
+        self = super().__new__(cls, lemma, pos, index)
+        if not lemma or not pos:
             raise ValueError(f"empty lemma or pos in sense id {self!r}")
-        if self.index < 0:
+        if index < 0:
             raise ValueError(f"negative sense index in {self!r}")
+        return self
 
     def __str__(self) -> str:
         return f"{self.lemma}.{self.pos}.{self.index:02d}"
@@ -52,7 +54,7 @@ class SenseId:
 
 
 class Taxonomy:
-    """Parent/child structure over SenseId nodes."""
+    """Parent/child structure over SenseId nodes, each list in SenseId order."""
 
     def __init__(self, parent: dict[SenseId, SenseId | None]):
         self._parent = dict(parent)
@@ -62,26 +64,26 @@ class Taxonomy:
                 if par not in self._parent:
                     raise TaxonomyError(f"parent {par} of {node} is not a node")
                 self._children[par].append(node)
-        # the order=True order, without a Python __lt__ call per comparison
-        key = attrgetter("lemma", "pos", "index")
         for kids in self._children.values():
-            kids.sort(key=key)
-        self._nodes = sorted(self._parent, key=key)
+            kids.sort()
+        self._nodes = sorted(self._parent)
         self._roots = [n for n in self._nodes if self._parent[n] is None]
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        state: dict[SenseId, int] = {}  # 1 = on current walk, 2 = done
-        for start in self._parent:
-            node, trail = start, []
-            while node is not None and state.get(node) != 2:
-                if state.get(node) == 1:
-                    raise TaxonomyError(f"cycle through {node}")
-                state[node] = 1
-                trail.append(node)
+        # an explicit stack, so depth is bounded by memory, not recursion;
+        # a node that no root reaches hangs off a cycle
+        self._preorder: list[tuple[SenseId, int]] = []
+        stack = [(root, 0) for root in self._roots]
+        while stack:
+            node, depth = stack.pop()
+            self._preorder.append((node, depth))
+            stack.extend((kid, depth + 1) for kid in self._children[node])
+        if len(self._preorder) < len(self._parent):
+            reached = {node for node, _ in self._preorder}
+            node = next(n for n in self._parent if n not in reached)
+            seen = set()
+            while node not in seen:
+                seen.add(node)
                 node = self._parent[node]
-            for n in trail:
-                state[n] = 2
+            raise TaxonomyError(f"cycle through {node}")
 
     def __len__(self) -> int:
         return len(self._parent)
@@ -94,6 +96,11 @@ class Taxonomy:
 
     def roots(self) -> list[SenseId]:
         return list(self._roots)
+
+    def preorder(self) -> list[tuple[SenseId, int]]:
+        """(node, depth) for every node, each parent before its children and
+        each subtree one contiguous run."""
+        return list(self._preorder)
 
     def parent_of(self, node: SenseId) -> SenseId | None:
         if node not in self._parent:
@@ -115,13 +122,13 @@ class Inventory:
 
     def __post_init__(self):
         self._by_word: dict[tuple[str, str], list[SenseId]] = {}
+        # nodes() is in SenseId order, so words come sorted and each word's
+        # senses in index order
         for node in self.taxonomy.nodes():
             self._by_word.setdefault(node.word, []).append(node)
-        for senses in self._by_word.values():
-            senses.sort(key=lambda s: s.index)
 
     def words(self) -> list[tuple[str, str]]:
-        return sorted(self._by_word)
+        return list(self._by_word)
 
     def senses_of(self, lemma: str, pos: str) -> list[SenseId]:
         return list(self._by_word.get((lemma, pos), []))
@@ -144,9 +151,9 @@ def load_inventory(path) -> Inventory:
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) != 2:
-                raise TaxonomyError(f"{path}:{lineno}: expected `child<TAB>parent`, got {line!r}")
             try:
+                if len(fields) != 2:
+                    raise ValueError(f"expected `child<TAB>parent`, got {line!r}")
                 child = SenseId.parse(fields[0])
                 par = None if fields[1] == "-" else SenseId.parse(fields[1])
             except ValueError as exc:
@@ -159,6 +166,8 @@ def load_inventory(path) -> Inventory:
                 continue
             parent[child] = par
             defined.add(child)
+    if not parent:
+        raise TaxonomyError(f"{path}: empty inventory")
     if dropped:
         log.warning("%s: %d extra parent edges dropped, first %s -> %s (keeping %s)",
                     path, len(dropped), *dropped[0], parent[dropped[0][0]] or "-")
@@ -203,7 +212,6 @@ def check_distinct_hypernym_assumption(inventory: Inventory) -> list[tuple[Sense
             if par is not None:
                 by_parent.setdefault(par, []).append(s)
         for group in by_parent.values():
-            group.sort(key=lambda s: s.index)
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
                     collisions.append((group[i], group[j]))

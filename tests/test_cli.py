@@ -503,13 +503,30 @@ class TestOneLineErrors:
         assert code == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
-    def test_empty_inventory_is_verification_failure(self, workspace, capsys):
-        workspace["inventory"].write_text("")
-        code = main(["build-balls", "--inventory", str(workspace["inventory"]),
-                     "--embeddings", str(workspace["embeddings"]),
-                     "--out", str(workspace["dir"] / "b")])
-        assert code == 3
-        assert len(capsys.readouterr().err.splitlines()) == 1
+    def test_empty_inventory_is_one_line_data_error(self, workspace, capsys):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+        inv, emb = str(workspace["inventory"]), str(workspace["embeddings"])
+        argvs = {
+            "build-balls": ["build-balls", "--inventory", inv, "--embeddings", emb],
+            "verify-balls": ["verify-balls", "--balls", str(balls), "--inventory", inv],
+            "prepare": ["prepare", "--corpus", str(workspace["corpus"]), "--inventory", inv,
+                        "--balls", str(balls)],
+            "eval": ["eval", "--data", str(data), "--checkpoint", str(ckpt), "--inventory", inv,
+                     "--embeddings", emb, "--balls", str(balls), "--set", "levels=0,1"],
+        }
+        for text in ("", "# no edges\n\n"):
+            workspace["inventory"].write_text(text)
+            for command, argv in argvs.items():
+                out_dir = workspace["dir"] / f"out-{command}"
+                capsys.readouterr()
+                flags = [] if command == "verify-balls" else ["--out", str(out_dir)]
+                assert main(argv + flags) == 2, command
+                out = capsys.readouterr()
+                assert out.out == ""
+                assert out.err.splitlines() == [f"data error: {inv}: empty inventory"]
+                assert not out_dir.exists()
 
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

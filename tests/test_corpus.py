@@ -53,6 +53,19 @@ class TestTrainingRecord:
             TrainingRecord(AIM, AIM, TOKENS, (-1,))
 
 
+# a malformed corpus line and the message its error gives after `path:lineno: `
+MALFORMED = {
+    "aim.n.02\t4": "expected 3 or 4 tab-separated fields, got 2",
+    "aim.n.02\ta\tb\tc\td\te": "expected 3 or 4 tab-separated fields, got 6",
+    "notasense\t0\ttok": "malformed sense id 'notasense', want lemma.pos.index",
+    "goal.n.01\taim.n.x\t0\ttok": "malformed sense index in 'aim.n.x'",
+    "aim.n.02\tx\ttok": "bad index list 'x'",
+    "aim.n.02\t0,\ttok": "bad index list '0,'",
+    "aim.n.02\t5\tshort sentence": "target index 5 out of range for 2 tokens",
+    "aim.n.02\t0\t ": "record has no tokens",
+}
+
+
 class TestParsing:
     def test_three_column_line(self, tmp_path):
         p = tmp_path / "c.tsv"
@@ -79,18 +92,13 @@ class TestParsing:
         (r,) = parse_annotated_corpus(p)
         assert r.indices == (1, 2)
 
-    @pytest.mark.parametrize("line", [
-        "aim.n.02\t4",
-        "aim.n.02\ta\tb\tc\td\te",
-        "notasense\t0\ttok",
-        "aim.n.02\tx\ttok",
-        "aim.n.02\t5\tshort sentence",
-    ])
+    @pytest.mark.parametrize("line", list(MALFORMED))
     def test_malformed_lines_raise(self, tmp_path, line):
         p = tmp_path / "c.tsv"
-        p.write_text(line + "\n")
-        with pytest.raises(CorpusError):
+        p.write_text("# header\naim.n.02\t0\tok\n" + line + "\n")
+        with pytest.raises(CorpusError) as info:
             parse_annotated_corpus(p)
+        assert str(info.value) == f"{p}:3: {MALFORMED[line]}"
 
     def test_empty_file_gives_no_records(self, tmp_path):
         p = tmp_path / "c.tsv"

@@ -3,11 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ballwsd.evaluator import (EvalReport, make_synthetic_fixture, save_reports,
-                               score, split_records)
-from ballwsd.inventory import SenseId
+from ballwsd.corpus import TrainingRecord
+from ballwsd.evaluator import (EvalReport, make_synthetic_fixture, predict_records,
+                               save_reports, score, split_records)
+from ballwsd.geometry import GeometryConfig
+from ballwsd.inventory import Inventory, SenseId, Taxonomy
 
-from helpers import ancestors
+from helpers import ancestors, configuration
 
 
 def sid(i):
@@ -181,3 +183,49 @@ class TestSplitRecords:
                                     records_per_sense=10)
         with pytest.raises(ValueError):
             split_records(fx.records, 9, 3)
+
+
+class TestPredictRecords:
+    ENTITY, MOVE, MAKE, HIDDEN = (SenseId(w, "n", 1) for w in ("entity", "move", "make", "hidden"))
+    FLY1, FLY2, SOLO = SenseId("fly", "n", 1), SenseId("fly", "n", 2), SenseId("solo", "n", 1)
+
+    def inputs(self):
+        """fly.n.01 < move.n.01 and fly.n.02 < make.n.01 have balls; solo.n.01's
+        hypernym hidden.n.01 has none."""
+        tax = Taxonomy({self.ENTITY: None, self.MOVE: self.ENTITY, self.MAKE: self.ENTITY,
+                        self.HIDDEN: self.ENTITY, self.FLY1: self.MOVE, self.FLY2: self.MAKE,
+                        self.SOLO: self.HIDDEN})
+        balls = configuration([
+            ("entity.n.01", [0.0, 0.0, 1.0], 0.9),
+            ("move.n.01", [1.0, 0.0, 0.0], 0.3),
+            ("make.n.01", [0.0, 1.0, 0.0], 0.3),
+            ("fly.n.01", [1.0, 0.0, 0.1], 0.1),
+            ("fly.n.02", [0.0, 1.0, 0.1], 0.1),
+            ("solo.n.01", [0.0, 0.0, 0.5], 0.1),
+        ])
+        return Inventory(taxonomy=tax), balls
+
+    def record(self, target, original):
+        return TrainingRecord(target, original, ("a", "b", "c"), (1,))
+
+    def test_row_count_must_match_records(self):
+        inventory, balls = self.inputs()
+        records = [self.record(self.MOVE, self.FLY1), self.record(self.MAKE, self.FLY2)]
+        with pytest.raises(ValueError) as info:
+            predict_records(np.ones((3, 3)), records, 1, inventory, balls, GeometryConfig())
+        assert str(info.value) == "3 encoded rows for 2 records"
+
+    def test_level1_anchors_and_skipped_word(self):
+        inventory, balls = self.inputs()
+        records = [self.record(self.MOVE, self.FLY1),    # aimed at move: right
+                   self.record(self.MAKE, self.FLY2),    # aimed at move, outside it: wrong
+                   self.record(self.HIDDEN, self.SOLO)]  # no anchor ball: unattempted
+        V = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        report, preds = predict_records(V, records, 1, inventory, balls, GeometryConfig())
+        assert (report.attempted, report.correct, report.total_gold, report.skipped) == (2, 1, 3, 1)
+        assert report.inside_rate == 0.5
+        assert sorted(preds) == ["l1.000000", "l1.000001"]
+        # the prediction names a sense; it scores by that sense's level-1 anchor
+        assert preds["l1.000000"].chosen == preds["l1.000001"].chosen == self.FLY1
+        assert preds["l1.000000"].inside_anchor_ball
+        assert not preds["l1.000001"].inside_anchor_ball

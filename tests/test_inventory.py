@@ -28,15 +28,57 @@ class TestSenseId:
                 SenseId.parse(bad)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SenseId("", "n", 1)
-        with pytest.raises(ValueError):
-            SenseId("a", "n", -1)
+        for args, message in [
+            (("", "n", 1), "empty lemma or pos in sense id SenseId(lemma='', pos='n', index=1)"),
+            (("a", "", 1), "empty lemma or pos in sense id SenseId(lemma='a', pos='', index=1)"),
+            (("a", "n", -1), "negative sense index in SenseId(lemma='a', pos='n', index=-1)"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                SenseId(*args)
+            assert str(info.value) == message
 
     def test_word_and_order(self):
         s = SenseId("aim", "n", 2)
         assert s.word == ("aim", "n")
         assert SenseId("aim", "n", 1) < SenseId("aim", "n", 2) < SenseId("bet", "n", 1)
+
+    def test_sorts_hashes_and_prints_as_its_fields(self):
+        texts = ["u.s.a.n.01", "u.s.n.02", "us.n.01", "aim.v.100", "aim.n.100", "aim.n.99",
+                 "aim.n.05", "a.b.n.03", "a.n.03", "a.b.c.v.00"]
+        ids = [SenseId.parse(t) for t in texts]
+        want = sorted(ids, key=lambda s: (s.lemma, s.pos, s.index))
+        assert [str(s) for s in want] == [
+            "a.n.03", "a.b.n.03", "a.b.c.v.00", "aim.n.05", "aim.n.99", "aim.n.100",
+            "aim.v.100", "u.s.n.02", "u.s.a.n.01", "us.n.01"]
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            assert sorted(ids[i] for i in rng.permutation(len(ids))) == want
+        for s in ids:
+            assert hash(s) == hash((s.lemma, s.pos, s.index))
+            assert repr(s) == f"SenseId(lemma={s.lemma!r}, pos={s.pos!r}, index={s.index!r})"
+
+    def test_keyword_construction(self):
+        s = SenseId(lemma="aim", pos="n", index=2)
+        assert s == SenseId("aim", "n", 2) and str(s) == "aim.n.02"
+        assert (s.lemma, s.pos, s.index) == ("aim", "n", 2)
+
+
+def parent_chain_cycle(parent):
+    """The node a cycle check names: walk parents from each node in
+    insertion order, and name the first node seen twice on one walk.
+    None when there is no cycle."""
+    state = {}  # 1 = on the current walk, 2 = done
+    for start in parent:
+        node, trail = start, []
+        while node is not None and state.get(node) != 2:
+            if state.get(node) == 1:
+                return node
+            state[node] = 1
+            trail.append(node)
+            node = parent[node]
+        for n in trail:
+            state[n] = 2
+    return None
 
 
 def small_chain():
@@ -73,11 +115,48 @@ class TestTaxonomy:
             Taxonomy({a: b})
 
     def test_cycle_detected(self):
-        a, b, c = (SenseId(x, "n", 1) for x in "abc")
-        with pytest.raises(TaxonomyError):
-            Taxonomy({a: b, b: c, c: a})
-        with pytest.raises(TaxonomyError):
-            Taxonomy({a: a})
+        a, b, c, r, t = (SenseId(x, "n", 1) for x in "abcrt")
+        for parent, named in [
+            ({a: b, b: c, c: a}, a),
+            ({a: a}, a),
+            ({r: None, a: a}, a),              # a self-loop beside a tree
+            ({t: b, a: b, b: a, r: None}, b),  # a tail listed first, into a 2-cycle
+        ]:
+            with pytest.raises(TaxonomyError) as info:
+                Taxonomy(parent)
+            assert str(info.value) == f"cycle through {named}"
+
+    def test_cycle_message_matches_parent_chain_walk(self):
+        rng = np.random.default_rng(8)
+        pool = [SenseId(f"n{i}", "n", 1) for i in range(12)]
+        cyclic = 0
+        for _ in range(3000):
+            nodes = [pool[i] for i in rng.permutation(len(pool))[:int(rng.integers(1, 13))]]
+            parent = {n: None if rng.random() < 0.2 else nodes[int(rng.integers(0, len(nodes)))]
+                      for n in nodes}
+            named = parent_chain_cycle(parent)
+            if named is None:
+                assert len(Taxonomy(parent)) == len(nodes)
+                continue
+            cyclic += 1
+            with pytest.raises(TaxonomyError) as info:
+                Taxonomy(parent)
+            assert str(info.value) == f"cycle through {named}"
+        assert 1000 < cyclic < 3000
+
+    def test_preorder_lists_each_subtree_as_one_run(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            tax = random_taxonomy(rng, int(rng.integers(1, 60)), forest_prob=0.5)
+            order = tax.preorder()
+            assert sorted(node for node, _ in order) == tax.nodes()
+            pos = {node: i for i, (node, _) in enumerate(order)}
+            for i, (node, depth) in enumerate(order):
+                assert depth == len(ancestors(tax, node))
+                par = tax.parent_of(node)
+                assert par is None or pos[par] < i
+                below = [m for m, _ in order if node in ancestors(tax, m)]
+                assert sorted(pos[m] for m in below) == list(range(i + 1, i + 1 + len(below)))
 
     def test_random_taxonomies_have_consistent_structure(self):
         rng = np.random.default_rng(5)
@@ -150,9 +229,20 @@ class TestLoadInventory:
 
     def test_malformed_line_raises(self, tmp_path):
         p = tmp_path / "inv.tsv"
-        p.write_text("a.n.01 b.n.01\n")
-        with pytest.raises(TaxonomyError):
-            load_inventory(p)
+        for line, message in [
+            ("a.n.01", "expected `child<TAB>parent`, got 'a.n.01'"),
+            ("a.n.01 b.n.01", "expected `child<TAB>parent`, got 'a.n.01 b.n.01'"),
+            ("a.n.01\tb.n.01\tc.n.01", "expected `child<TAB>parent`, got 'a.n.01\\tb.n.01\\tc.n.01'"),
+            ("bad\ta.n.01", "malformed sense id 'bad', want lemma.pos.index"),
+            ("a.n.01\tb.n", "malformed sense id 'b.n', want lemma.pos.index"),
+            ("a.n.x\t-", "malformed sense index in 'a.n.x'"),
+            ("a.n.-1\t-", "malformed sense index in 'a.n.-1'"),
+            (".n.01\t-", "empty lemma or pos in sense id SenseId(lemma='', pos='n', index=1)"),
+        ]:
+            p.write_text("# edges\nroot.n.01\t-\n" + line + "\n")
+            with pytest.raises(TaxonomyError) as info:
+                load_inventory(p)
+            assert str(info.value) == f"{p}:3: {message}"
 
     def test_senses_grouped_by_word(self, tmp_path):
         p = tmp_path / "inv.tsv"
@@ -164,7 +254,7 @@ class TestLoadInventory:
         inv = load_inventory(p)
         assert inv.senses_of("fly", "v") == [SenseId("fly", "v", 1), SenseId("fly", "v", 6)]
         assert inv.senses_of("nope", "n") == []
-        assert ("fly", "v") in inv.words()
+        assert inv.words() == [("fly", "v"), ("travel", "v")]
 
 
 class TestHypernymAt:

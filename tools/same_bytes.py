@@ -21,9 +21,11 @@ dataset-l1.tsv lacks its first record, so levels cannot share one
 encoded batch; eval on a copy whose every OOV_EVERY-th record has a
 context token replaced by OOV_WORD and every UPPER_EVERY-th record one
 upper-cased, so the hashed OOV vectors and the lowercase fallback are
-compared; and build-balls on a copy of embeddings.txt whose line
+compared; build-balls on a copy of embeddings.txt whose line
 UNDERSCORE_LINE carries a `1_0` style token and whose line RAGGED_LINE
-lacks its last coordinate.
+lacks its last coordinate; and verify-balls on a copy of inventory.tsv
+that opens with a two-node tail and ends with the 2-cycle that tail
+leads into, so the node a cycle error names is compared.
 Every written file, exit code, stdout and stderr that differs is listed;
 a file matches only when its bytes are equal.
 Exit status: 0 when nothing differs, 1 when something does, 2 when REF
@@ -49,6 +51,13 @@ from workloads import WORKLOADS, draw_queries  # noqa: E402
 FAULT_EVERY, FAULT_SCALE = 50, 50.0
 UNDERSCORE_LINE, RAGGED_LINE = 10, 20
 OOV_EVERY, OOV_WORD, UPPER_EVERY = 7, "qqxoovqq", 11
+# a tail qqxtail2 -> qqxtail1 -> into the 2-cycle qqxloopa <-> qqxloopb; with a
+# one-node tail its parent, a cycle node, would be read first as a provisional
+# root, and the first unreached node would be the node a cycle error names
+TAIL_EDGES = "qqxtail2.n.01\tqqxtail1.n.01\n"
+CYCLE_EDGES = ("qqxtail1.n.01\tqqxloopa.n.01\n"
+               "qqxloopa.n.01\tqqxloopb.n.01\n"
+               "qqxloopb.n.01\tqqxloopa.n.01\n")
 
 
 def extract(ref: str, dest: Path) -> str:
@@ -128,6 +137,12 @@ def write_ragged(table: Path, dest: Path) -> None:
     lines[UNDERSCORE_LINE - 1] = f"{word} {first[:i]}_{first[i:]} {rest}"
     lines[RAGGED_LINE - 1] = lines[RAGGED_LINE - 1].rstrip("\n").rsplit(" ", 1)[0] + "\n"
     dest.write_text("".join(lines), encoding="utf-8")
+
+
+def write_cyclic(inventory: Path, dest: Path) -> None:
+    """Copy an inventory with TAIL_EDGES first and CYCLE_EDGES last."""
+    text = inventory.read_text(encoding="utf-8")
+    dest.write_text(TAIL_EDGES + text + CYCLE_EDGES, encoding="utf-8")
 
 
 def with_flags(argv: list[str], **flags: str) -> list[str]:
@@ -211,6 +226,10 @@ def main(argv=None) -> int:
             faulted.append(with_flags(commands(inputs, "")["build-balls"][1],
                                       embeddings="../inputs/embeddings-faulted.txt",
                                       out="balls-faulted"))
+            write_cyclic(work / "inputs" / "inventory.tsv",
+                         work / "inputs" / "inventory-cyclic.tsv")
+            faulted.append(with_flags(commands(inputs, "")["verify-balls"][1],
+                                      inventory="../inputs/inventory-cyclic.tsv"))
             argvs += faulted
             ref_runs += run_pipeline(tmp / "ref-tree" / "src", work / "ref", faulted)
             tree_runs += run_pipeline(ROOT / "src", work / "tree", faulted)
