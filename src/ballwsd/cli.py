@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from . import __version__
-from .construct import ConstructionError, construct_balls
+from .construct import construct_balls
 from .corpus import dataset_report, lift_to_level, parse_annotated_corpus, save_records
 from .embeddings import load_embeddings
 from .encoder import TrainConfig, embed_records, forward_batch, load_encoder, save_encoder, train
@@ -181,6 +181,9 @@ def cmd_build_balls(args, cfg, out) -> int:
 def cmd_verify_balls(args, cfg, out) -> int:
     balls = load_balls(args.balls)
     inventory = load_inventory(args.inventory)
+    # a ball file that shares no sense with the inventory would pass unchecked
+    if not any(str(node) in balls for node in inventory.taxonomy.nodes()):
+        raise ValueError(f"{args.balls}: no ball names a node of {args.inventory}")
     report = verify_configuration(balls, inventory.taxonomy, cfg.geometry)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -336,9 +339,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConstructionError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except (OSError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -33,16 +33,12 @@ import math
 import numpy as np
 
 from .embeddings import EmbeddingTable, hash_unit_vector
-from .geometry import BallConfiguration, GeometryConfig
+from .geometry import BallConfiguration, GeometryConfig, gaps
 from .inventory import Taxonomy
 
 # relative slack added to every separation distance so float noise can
 # never flip a verifier comparison
 _REL_SLACK = 1e-7
-
-
-class ConstructionError(RuntimeError):
-    pass
 
 
 def _slot_map(taxonomy: Taxonomy, order, width: int) -> dict[tuple[int, int], int]:
@@ -131,8 +127,7 @@ class _Builder:
             self.pack(kids, [self.slots[(depth + 1, idx)] for idx in range(1, len(kids) + 1)])
             self.end[i] = max(self.end[k] for k in kids)
             self.centers[i, self.pdim:] = np.mean(self.centers[kids, self.pdim:], axis=0)
-            reach = max(float(np.linalg.norm(self.centers[k] - self.centers[i])) + self.radii[k]
-                        for k in kids)
+            reach = np.max(gaps(self.centers[kids], self.centers[i]) + self.radii[kids])
             self.radii[i] = self.cfg.margin * reach
 
 
@@ -141,14 +136,10 @@ def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
     """Build one ball per taxonomy node.
 
     Deterministic: identical inputs give bit-identical output.  The result
-    is not verified here; `verify_configuration` checks it.  Raises
-    ConstructionError if the taxonomy has no roots.
+    is not verified here; `verify_configuration` checks it.
     """
     cfg = cfg or GeometryConfig()
     roots = taxonomy.roots()
-    if not roots:
-        raise ConstructionError("taxonomy has no roots")
-
     builder = _Builder(taxonomy, table, cfg)
     builder.build()
     if len(roots) > 1:
@@ -157,7 +148,6 @@ def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
                      [i % cfg.code_width for i in range(len(roots))])
 
     # final homothety into the unit ball
-    outer = max(float(np.linalg.norm(c)) + r for c, r in zip(builder.centers, builder.radii))
-    scale = 1.0 / outer
+    scale = 1.0 / np.max(gaps(builder.centers, 0.0) + builder.radii)
     return BallConfiguration([str(node) for node, _ in builder.order], builder.centers * scale,
                              builder.radii * scale, builder.pdim)

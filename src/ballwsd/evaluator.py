@@ -272,29 +272,28 @@ def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
     Row i of V is record i's encoder output:
     `forward_batch(params, *embed_records(records, table, window_k))`.  Gold
     is each record's target; a record whose word has no candidate with a
-    ball at this level goes unattempted.
+    ball at this level goes unattempted.  Each word's rows are selected in
+    one `select_sense` call.
     """
     records = list(records)
     if len(V) != len(records):
         raise ValueError(f"{len(V)} encoded rows for {len(records)} records")
     gold: dict[str, SenseId] = {}
+    by_word: dict[tuple[str, str], list[int]] = {}
+    for i, rec in enumerate(records):
+        gold[f"l{level}.{i:06d}"] = rec.target
+        by_word.setdefault(rec.original.word, []).append(i)
     predicted: dict[str, SenseId] = {}
     inside: dict[str, bool] = {}
     predictions: dict[str, Prediction] = {}
-    cand_cache: dict[tuple[str, str], list] = {}
-    for i, rec in enumerate(records):
-        iid = f"l{level}.{i:06d}"
-        gold[iid] = rec.target
-        word = rec.original.word
-        if word not in cand_cache:
-            cand_cache[word] = candidate_set(word[0], word[1], level,
-                                             inventory, balls)
-        candidates = cand_cache[word]
+    for word, rows in by_word.items():
+        candidates = candidate_set(*word, level, inventory, balls)
         if not candidates:
             continue
-        pred = select_sense(V[i], candidates, balls, geometry)
-        anchor = next(c.anchor for c in candidates if c.sense == pred.chosen)
-        predicted[iid] = anchor
-        inside[iid] = pred.inside_anchor_ball
-        predictions[iid] = pred
+        anchor = {c.sense: c.anchor for c in candidates}
+        for i, pred in zip(rows, select_sense(V[rows], candidates, balls, geometry)):
+            iid = f"l{level}.{i:06d}"
+            predicted[iid] = anchor[pred.chosen]
+            inside[iid] = pred.inside_anchor_ball
+            predictions[iid] = pred
     return score(predicted, gold, inside), predictions

@@ -68,6 +68,16 @@ class GeometryConfig:
             raise ValueError("code_width must be >= 1")
 
 
+def gaps(block, point) -> np.ndarray:
+    """|row - point| for each row of `block`; a 1-d block is one row and
+    gives a 0-d array.  The batched 1 x d by d x 1 products take, row by
+    row, the dot product `np.linalg.norm` takes on one vector, so each gap
+    equals `np.linalg.norm(row - point)` bit for bit.  This is the only
+    centre-distance code."""
+    d = np.asarray(block) - point
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+
+
 def containment_rule(gap, r_outer, r_inner, epsilon: float):
     """The containment test on a center distance: gap + r_in - r_out - eps.
     Arrays broadcast, so the verifier checks a sibling group with it too."""
@@ -85,7 +95,7 @@ def containment_slack(config: BallConfiguration, outer: str, inner: str,
     """How far ball `inner` sticks out of ball `outer` past the tolerance
     (`containment_rule`).  Positive means not contained."""
     o, i = config.row[outer], config.row[inner]
-    gap = float(np.linalg.norm(config.centers[i] - config.centers[o]))
+    gap = float(gaps(config.centers[i], config.centers[o]))
     return containment_rule(gap, float(config.radii[o]), float(config.radii[i]), epsilon)
 
 
@@ -94,7 +104,7 @@ def overlap_slack(config: BallConfiguration, a: str, b: str,
     """How deep balls `a` and `b` overlap past the tolerance
     (`overlap_rule`).  Positive means they share interior."""
     i, j = config.row[a], config.row[b]
-    gap = float(np.linalg.norm(config.centers[i] - config.centers[j]))
+    gap = float(gaps(config.centers[i], config.centers[j]))
     return overlap_rule(gap, float(config.radii[i]), float(config.radii[j]), epsilon)
 
 
@@ -115,7 +125,7 @@ def point_inside(v, config: BallConfiguration, sense_id: str,
     """True iff point v lies in the ball of `sense_id`: a ball of radius 0
     at v is contained in it (`containment_rule`)."""
     i = config.row[sense_id]
-    gap = float(np.linalg.norm(as_vector(v, dim=config.dim) - config.centers[i]))
+    gap = float(gaps(as_vector(v, dim=config.dim), config.centers[i]))
     return containment_rule(gap, float(config.radii[i]), 0.0, epsilon) <= 0.0
 
 
@@ -183,10 +193,8 @@ class BallConfiguration:
 
     @functools.cached_property
     def norms(self) -> np.ndarray:
-        """|center| of each row, computed on first use.  One 1-d
-        `np.linalg.norm` per row, as `cos_sim` takes it: `axis=1` can
-        differ in the last bit."""
-        return np.array([np.linalg.norm(c) for c in self.centers])
+        """|center| of each row, computed on first use."""
+        return gaps(self.centers, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +304,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _gaps(block: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """|row - point| for each row of `block`.  The batched 1 x d by d x 1
-    products take, row by row, the dot product `np.linalg.norm` takes on
-    one vector, so each gap equals the scalar slack functions' gap (bit for
-    bit where numpy sends both to the same BLAS dot; tests allow 1e-12)."""
-    d = block - point
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-
-
 def verify_configuration(
     config: BallConfiguration,
     taxonomy: "Taxonomy",
@@ -340,11 +339,11 @@ def verify_configuration(
                 found.extend(Violation("missing", pid, kid, math.inf) for kid in kids)
             else:
                 report.checked_containment += len(rows)
-                slack = containment_rule(_gaps(block, centers[p]), radii[p], kid_radii, eps)
+                slack = containment_rule(gaps(block, centers[p]), radii[p], kid_radii, eps)
                 found.extend(Violation("containment", pid, kids[j], float(slack[j]))
                              for j in np.flatnonzero(slack > 0.0))
         for i in range(len(rows) - 1):
-            slack = overlap_rule(_gaps(block[i + 1:], block[i]), kid_radii[i],
+            slack = overlap_rule(gaps(block[i + 1:], block[i]), kid_radii[i],
                                  kid_radii[i + 1:], eps)
             found.extend(Violation("disconnection", kids[i], kids[i + 1 + j], float(slack[j]))
                          for j in np.flatnonzero(slack > 0.0))

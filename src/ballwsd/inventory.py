@@ -2,9 +2,10 @@
 
 The taxonomy is a forest: every sense has at most one hypernym.  Input
 edge files may disagree; extra parents for a node are dropped (first edge
-wins) and recorded so callers can report them.  A file with no edge is an
-error.  `Taxonomy` walks the forest once, in pre-order from its roots: that
-walk is construction's row order and the cycle check.
+wins) and recorded so callers can report them.  A file with no edge, or
+a taxonomy with no node, is an error.  `Taxonomy` walks the forest once,
+in pre-order from its roots: that walk is construction's row order and
+the cycle check.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ class Taxonomy:
 
     def __init__(self, parent: dict[SenseId, SenseId | None]):
         self._parent = dict(parent)
+        if not self._parent:
+            raise TaxonomyError("empty taxonomy")
         self._children: dict[SenseId, list[SenseId]] = {n: [] for n in self._parent}
         for node, par in self._parent.items():
             if par is not None:

@@ -9,13 +9,12 @@ direct hypernym and therefore an anchor).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import anchor_at
-from .geometry import BallConfiguration, GeometryConfig, as_vector, containment_rule, contains
+from .geometry import BallConfiguration, GeometryConfig, containment_rule, contains, gaps
 from .inventory import Inventory, SenseId
 
 
@@ -48,43 +47,38 @@ def candidate_set(lemma: str, pos: str, level: int,
     return out
 
 
-def select_sense(v, candidates: list[Candidate], balls: BallConfiguration,
-                 cfg: GeometryConfig | None = None) -> Prediction:
-    """Argmax of cos(v, anchor center) over the candidates' rows of
-    `balls`; strict comparison keeps the first (lowest-index) candidate on
-    exact ties.
+def select_sense(V, candidates: list[Candidate], balls: BallConfiguration,
+                 cfg: GeometryConfig | None = None) -> list[Prediction]:
+    """One prediction per row of V (n x dim, the encoded records of one
+    word): argmax of cos(row, anchor center) over the candidates' rows of
+    `balls`; argmax keeps the first (lowest-index) candidate on exact ties.
     """
     cfg = cfg or GeometryConfig()
     if not candidates:
         raise ValueError("no candidates to select from")
-    # cos_sim's arithmetic, with v validated once and the row norms cached
-    v = as_vector(v, dim=balls.dim)
-    nv = float(np.linalg.norm(v))
-    centers, norms = balls.centers, balls.norms
-    scores = []
-    for c in candidates:
-        nc = norms[c.row]
-        if nv == 0.0 or nc == 0.0:
-            raise ValueError("cosine similarity undefined for zero-norm input")
-        scores.append(float(np.dot(v, centers[c.row]) / (nv * nc)))
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] > scores[best]:
-            best = i
-    if len(scores) > 1:
-        margin = scores[best] - max(s for i, s in enumerate(scores) if i != best)
-    else:
-        margin = math.inf
-    chosen = candidates[best]
-    # point_inside's arithmetic on the chosen row
-    gap = float(np.linalg.norm(v - centers[chosen.row]))
-    return Prediction(
-        chosen=chosen.sense,
-        score=scores[best],
-        inside_anchor_ball=containment_rule(gap, float(balls.radii[chosen.row]), 0.0,
-                                            cfg.epsilon) <= 0.0,
-        margin=margin,
-    )
+    V = np.asarray(V, dtype=np.float64)
+    if V.ndim != 2 or V.shape[1] != balls.dim:
+        raise ValueError(f"expected rows of width {balls.dim}, got shape {V.shape}")
+    if not np.isfinite(V).all():
+        raise ValueError("vector has non-finite entries")
+    rows = [c.row for c in candidates]
+    centers, radii = balls.centers[rows], balls.radii[rows]
+    nv, nc = gaps(V, 0.0), balls.norms[rows]
+    if not (nv.all() and nc.all()):
+        raise ValueError("cosine similarity undefined for zero-norm input")
+    # one 1 x d by d x 1 product per (row, candidate): np.dot(v, c) bit for
+    # bit, which V @ centers.T (another summation order) is not
+    dots = np.matmul(V[:, None, None, :], centers[:, :, None])[:, :, 0, 0]
+    scores = dots / (nv[:, None] * nc)
+    best = np.argmax(scores, axis=1)
+    at = np.arange(len(V)), best
+    top, rest = scores[at], scores.copy()
+    rest[at] = -np.inf
+    margin = top - rest.max(axis=1)  # inf for a lone candidate
+    inside = containment_rule(gaps(V, centers[best]), radii[best], 0.0, cfg.epsilon) <= 0.0
+    return [Prediction(chosen=candidates[b].sense, score=float(t),
+                       inside_anchor_ball=bool(ok), margin=float(m))
+            for b, t, ok, m in zip(best, top, inside, margin)]
 
 
 def deduction_query(hyponym: SenseId, hypernym: SenseId,

@@ -166,14 +166,14 @@ def test_criterion_4_selector_oracle():
         v = rng.standard_normal(dim)
         while float(np.linalg.norm(v)) < 1e-6:
             v = rng.standard_normal(dim)
-        pred = select_sense(v, cands, balls)
+        pred = select_sense([v], cands, balls)[0]
         scores = [cos_sim(v, balls.centers[c.row]) for c in cands]
         best = max(scores)
         want = min(i for i, s in enumerate(scores) if s == best)
         if pred.chosen != cands[want].sense:
             mism += 1
         scale = float(10.0 ** rng.uniform(-3, 3))
-        if select_sense(scale * v, cands, balls).chosen != pred.chosen:
+        if select_sense([scale * v], cands, balls)[0].chosen != pred.chosen:
             scale_mism += 1
     ok = mism == 0 and scale_mism == 0
     check(4, ok,

@@ -118,6 +118,32 @@ class TestBuildVerify:
                      "--inventory", str(workspace["inventory"])])
         assert code == 3
 
+    @pytest.mark.parametrize("case", ["other-inventory", "header-only"])
+    def test_no_shared_sense_is_data_error(self, workspace, capsys, case):
+        balls = build(workspace)
+        if case == "other-inventory":
+            workspace["inventory"].write_text("thing.n.01\t-\nrock.n.01\tthing.n.01\n")
+        else:
+            balls.write_text(balls.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        code = main(["verify-balls", "--balls", str(balls),
+                     "--inventory", str(workspace["inventory"])])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.splitlines() == [
+            f"data error: {balls}: no ball names a node of {workspace['inventory']}"]
+
+    def test_one_node_taxonomy_checks_no_pair(self, workspace, capsys):
+        balls = build(workspace)
+        workspace["inventory"].write_text("entity.n.01\t-\n")
+        capsys.readouterr()
+        code = main(["verify-balls", "--balls", str(balls),
+                     "--inventory", str(workspace["inventory"])])
+        assert code == 0
+        assert capsys.readouterr().out.split() == [
+            "containment", "pairs", "checked:", "0", "disconnection", "pairs", "checked:", "0",
+            "violations:", "0"]
+
     def test_build_deterministic(self, workspace):
         a = build(workspace, "build-a")
         b = build(workspace, "build-b")

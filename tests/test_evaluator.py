@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ballwsd.corpus import TrainingRecord
+from ballwsd.construct import construct_balls
+from ballwsd.corpus import TrainingRecord, lift_to_level
 from ballwsd.evaluator import (EvalReport, make_synthetic_fixture, predict_records,
                                save_reports, score, split_records)
 from ballwsd.geometry import GeometryConfig
@@ -229,3 +230,26 @@ class TestPredictRecords:
         assert preds["l1.000000"].chosen == preds["l1.000001"].chosen == self.FLY1
         assert preds["l1.000000"].inside_anchor_ball
         assert not preds["l1.000001"].inside_anchor_ball
+
+    def test_interleaved_words_equal_one_record_per_call(self):
+        fx = make_synthetic_fixture(seed=5, n_top=4, senses_per_parent=3,
+                                    records_per_sense=6, embedding_dim=16)
+        balls = construct_balls(fx.taxonomy, fx.table)
+        rng = np.random.default_rng(9)
+        records = [fx.records[i] for i in rng.permutation(len(fx.records))]
+        assert len({r.original.word for r in records[:6]}) > 1  # words interleave
+        for level in (0, 1, 2):
+            lifted = lift_to_level(records, fx.taxonomy, level, balls)
+            V = rng.standard_normal((len(lifted), balls.dim))
+            report, preds = predict_records(V, lifted, level, fx.inventory, balls,
+                                            GeometryConfig())
+            singles = {}
+            correct = attempted = inside = 0
+            for i, rec in enumerate(lifted):
+                one, pred = predict_records(V[i:i + 1], [rec], level, fx.inventory, balls,
+                                            GeometryConfig())
+                singles.update({f"l{level}.{i:06d}": p for p in pred.values()})
+                correct, attempted = correct + one.correct, attempted + one.attempted
+                inside += round(one.inside_rate * one.attempted)
+            assert preds == singles and len(preds) == len(lifted)
+            assert report == EvalReport.from_counts(correct, attempted, len(lifted), inside)

@@ -7,7 +7,7 @@ import pytest
 from ballwsd.construct import construct_balls
 from ballwsd.geometry import (BallConfiguration, GeometryConfig, RowError,
                               as_vector, containment_slack, contains, cos_sim,
-                              disconnected, load_balls, overlap_slack,
+                              disconnected, gaps, load_balls, overlap_slack,
                               point_inside, save_balls, verify_configuration)
 from ballwsd.inventory import SenseId, Taxonomy
 
@@ -17,6 +17,19 @@ from helpers import ball_row, configuration, random_table, random_taxonomy
 def ball(name, center, radius):
     """A `(sense_id, center, radius)` row for `configuration`."""
     return (name, np.asarray(center, dtype=float), radius)
+
+
+class TestGaps:
+    def test_equal_linalg_norm_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for dim in range(1, 301):
+            for scale in (1e-9, 1e-3, 1.0, 1e3):
+                block = scale * rng.standard_normal((4, dim))
+                point = scale * rng.standard_normal(dim)
+                want = [float(np.linalg.norm(row - point)) for row in block]
+                assert gaps(block, point).tolist() == want
+                one = gaps(block[1], point)
+                assert one.shape == () and float(one) == want[1]
 
 
 class TestVectors:
@@ -428,7 +441,7 @@ def assert_same_as_pairwise(config, taxonomy, eps=1e-9):
     assert (report.checked_containment, report.checked_disconnection) == (checked_c, checked_d)
     assert [(v.kind, v.subject, v.other) for v in report.violations] == [w[:3] for w in want]
     for v, w in zip(report.violations, want):
-        assert math.isclose(v.slack, w[3], rel_tol=1e-12)
+        assert v.slack == w[3]
     return report
 
 

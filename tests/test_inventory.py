@@ -109,6 +109,10 @@ class TestTaxonomy:
         with pytest.raises(KeyError):
             tax.children_of(SenseId("zz", "n", 1))
 
+    def test_empty_taxonomy_raises(self):
+        with pytest.raises(TaxonomyError, match="^empty taxonomy$"):
+            Taxonomy({})
+
     def test_unknown_parent_raises(self):
         a, b = SenseId("a", "n", 1), SenseId("b", "n", 1)
         with pytest.raises(TaxonomyError):

@@ -37,17 +37,22 @@ def random_rows(rng, n, dim):
     return centers, radii
 
 
+def select_one(v, candidates, balls):
+    """select_sense on the one-row block [v]."""
+    return select_sense([v], candidates, balls)[0]
+
+
 class TestSelectSense:
     def test_picks_highest_cosine(self):
         cands, config = make_candidates([[1.0, 0.0], [0.0, 1.0]])
-        pred = select_sense([0.1, 0.9], cands, config)
+        pred = select_one([0.1, 0.9], cands, config)
         assert pred.chosen == SenseId("w", "n", 2)
         assert pred.score == pytest.approx(cos_sim([0.1, 0.9], [0.0, 1.0]))
 
     def test_tie_breaks_to_lowest_index(self):
         shared = [1.0, 1.0]
         cands, config = make_candidates([shared, shared], indices=[3, 7])
-        pred = select_sense([2.0, 2.0], cands, config)
+        pred = select_one([2.0, 2.0], cands, config)
         assert pred.chosen == SenseId("w", "n", 3)
         assert pred.margin == 0.0
 
@@ -61,7 +66,7 @@ class TestSelectSense:
                 centers[1] = centers[0].copy()
             cands, config = make_candidates(centers, radii)
             v = rng.standard_normal(dim)
-            pred = select_sense(v, cands, config)
+            pred = select_one(v, cands, config)
             scores = [cos_sim(v, config.centers[c.row]) for c in cands]
             best = max(scores)
             want = min(i for i, s in enumerate(scores) if s == best)
@@ -76,40 +81,45 @@ class TestSelectSense:
             cands, config = make_candidates(*random_rows(rng, 4, dim))
             v = rng.standard_normal(dim)
             for scale in (1e-3, 7.3, 1e4):
-                assert (select_sense(v, cands, config).chosen
-                        == select_sense(scale * v, cands, config).chosen)
+                assert (select_one(v, cands, config).chosen
+                        == select_one(scale * v, cands, config).chosen)
 
     def test_margin_is_top_gap(self):
         cands, config = make_candidates([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         v = [3.0, 1.0]
-        pred = select_sense(v, cands, config)
+        pred = select_one(v, cands, config)
         scores = sorted((cos_sim(v, c) for c in config.centers), reverse=True)
         assert pred.margin == pytest.approx(scores[0] - scores[1])
 
     def test_lone_candidate_margin_is_inf(self):
-        pred = select_sense([1.0, 0.0], *make_candidates([[1.0, 0.1]]))
+        pred = select_one([1.0, 0.0], *make_candidates([[1.0, 0.1]]))
         assert pred.margin == math.inf
 
     def test_inside_flag_matches_point_inside(self):
         near, config = make_candidates([[1.0, 0.0]], radii=[0.5])
-        pred = select_sense([1.2, 0.0], near, config)
+        pred = select_one([1.2, 0.0], near, config)
         assert pred.inside_anchor_ball == point_inside([1.2, 0.0], config, str(near[0].anchor))
         assert pred.inside_anchor_ball
         far, config = make_candidates([[10.0, 0.0]], radii=[0.5])
-        assert not select_sense([1.0, 0.0], far, config).inside_anchor_ball
+        assert not select_one([1.0, 0.0], far, config).inside_anchor_ball
 
     def test_empty_candidates_raise(self):
         _, config = make_candidates([[1.0]])
         with pytest.raises(ValueError):
-            select_sense([1.0], [], config)
+            select_sense([[1.0]], [], config)
 
     def test_bad_inputs_raise(self):
         cands, config = make_candidates([[1.0, 0.0]])
-        for v in ([0.0, 0.0], [1.0, float("nan")], [1.0, float("inf")], [1.0, 0.0, 0.0]):
+        for V in ([[0.0, 0.0]], [[1.0, float("nan")]], [[1.0, float("inf")]],
+                  [[1.0, 0.0, 0.0]], [1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]):
             with pytest.raises(ValueError):
-                select_sense(v, cands, config)
+                select_sense(V, cands, config)
+        with pytest.raises(ValueError, match="shape \\(2,\\)"):
+            select_sense([1.0, 0.0], cands, config)
+        with pytest.raises(ValueError, match="width 2, got shape \\(2, 3\\)"):
+            select_sense(np.ones((2, 3)), cands, config)
         with pytest.raises(ValueError, match="zero-norm"):
-            select_sense([1.0, 0.0], *make_candidates([[0.0, 0.0]]))
+            select_one([1.0, 0.0], *make_candidates([[0.0, 0.0]]))
 
     def test_scores_and_margins_equal_cos_sim_bit_for_bit(self):
         # candidates are rows of one configuration, as in eval
@@ -122,7 +132,7 @@ class TestSelectSense:
             cands = [Candidate(SenseId("w", "n", i + 1), a, config.row[str(a)])
                      for i, a in enumerate(anchors)]
             v = rng.standard_normal((3, dim))[1]  # a row of a matrix, like encoder output
-            pred = select_sense(v, cands, config)
+            pred = select_one(v, cands, config)
             scores = [cos_sim(v, config.centers[c.row]) for c in cands]
             best = scores.index(max(scores))
             assert pred.chosen == cands[best].sense
@@ -130,6 +140,33 @@ class TestSelectSense:
             rest = scores[:best] + scores[best + 1:]
             assert pred.margin == (scores[best] - max(rest) if rest else math.inf)
 
+    def test_rows_equal_one_row_calls_bit_for_bit(self):
+        # integer centers and (3, 4, 0, ...) offsets of length 5 put rows
+        # exactly on a radius-5 ball's boundary
+        rng = np.random.default_rng(23)
+        boundary = lone = tie = 0
+        for _ in range(400):
+            dim = int(rng.integers(2, 40))
+            k = int(rng.integers(1, 7))
+            centers = [rng.integers(-4, 5, dim).astype(float) for _ in range(k)]
+            for c in centers:
+                c[0] = rng.integers(1, 5)  # no zero-norm center
+            radii = [5.0] * k
+            if k > 1 and rng.random() < 0.3:
+                centers[int(rng.integers(1, k))] = centers[0].copy()
+                tie += 1
+            lone += k == 1
+            cands, config = make_candidates(centers, radii)
+            V = rng.standard_normal((int(rng.integers(1, 12)), dim))
+            step = np.zeros(dim)
+            step[:2] = [3.0, 4.0]
+            for i in range(0, len(V), 3):
+                V[i] = centers[int(rng.integers(0, k))] + step
+            batch = select_sense(V, cands, config)
+            singles = [select_one(v, cands, config) for v in V]
+            assert batch == singles
+            boundary += sum(p.inside_anchor_ball for p in batch)
+        assert boundary and lone and tie
 
 class TestCandidateSet:
     def fixture(self):
