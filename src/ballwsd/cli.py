@@ -247,7 +247,7 @@ def cmd_eval(args, cfg, out) -> int:
         key = [(r.tokens, r.indices) for r in records]
         if key != inputs:
             V, inputs = forward_batch(params, *embed_records(records, table, tc.window_k)), key
-        report, preds = predict_records(V, records, level, inventory, balls, cfg.geometry)
+        report, preds = predict_records(V, records, level, inventory, balls)
         reports[level] = report
         save_predictions(preds, out(f"predictions-l{level}.tsv"))
         print(f"level {level}: {report.render()}")

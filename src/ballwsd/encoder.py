@@ -143,15 +143,11 @@ def _forward(p: EncoderParams, T: np.ndarray, C: np.ndarray, keep: bool):
     H, dh = HEADS, d // HEADS
     scale = 1.0 / np.sqrt(dh)
     X = np.stack([T, C], axis=1) + a["role"]
-    cache = {"X0": X} if keep else None
+    cache = {} if keep else None
     for l in range(LAYERS):
         pre = X
-        Q = X @ a[f"l{l}.wq"] + a[f"l{l}.bq"]
-        K = X @ a[f"l{l}.wk"] + a[f"l{l}.bk"]
-        V = X @ a[f"l{l}.wv"] + a[f"l{l}.bv"]
-        Qh = Q.reshape(B, 2, H, dh).transpose(0, 2, 1, 3)
-        Kh = K.reshape(B, 2, H, dh).transpose(0, 2, 1, 3)
-        Vh = V.reshape(B, 2, H, dh).transpose(0, 2, 1, 3)
+        Qh, Kh, Vh = ((X @ a[f"l{l}.w{n}"] + a[f"l{l}.b{n}"]).reshape(B, 2, H, dh)
+                      .transpose(0, 2, 1, 3) for n in "qkv")
         S = Qh @ Kh.transpose(0, 1, 3, 2) * scale
         S = S - S.max(axis=-1, keepdims=True)
         E = np.exp(S)
@@ -179,6 +175,15 @@ def _forward(p: EncoderParams, T: np.ndarray, C: np.ndarray, keep: bool):
     return out, cache
 
 
+def _dense_grads(grads, w: str, b: str, X: np.ndarray, dY: np.ndarray) -> None:
+    """Record a dense layer's gradients, Y = X @ w + b, with every leading
+    axis of X and dY read as rows: grads[w] = Xᵀ·dY, grads[b] = summed dY."""
+    X2 = X.reshape(-1, X.shape[-1])
+    dY2 = dY.reshape(-1, dY.shape[-1])
+    grads[w] = X2.T @ dY2
+    grads[b] = dY2.sum(axis=0)
+
+
 def _backward(p: EncoderParams, cache, dV: np.ndarray) -> dict[str, np.ndarray]:
     a = p.arrays
     B = dV.shape[0]
@@ -188,48 +193,32 @@ def _backward(p: EncoderParams, cache, dV: np.ndarray) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
 
     flat, Hpre, Hact = cache["head"]
-    grads["head.w2"] = Hact.T @ dV
-    grads["head.b2"] = dV.sum(axis=0)
+    _dense_grads(grads, "head.w2", "head.b2", Hact, dV)
     dH = (dV @ a["head.w2"].T) * (Hpre > 0.0)
-    grads["head.w1"] = flat.T @ dH
-    grads["head.b1"] = dH.sum(axis=0)
+    _dense_grads(grads, "head.w1", "head.b1", flat, dH)
     dX = (dH @ a["head.w1"].T).reshape(B, 2, d)
 
     for l in reversed(range(LAYERS)):
         pre, Qh, Kh, Vh, P, A, ln1_cache, N1, Fpre, Fact, ln2_cache = cache[f"l{l}"]
-        dR2, dg, db = _ln_backward(dX, a[f"l{l}.ln2.g"], ln2_cache)
-        grads[f"l{l}.ln2.g"], grads[f"l{l}.ln2.b"] = dg, db
-        dN1 = dR2.copy()
-        dF2 = dR2
-        grads[f"l{l}.ff2"] = Fact.reshape(-1, Fact.shape[-1]).T @ dF2.reshape(-1, d)
-        grads[f"l{l}.ff2b"] = dF2.sum(axis=(0, 1))
-        dFact = (dF2 @ a[f"l{l}.ff2"].T) * (Fpre > 0.0)
-        grads[f"l{l}.ff1"] = N1.reshape(-1, d).T @ dFact.reshape(-1, dFact.shape[-1])
-        grads[f"l{l}.ff1b"] = dFact.sum(axis=(0, 1))
-        dN1 += dFact @ a[f"l{l}.ff1"].T
-        dR1, dg, db = _ln_backward(dN1, a[f"l{l}.ln1.g"], ln1_cache)
-        grads[f"l{l}.ln1.g"], grads[f"l{l}.ln1.b"] = dg, db
-        dX = dR1.copy()
-        dO = dR1
-        grads[f"l{l}.wo"] = A.reshape(-1, d).T @ dO.reshape(-1, d)
-        grads[f"l{l}.bo"] = dO.sum(axis=(0, 1))
-        dA = (dO @ a[f"l{l}.wo"].T).reshape(B, 2, H, dh).transpose(0, 2, 1, 3)
+        dR2, grads[f"l{l}.ln2.g"], grads[f"l{l}.ln2.b"] = _ln_backward(
+            dX, a[f"l{l}.ln2.g"], ln2_cache)
+        _dense_grads(grads, f"l{l}.ff2", f"l{l}.ff2b", Fact, dR2)
+        dFact = (dR2 @ a[f"l{l}.ff2"].T) * (Fpre > 0.0)
+        _dense_grads(grads, f"l{l}.ff1", f"l{l}.ff1b", N1, dFact)
+        dN1 = dR2 + dFact @ a[f"l{l}.ff1"].T
+        dR1, grads[f"l{l}.ln1.g"], grads[f"l{l}.ln1.b"] = _ln_backward(
+            dN1, a[f"l{l}.ln1.g"], ln1_cache)
+        _dense_grads(grads, f"l{l}.wo", f"l{l}.bo", A, dR1)
+        dA = (dR1 @ a[f"l{l}.wo"].T).reshape(B, 2, H, dh).transpose(0, 2, 1, 3)
         dP = dA @ Vh.transpose(0, 1, 3, 2)
-        dVh = P.transpose(0, 1, 3, 2) @ dA
         dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True))
         dQh = dS @ Kh * scale
         dKh = dS.transpose(0, 1, 3, 2) @ Qh * scale
-        dQ = dQh.transpose(0, 2, 1, 3).reshape(B, 2, d)
-        dK = dKh.transpose(0, 2, 1, 3).reshape(B, 2, d)
-        dVv = dVh.transpose(0, 2, 1, 3).reshape(B, 2, d)
-        pre2 = pre.reshape(-1, d)
-        grads[f"l{l}.wq"] = pre2.T @ dQ.reshape(-1, d)
-        grads[f"l{l}.bq"] = dQ.sum(axis=(0, 1))
-        grads[f"l{l}.wk"] = pre2.T @ dK.reshape(-1, d)
-        grads[f"l{l}.bk"] = dK.sum(axis=(0, 1))
-        grads[f"l{l}.wv"] = pre2.T @ dVv.reshape(-1, d)
-        grads[f"l{l}.bv"] = dVv.sum(axis=(0, 1))
-        dX += dQ @ a[f"l{l}.wq"].T + dK @ a[f"l{l}.wk"].T + dVv @ a[f"l{l}.wv"].T
+        dVh = P.transpose(0, 1, 3, 2) @ dA
+        dQ, dK, dVv = (g.transpose(0, 2, 1, 3).reshape(B, 2, d) for g in (dQh, dKh, dVh))
+        for n, dY in zip("qkv", (dQ, dK, dVv)):
+            _dense_grads(grads, f"l{l}.w{n}", f"l{l}.b{n}", pre, dY)
+        dX = dR1 + (dQ @ a[f"l{l}.wq"].T + dK @ a[f"l{l}.wk"].T + dVv @ a[f"l{l}.wv"].T)
     grads["role"] = dX.sum(axis=0)
     return grads
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import TrainingRecord
 from .embeddings import EmbeddingTable
-from .geometry import BallConfiguration, GeometryConfig
+from .geometry import BallConfiguration
 from .inventory import Inventory, SenseId, Taxonomy
 from .selector import Prediction, candidate_set, select_sense
 
@@ -265,8 +265,7 @@ def split_records(records, n_train: int, n_test: int):
 # prediction
 
 def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
-                    balls: BallConfiguration,
-                    geometry: GeometryConfig) -> tuple[EvalReport, dict[str, Prediction]]:
+                    balls: BallConfiguration) -> tuple[EvalReport, dict[str, Prediction]]:
     """Predict already-lifted records at one level and score them.
 
     Row i of V is record i's encoder output:
@@ -291,7 +290,7 @@ def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
         if not candidates:
             continue
         anchor = {c.sense: c.anchor for c in candidates}
-        for i, pred in zip(rows, select_sense(V[rows], candidates, balls, geometry)):
+        for i, pred in zip(rows, select_sense(V[rows], candidates, balls)):
             iid = f"l{level}.{i:06d}"
             predicted[iid] = anchor[pred.chosen]
             inside[iid] = pred.inside_anchor_ball

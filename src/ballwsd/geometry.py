@@ -52,7 +52,7 @@ def cos_sim(a, b) -> float:
 class GeometryConfig:
     """Tolerances and construction knobs shared across the pipeline."""
 
-    epsilon: float = 1e-9
+    epsilon: float = 1e-9             # relative to the smaller ball's radius
     margin: float = 1.25              # must stay > 1 or nesting slack collapses
     leaf_radius: float = 0.1          # against unit prefixes: the only scale knob
     code_width: int = 16
@@ -79,15 +79,17 @@ def gaps(block, point) -> np.ndarray:
 
 
 def containment_rule(gap, r_outer, r_inner, epsilon: float):
-    """The containment test on a center distance: gap + r_in - r_out - eps.
-    Arrays broadcast, so the verifier checks a sibling group with it too."""
-    return gap + r_inner - r_outer - epsilon
+    """The containment test on a center distance:
+    gap + r_in - r_out - eps * min(r_out, r_in), so the tolerance scales
+    with the smaller ball.  Arrays broadcast, so the verifier checks a
+    sibling group with it too."""
+    return gap + r_inner - r_outer - epsilon * np.minimum(r_outer, r_inner)
 
 
 def overlap_rule(gap, r_a, r_b, epsilon: float):
-    """The disconnection test on a center distance: r_a + r_b - gap - eps.
-    Arrays broadcast."""
-    return r_a + r_b - gap - epsilon
+    """The disconnection test on a center distance:
+    r_a + r_b - gap - eps * min(r_a, r_b).  Arrays broadcast."""
+    return r_a + r_b - gap - epsilon * np.minimum(r_a, r_b)
 
 
 def containment_slack(config: BallConfiguration, outer: str, inner: str,
@@ -96,7 +98,7 @@ def containment_slack(config: BallConfiguration, outer: str, inner: str,
     (`containment_rule`).  Positive means not contained."""
     o, i = config.row[outer], config.row[inner]
     gap = float(gaps(config.centers[i], config.centers[o]))
-    return containment_rule(gap, float(config.radii[o]), float(config.radii[i]), epsilon)
+    return float(containment_rule(gap, float(config.radii[o]), float(config.radii[i]), epsilon))
 
 
 def overlap_slack(config: BallConfiguration, a: str, b: str,
@@ -105,7 +107,7 @@ def overlap_slack(config: BallConfiguration, a: str, b: str,
     (`overlap_rule`).  Positive means they share interior."""
     i, j = config.row[a], config.row[b]
     gap = float(gaps(config.centers[i], config.centers[j]))
-    return overlap_rule(gap, float(config.radii[i]), float(config.radii[j]), epsilon)
+    return float(overlap_rule(gap, float(config.radii[i]), float(config.radii[j]), epsilon))
 
 
 def contains(config: BallConfiguration, outer: str, inner: str,
@@ -120,13 +122,12 @@ def disconnected(config: BallConfiguration, a: str, b: str,
     return overlap_slack(config, a, b, epsilon) <= 0.0
 
 
-def point_inside(v, config: BallConfiguration, sense_id: str,
-                 epsilon: float = GeometryConfig.epsilon) -> bool:
-    """True iff point v lies in the ball of `sense_id`: a ball of radius 0
-    at v is contained in it (`containment_rule`)."""
+def point_inside(v, config: BallConfiguration, sense_id: str) -> bool:
+    """True iff point v lies in the ball of `sense_id`.  A point is a ball
+    of radius 0, to which `containment_rule` gives no tolerance."""
     i = config.row[sense_id]
     gap = float(gaps(as_vector(v, dim=config.dim), config.centers[i]))
-    return containment_rule(gap, float(config.radii[i]), 0.0, epsilon) <= 0.0
+    return gap <= float(config.radii[i])
 
 
 class RowError(ValueError):
@@ -273,7 +274,7 @@ def load_balls(path) -> BallConfiguration:
 # verification
 
 class Violation(NamedTuple):
-    kind: str        # "containment" | "disconnection" | "dimension" | "missing"
+    kind: str        # "containment" | "disconnection" | "missing"
     subject: str
     other: str
     slack: float     # how far past the tolerance the pair lies (positive = bad)

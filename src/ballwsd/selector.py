@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import anchor_at
-from .geometry import BallConfiguration, GeometryConfig, containment_rule, contains, gaps
+from .geometry import BallConfiguration, GeometryConfig, contains, gaps
 from .inventory import Inventory, SenseId
 
 
@@ -47,13 +47,13 @@ def candidate_set(lemma: str, pos: str, level: int,
     return out
 
 
-def select_sense(V, candidates: list[Candidate], balls: BallConfiguration,
-                 cfg: GeometryConfig | None = None) -> list[Prediction]:
+def select_sense(V, candidates: list[Candidate],
+                 balls: BallConfiguration) -> list[Prediction]:
     """One prediction per row of V (n x dim, the encoded records of one
     word): argmax of cos(row, anchor center) over the candidates' rows of
     `balls`; argmax keeps the first (lowest-index) candidate on exact ties.
+    A row is inside its anchor's ball as `point_inside` judges it.
     """
-    cfg = cfg or GeometryConfig()
     if not candidates:
         raise ValueError("no candidates to select from")
     V = np.asarray(V, dtype=np.float64)
@@ -75,7 +75,7 @@ def select_sense(V, candidates: list[Candidate], balls: BallConfiguration,
     top, rest = scores[at], scores.copy()
     rest[at] = -np.inf
     margin = top - rest.max(axis=1)  # inf for a lone candidate
-    inside = containment_rule(gaps(V, centers[best]), radii[best], 0.0, cfg.epsilon) <= 0.0
+    inside = gaps(V, centers[best]) <= radii[best]
     return [Prediction(chosen=candidates[b].sense, score=float(t),
                        inside_anchor_ball=bool(ok), margin=float(m))
             for b, t, ok, m in zip(best, top, inside, margin)]

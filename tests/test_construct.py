@@ -3,7 +3,8 @@ import pytest
 
 from ballwsd.construct import construct_balls
 from ballwsd.embeddings import EmbeddingTable, hash_unit_vector
-from ballwsd.geometry import GeometryConfig, contains, save_balls, load_balls, verify_configuration
+from ballwsd.geometry import (BallConfiguration, GeometryConfig, containment_rule, contains,
+                              gaps, load_balls, save_balls, verify_configuration)
 from ballwsd.inventory import SenseId, Taxonomy
 
 from helpers import ancestor_or_self, random_table, random_taxonomy
@@ -86,13 +87,23 @@ class TestContainmentSemantics:
                 got = contains(balls, str(nodes[j]), str(nodes[i]), cfg.epsilon)
                 assert got == (j <= i)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the absolute epsilon exceeds "
-                       "the radii deep in a chain, so a deep ball contains its ancestors")
     def test_deep_chain_containment_direction(self):
         nodes, balls, cfg = self.build_chain(120)
         deepest = str(nodes[-1])
         wrong = [str(a) for a in nodes[:-1] if contains(balls, deepest, str(a), cfg.epsilon)]
         assert wrong == []
+
+    def test_1200_deep_chain_every_ordered_pair(self):
+        # radii fall to 3e-117 here, far below epsilon: only a tolerance
+        # relative to the balls keeps the deep ones from containing their
+        # ancestors
+        nodes, balls, cfg = self.build_chain(1200)
+        rows = [balls.row[str(node)] for node in nodes]
+        centers, radii = balls.centers[rows], balls.radii[rows]
+        depth = np.arange(len(nodes))
+        for j in range(len(nodes)):  # ball j holds ball i iff j is i or above it
+            got = containment_rule(gaps(centers, centers[j]), radii[j], radii, cfg.epsilon)
+            assert np.array_equal(got <= 0.0, depth >= j), j
 
     def test_wide_star_overflows_code_width(self):
         center = SenseId("hub", "n", 1)
@@ -124,6 +135,56 @@ class TestContainmentSemantics:
         table = EmbeddingTable({"solo": np.array([1.0, 2.0])})
         balls = construct_balls(tax, table, GeometryConfig())
         assert balls.ids == [str(only)] and balls.radii[0] > 0
+
+
+def comb(leaf_counts):
+    """A spine spine.n.1 > spine.n.2 > ... whose k-th node also has
+    leaf_counts[k] leaf children."""
+    parent, above = {}, None
+    for k, n_leaves in enumerate(leaf_counts):
+        node = SenseId("spine", "n", k + 1)
+        parent[node], above = above, node
+        parent.update({SenseId(f"leaf{k}x{j}", "n", 1): node for j in range(n_leaves)})
+    return Taxonomy(parent)
+
+
+def overlap_nearest_sibling(balls, taxonomy, node, share):
+    """`balls` with `node` moved straight toward its nearest sibling (least
+    clearance) until the two overlap by `share` of the smaller radius; also
+    returns that sibling's id.  The nearest one, so no third ball is hit."""
+    sibs = [s for s in taxonomy.children_of(taxonomy.parent_of(node)) if s != node]
+    a, rows = balls.row[str(node)], [balls.row[str(s)] for s in sibs]
+    ca, ra = balls.centers[a], balls.radii[a]
+    b = rows[int(np.argmin(gaps(balls.centers[rows], ca) - balls.radii[rows]))]
+    cb, rb = balls.centers[b], balls.radii[b]
+    centers = balls.centers.copy()
+    centers[a] = cb + (ca - cb) * ((ra + rb - share * min(ra, rb)) / float(gaps(ca, cb)))
+    return (BallConfiguration(balls.ids, centers, balls.radii, balls.embedding_prefix_dim),
+            balls.ids[b])
+
+
+class TestRelativeTolerance:
+    @pytest.mark.parametrize("leaf_counts, n_nodes, below_epsilon", [
+        ([8] * 18, 162, True),                # an 18-level spine, 8 leaves per level
+        ([2000], 2001, False),                # a 2,000-child star
+        ([0] * 69 + [2000], 2070, True),      # the same star under a 69-deep chain
+    ], ids=["spine-18x8", "star-2000", "deep-star-2000"])
+    def test_one_percent_sibling_overlap_is_flagged(self, leaf_counts, n_nodes, below_epsilon):
+        tax = comb(leaf_counts)
+        cfg = GeometryConfig()
+        balls = construct_balls(tax, random_table(np.random.default_rng(3), tax, 12), cfg)
+        assert len(balls) == n_nodes
+        assert verify_configuration(balls, tax, cfg).ok
+        leaf = SenseId(f"leaf{len(leaf_counts) - 1}x0", "n", 1)
+        r = float(balls.radii[balls.row[str(leaf)]])
+        # where r < epsilon, a tolerance of epsilon itself would swallow the
+        # whole overlap below
+        assert (r < cfg.epsilon) == below_epsilon
+        moved, sib = overlap_nearest_sibling(balls, tax, leaf, 0.01)
+        found = verify_configuration(moved, tax, cfg).violations
+        assert [(v.kind, {v.subject, v.other}) for v in found] == [
+            ("disconnection", {str(leaf), sib})]
+        assert found[0].slack / r == pytest.approx(0.01, abs=1e-6)
 
 
 class TestDeterminism:

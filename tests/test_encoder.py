@@ -3,7 +3,7 @@ import pytest
 
 from ballwsd.corpus import TrainingRecord
 from ballwsd.embeddings import EmbeddingTable
-from ballwsd.encoder import (_LN_EPS, TrainConfig, _ln_forward,
+from ballwsd.encoder import (_LN_EPS, TrainConfig, _dense_grads, _ln_forward,
                              batch_loss_and_grads, embed_records, forward_batch,
                              init_params, load_encoder, prepare_arrays,
                              save_encoder, train)
@@ -166,6 +166,24 @@ class TestGradients:
         assert checked >= 60
         assert worst <= 1e-4, f"worst relative error {worst:.3e} (skipped {skipped})"
         assert worst_abs <= 1e-5
+
+    def test_dense_grads_equal_the_per_site_expressions(self):
+        # the forms each dense layer's gradient once had inline; a changed
+        # bit would change every checkpoint
+        def same_bits(got, want):
+            return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            rows, slots, k, n = (int(x) for x in rng.integers(1, [70, 5, 130, 130]))
+            grads = {}
+            X, dY = rng.standard_normal((rows, k)), rng.standard_normal((rows, n))
+            _dense_grads(grads, "w", "b", X, dY)
+            assert same_bits(grads["w"], X.T @ dY) and same_bits(grads["b"], dY.sum(axis=0))
+            X, dY = rng.standard_normal((rows, slots, k)), rng.standard_normal((rows, slots, n))
+            _dense_grads(grads, "w", "b", X, dY)
+            assert same_bits(grads["w"], X.reshape(-1, k).T @ dY.reshape(-1, n))
+            assert same_bits(grads["b"], dY.sum(axis=(0, 1)))
 
     def test_gradient_nonzero_for_every_array(self):
         p = init_params(8, 6, seed=7)

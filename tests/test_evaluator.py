@@ -7,7 +7,6 @@ from ballwsd.construct import construct_balls
 from ballwsd.corpus import TrainingRecord, lift_to_level
 from ballwsd.evaluator import (EvalReport, make_synthetic_fixture, predict_records,
                                save_reports, score, split_records)
-from ballwsd.geometry import GeometryConfig
 from ballwsd.inventory import Inventory, SenseId, Taxonomy
 
 from helpers import ancestors, configuration
@@ -213,7 +212,7 @@ class TestPredictRecords:
         inventory, balls = self.inputs()
         records = [self.record(self.MOVE, self.FLY1), self.record(self.MAKE, self.FLY2)]
         with pytest.raises(ValueError) as info:
-            predict_records(np.ones((3, 3)), records, 1, inventory, balls, GeometryConfig())
+            predict_records(np.ones((3, 3)), records, 1, inventory, balls)
         assert str(info.value) == "3 encoded rows for 2 records"
 
     def test_level1_anchors_and_skipped_word(self):
@@ -222,7 +221,7 @@ class TestPredictRecords:
                    self.record(self.MAKE, self.FLY2),    # aimed at move, outside it: wrong
                    self.record(self.HIDDEN, self.SOLO)]  # no anchor ball: unattempted
         V = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        report, preds = predict_records(V, records, 1, inventory, balls, GeometryConfig())
+        report, preds = predict_records(V, records, 1, inventory, balls)
         assert (report.attempted, report.correct, report.total_gold, report.skipped) == (2, 1, 3, 1)
         assert report.inside_rate == 0.5
         assert sorted(preds) == ["l1.000000", "l1.000001"]
@@ -241,13 +240,11 @@ class TestPredictRecords:
         for level in (0, 1, 2):
             lifted = lift_to_level(records, fx.taxonomy, level, balls)
             V = rng.standard_normal((len(lifted), balls.dim))
-            report, preds = predict_records(V, lifted, level, fx.inventory, balls,
-                                            GeometryConfig())
+            report, preds = predict_records(V, lifted, level, fx.inventory, balls)
             singles = {}
             correct = attempted = inside = 0
             for i, rec in enumerate(lifted):
-                one, pred = predict_records(V[i:i + 1], [rec], level, fx.inventory, balls,
-                                            GeometryConfig())
+                one, pred = predict_records(V[i:i + 1], [rec], level, fx.inventory, balls)
                 singles.update({f"l{level}.{i:06d}": p for p in pred.values()})
                 correct, attempted = correct + one.correct, attempted + one.attempted
                 inside += round(one.inside_rate * one.attempted)

@@ -98,8 +98,9 @@ class TestPredicates:
             gap, ra, rb = float(np.linalg.norm(a[1] - b[1])), a[2], b[2]
             assert contains(cfg, "a", "b", 0.0) == (gap + rb <= ra)
             assert disconnected(cfg, "a", "b", 0.0) == (gap >= ra + rb)
-            assert containment_slack(cfg, "a", "b", 0.25) == gap + rb - ra - 0.25
-            assert overlap_slack(cfg, "a", "b", 0.25) == ra + rb - gap - 0.25
+            # the tolerance is relative to the smaller radius
+            assert containment_slack(cfg, "a", "b", 0.25) == gap + rb - ra - 0.25 * min(ra, rb)
+            assert overlap_slack(cfg, "a", "b", 0.25) == ra + rb - gap - 0.25 * min(ra, rb)
 
     def test_containment_transitive(self):
         rng = np.random.default_rng(3)

@@ -26,8 +26,10 @@ UNDERSCORE_LINE carries a `1_0` style token and whose line RAGGED_LINE
 lacks its last coordinate; and verify-balls on a copy of inventory.tsv
 that opens with a two-node tail and ends with the 2-cycle that tail
 leads into, so the node a cycle error names is compared.
-Every written file, exit code, stdout and stderr that differs is listed;
-a file matches only when its bytes are equal.
+Every written file, exit code, stdout and stderr that differs is listed,
+a differing stdout or stderr with the first line where the sides part
+(each cut to SHOW_CHARS characters); a file matches only when its bytes
+are equal.
 Exit status: 0 when nothing differs, 1 when something does, 2 when REF
 cannot be extracted.
 """
@@ -51,6 +53,7 @@ from workloads import WORKLOADS, draw_queries  # noqa: E402
 FAULT_EVERY, FAULT_SCALE = 50, 50.0
 UNDERSCORE_LINE, RAGGED_LINE = 10, 20
 OOV_EVERY, OOV_WORD, UPPER_EVERY = 7, "qqxoovqq", 11
+SHOW_CHARS = 120
 # a tail qqxtail2 -> qqxtail1 -> into the 2-cycle qqxloopa <-> qqxloopb; with a
 # one-node tail its parent, a cycle node, would be read first as a provisional
 # root, and the first unreached node would be the node a cycle error names
@@ -158,13 +161,27 @@ def files(top: Path) -> dict[str, bytes]:
             if p.is_file()}
 
 
+def first_difference(a: str, b: str) -> str:
+    """The first line where two outputs part, each side cut to SHOW_CHARS
+    characters; line ends count, so a lost trailing newline shows."""
+    ref, tree = a.splitlines(keepends=True), b.splitlines(keepends=True)
+    n = next((i for i, (x, y) in enumerate(zip(ref, tree)) if x != y), min(len(ref), len(tree)))
+
+    def shown(lines):
+        if n == len(lines):
+            return "(no such line)"
+        return repr(lines[n][:SHOW_CHARS]) + ("..." if len(lines[n]) > SHOW_CHARS else "")
+    return f"    line {n + 1} at ref:  {shown(ref)}\n    line {n + 1} in tree: {shown(tree)}"
+
+
 def compare(workload: str, ref_runs, tree_runs, ref_dir: Path, tree_dir: Path) -> list[str]:
     """What differs: exit codes, stdout, stderr and written files."""
     diffs = []
     for (argv, *ref), (_, *tree) in zip(ref_runs, tree_runs):
         for what, a, b in zip(("exit code", "stdout", "stderr"), ref, tree):
             if a != b:
-                diffs.append(f"{workload}: {what} of `ballwsd {' '.join(argv)}`")
+                shown = "" if what == "exit code" else "\n" + first_difference(a, b)
+                diffs.append(f"{workload}: {what} of `ballwsd {' '.join(argv)}`{shown}")
     ref_files, tree_files = files(ref_dir), files(tree_dir)
     for name in sorted(ref_files.keys() | tree_files.keys()):
         a, b = ref_files.get(name), tree_files.get(name)
