@@ -26,6 +26,7 @@ from .geometry import BallConfiguration
 
 _LN_EPS = 1e-5
 _NORM_CLAMP = 1e-12
+_CHUNK = 256         # most rows forward_batch encodes at once
 CHECKPOINT_VERSION = 2
 
 
@@ -224,14 +225,22 @@ def _backward(p: EncoderParams, cache, dV: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def forward_batch(params: EncoderParams, T: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Encode (target, context) rows.  T, C: (B, dim) -> (B, out_dim)."""
+    """Encode (target, context) rows.  T, C: (B, dim) -> (B, out_dim).
+
+    The rows go through in ceil(B / _CHUNK) near-equal chunks, so no
+    intermediate holds more than _CHUNK rows however large B is.  Each
+    chunk of a batch over _CHUNK rows has at least _CHUNK / 2 rows: BLAS
+    gives a small matrix other bits than the same rows inside a larger
+    one, so a short tail chunk would change the output.
+    """
     T = np.asarray(T, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     if T.shape[-1] != params.dim or C.shape[-1] != params.dim:
         raise ValueError(f"input dimension mismatch: model width is {params.dim}, "
                          f"inputs are {T.shape[-1]}-d and {C.shape[-1]}-d")
-    out, _ = _forward(params, T, C, keep=False)
-    return out
+    parts = max(1, -(-len(T) // _CHUNK))
+    return np.concatenate([_forward(params, t, c, keep=False)[0] for t, c in
+                           zip(np.array_split(T, parts), np.array_split(C, parts))])
 
 
 def _cosine_loss_grad(V: np.ndarray, Y: np.ndarray):

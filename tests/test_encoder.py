@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ballwsd.corpus import TrainingRecord
 from ballwsd.embeddings import EmbeddingTable
-from ballwsd.encoder import (_LN_EPS, TrainConfig, _dense_grads, _ln_forward,
-                             batch_loss_and_grads, embed_records, forward_batch,
+from ballwsd.encoder import (_LN_EPS, TrainConfig, _dense_grads, _forward,
+                             _ln_forward, batch_loss_and_grads, embed_records, forward_batch,
                              init_params, load_encoder, prepare_arrays,
                              save_encoder, train)
 from ballwsd.inventory import SenseId
@@ -117,6 +119,35 @@ class TestForward:
             assert np.array_equal(got_inv, inv)
             assert np.array_equal(got_xhat, xhat)
             assert np.array_equal(y, g * xhat + b)
+
+    @pytest.mark.parametrize("dim, out_dim", [(12, 7), (48, 97), (100, 116)])
+    def test_chunked_equals_one_forward(self, dim, out_dim):
+        # Bits are promised only at these widths (the last two are the
+        # benchmark workloads'): BLAS picks its kernel by matrix size, so
+        # at other widths, e.g. 100 -> 300, a chunk of up to ~700 rows can
+        # round differently than the whole batch.  Reruns are still
+        # byte-identical there.
+        p = init_params(dim, out_dim, seed=8)
+        rng = np.random.default_rng(18)
+        for n in (0, 1, 2, 127, 128, 129, 255, 256, 257, 258, 383, 385, 511, 513,
+                  1200, 2559, 2560, 2561):
+            T, C = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
+            whole, _ = _forward(p, T, C, keep=False)
+            assert np.array_equal(forward_batch(p, T, C), whole), n
+
+    def test_memory_does_not_grow_with_rows(self):
+        p = init_params(100, 116, seed=9)
+        rng = np.random.default_rng(19)
+        peaks = []
+        for n in (256, 2048):
+            T, C = rng.standard_normal((n, 100)), rng.standard_normal((n, 100))
+            tracemalloc.start()
+            try:
+                forward_batch(p, T, C)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_order_sensitivity(self):
         # role embeddings break slot symmetry: swapping inputs changes output
