@@ -1,11 +1,13 @@
-"""Ball geometry: n-dimensional balls, region predicates, and file round-trip.
+"""Ball geometry: n-dimensional balls, the two ball tests, and file round-trip.
 
 A taxonomy is encoded as a family of balls, one per sense, held as the
 rows of one `BallConfiguration`.  A hypernym's ball contains the balls of
-its hyponyms; co-hyponym balls are disjoint.  The predicates name balls
-by sense id in a configuration and take an explicit tolerance so callers
-can trade strictness for float noise.  Comparisons are inclusive at the
-boundary: a ball contains itself and tangent balls count as disconnected.
+its hyponyms; co-hyponym balls are disjoint.  `gaps` is the only
+centre-distance code, and `containment_rule` and `overlap_rule` are the
+only ball tests: the verifier and deduction queries apply them to rows,
+with a tolerance relative to the smaller ball.  Comparisons are inclusive
+at the boundary: a ball contains itself and tangent balls count as
+disconnected.
 """
 
 from __future__ import annotations
@@ -22,32 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .inventory import Taxonomy
 
 
-def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Coerce to a finite 1-d float64 array, optionally checking length."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector has non-finite entries")
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
-    return v
-
-
-def cos_sim(a, b) -> float:
-    """Cosine similarity of two vectors.
-
-    Raises ValueError on dimension mismatch or a zero-norm argument.
-    """
-    va = as_vector(a)
-    vb = as_vector(b, dim=va.shape[0])
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm input")
-    return float(np.dot(va, vb) / (na * nb))
-
-
 @dataclass
 class GeometryConfig:
     """Tolerances and construction knobs shared across the pipeline."""
@@ -58,8 +34,9 @@ class GeometryConfig:
     code_width: int = 16
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and >= 0")
+        # at 1 containment would ask only for the inner ball's centre
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ValueError("epsilon must lie in [0, 1)")
         if not 1.0 < self.margin < math.inf:
             raise ValueError("margin must be finite and > 1")
         if not (0.0 < self.leaf_radius < 1.0):
@@ -90,44 +67,6 @@ def overlap_rule(gap, r_a, r_b, epsilon: float):
     """The disconnection test on a center distance:
     r_a + r_b - gap - eps * min(r_a, r_b).  Arrays broadcast."""
     return r_a + r_b - gap - epsilon * np.minimum(r_a, r_b)
-
-
-def containment_slack(config: BallConfiguration, outer: str, inner: str,
-                      epsilon: float = GeometryConfig.epsilon) -> float:
-    """How far ball `inner` sticks out of ball `outer` past the tolerance
-    (`containment_rule`).  Positive means not contained."""
-    o, i = config.row[outer], config.row[inner]
-    gap = float(gaps(config.centers[i], config.centers[o]))
-    return float(containment_rule(gap, float(config.radii[o]), float(config.radii[i]), epsilon))
-
-
-def overlap_slack(config: BallConfiguration, a: str, b: str,
-                  epsilon: float = GeometryConfig.epsilon) -> float:
-    """How deep balls `a` and `b` overlap past the tolerance
-    (`overlap_rule`).  Positive means they share interior."""
-    i, j = config.row[a], config.row[b]
-    gap = float(gaps(config.centers[i], config.centers[j]))
-    return float(overlap_rule(gap, float(config.radii[i]), float(config.radii[j]), epsilon))
-
-
-def contains(config: BallConfiguration, outer: str, inner: str,
-             epsilon: float = GeometryConfig.epsilon) -> bool:
-    """True iff ball `inner` lies inside ball `outer`, within the tolerance."""
-    return containment_slack(config, outer, inner, epsilon) <= 0.0
-
-
-def disconnected(config: BallConfiguration, a: str, b: str,
-                 epsilon: float = GeometryConfig.epsilon) -> bool:
-    """True iff balls `a` and `b` share no interior, within the tolerance."""
-    return overlap_slack(config, a, b, epsilon) <= 0.0
-
-
-def point_inside(v, config: BallConfiguration, sense_id: str) -> bool:
-    """True iff point v lies in the ball of `sense_id`.  A point is a ball
-    of radius 0, to which `containment_rule` gives no tolerance."""
-    i = config.row[sense_id]
-    gap = float(gaps(as_vector(v, dim=config.dim), config.centers[i]))
-    return gap <= float(config.radii[i])
 
 
 class RowError(ValueError):

@@ -49,7 +49,7 @@ class SenseId(namedtuple("SenseId", "lemma pos index")):
         if len(parts) != 3:
             raise ValueError(f"malformed sense id {text!r}, want lemma.pos.index")
         lemma, pos, idx = parts
-        if not idx.isdigit():
+        if not (idx.isascii() and idx.isdigit()):  # "١" and "²" are digits too
             raise ValueError(f"malformed sense index in {text!r}")
         return cls(lemma, pos, int(idx))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import anchor_at
-from .geometry import BallConfiguration, GeometryConfig, contains, gaps
+from .geometry import BallConfiguration, GeometryConfig, containment_rule, gaps
 from .inventory import Inventory, SenseId
 
 
@@ -52,7 +52,8 @@ def select_sense(V, candidates: list[Candidate],
     """One prediction per row of V (n x dim, the encoded records of one
     word): argmax of cos(row, anchor center) over the candidates' rows of
     `balls`; argmax keeps the first (lowest-index) candidate on exact ties.
-    A row is inside its anchor's ball as `point_inside` judges it.
+    A row is inside its anchor's ball when its gap to the centre is at most
+    the radius: a point is a ball of radius 0 and gets no tolerance.
     """
     if not candidates:
         raise ValueError("no candidates to select from")
@@ -86,15 +87,17 @@ def deduction_query(hyponym: SenseId, hypernym: SenseId,
                     cfg: GeometryConfig | None = None) -> bool:
     """Is `hyponym` a kind of `hypernym`, judged purely from ball geometry?
 
-    True iff the hypernym's ball contains the hyponym's ball.  Reflexive
-    by the inclusive containment predicate.
+    True iff the hypernym's ball contains the hyponym's ball by
+    `containment_rule`.  Reflexive, since the rule is inclusive at the
+    boundary.  A sense without a ball raises KeyError, the hyponym first.
     """
     cfg = cfg or GeometryConfig()
-    inner, outer = str(hyponym), str(hypernym)
-    for sense_id in (inner, outer):
-        if sense_id not in balls:
-            raise KeyError(f"no ball for sense {sense_id}")
-    return contains(balls, outer, inner, cfg.epsilon)
+    i, o = balls.row.get(str(hyponym)), balls.row.get(str(hypernym))
+    for sense, row in ((hyponym, i), (hypernym, o)):
+        if row is None:
+            raise KeyError(f"no ball for sense {sense}")
+    c, r = balls.centers, balls.radii
+    return bool(containment_rule(gaps(c[i], c[o]), r[o], r[i], cfg.epsilon) <= 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Shared test helpers: random taxonomies and embedding tables, table
-files, ball configurations from balls, ball file rows, ancestor chains
-and gradient checks."""
+files, ball configurations from balls and with faults, ball file rows,
+the cosine reference, ancestor chains and gradient checks."""
 
 import base64
 import copy
@@ -72,11 +72,36 @@ def configuration(balls, prefix: int | None = None, dim: int | None = None) -> B
                              prefix or dim)
 
 
+def with_faults(rng, config, n_faults):
+    """A copy of `config` in which some radii are inflated, some centers
+    are moved next to another ball's, and some rows are dropped."""
+    n = len(config)
+    centers, radii = config.centers.copy(), config.radii.copy()
+    keep = np.ones(n, dtype=bool)
+    for i in rng.choice(n, size=min(n, n_faults), replace=False):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            radii[i] *= rng.uniform(1.5, 50.0)
+        elif kind == 1:
+            centers[i] = centers[int(rng.integers(0, n))] + 1e-3 * rng.standard_normal(config.dim)
+        else:
+            keep[i] = False
+    rows = np.flatnonzero(keep)
+    return BallConfiguration([config.ids[i] for i in rows], centers[rows], radii[rows],
+                             config.embedding_prefix_dim)
+
+
 def ball_row(sid: str, radius: str, center) -> str:
     """One ball file row: `sid`, the radius text as given, and base64 of
     `center`'s little-endian float64 bytes."""
     data = base64.b64encode(np.asarray(center, dtype="<f8").tobytes()).decode("ascii")
     return f"{sid}\t{radius}\t{data}"
+
+
+def cos_ref(v, c) -> float:
+    """The cosine of two vectors, written from `np.dot` and `np.linalg.norm`
+    alone: the reference that selection scores must equal bit for bit."""
+    return float(np.dot(v, c) / (np.linalg.norm(v) * np.linalg.norm(c)))
 
 
 def ancestors(taxonomy: Taxonomy, node: SenseId) -> list[SenseId]:

@@ -19,12 +19,12 @@ from ballwsd.corpus import parse_annotated_corpus, save_records
 from ballwsd.embeddings import EmbeddingTable
 from ballwsd.encoder import init_params
 from ballwsd.evaluator import make_synthetic_fixture, score, split_records
-from ballwsd.geometry import GeometryConfig, cos_sim, verify_configuration
+from ballwsd.geometry import GeometryConfig, verify_configuration
 from ballwsd.inventory import SenseId, Taxonomy
 from ballwsd.selector import Candidate, deduction_query, select_sense
 
 from conftest import acceptance_lines
-from helpers import (ancestor_or_self, configuration, gradient_check, random_table,
+from helpers import (ancestor_or_self, configuration, cos_ref, gradient_check, random_table,
                      random_taxonomy, save_embeddings)
 
 
@@ -168,7 +168,7 @@ def test_criterion_4_selector_oracle():
         while float(np.linalg.norm(v)) < 1e-6:
             v = rng.standard_normal(dim)
         pred = select_sense([v], cands, balls)[0]
-        scores = [cos_sim(v, balls.centers[c.row]) for c in cands]
+        scores = [cos_ref(v, balls.centers[c.row]) for c in cands]
         best = max(scores)
         want = min(i for i, s in enumerate(scores) if s == best)
         if pred.chosen != cands[want].sense:

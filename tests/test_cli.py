@@ -623,7 +623,14 @@ class TestQuery:
         assert capsys.readouterr().out.strip() == "no"
         assert main(["query", "--balls", str(balls), "fly.n.01", "entity.n.01"]) == 0
         assert capsys.readouterr().out.strip() == "yes"
-        assert main(["query", "--balls", str(balls), "ghost.n.01", "move.n.01"]) == 2
+        # an unknown hyponym is named first, an unknown hypernym otherwise
+        for pair, missing in ((["ghost.n.01", "move.n.01"], "ghost.n.01"),
+                              (["move.n.01", "phantom.n.01"], "phantom.n.01"),
+                              (["ghost.n.01", "phantom.n.01"], "ghost.n.01")):
+            assert main(["query", "--balls", str(balls), *pair]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"unknown sense: no ball for sense {missing}\n"
 
 
 class TestShowConfigAndUsage:
@@ -660,6 +667,7 @@ class TestShowConfigAndUsage:
         ("show-config", "lr=0"),
         ("show-config", "levels=-1"),
         ("verify-balls", "epsilon=nan"),
+        ("verify-balls", "epsilon=1"),
         ("show-config", "epsilon=inf"),
         ("show-config", "lr=nan"),
         ("show-config", "lr=inf"),

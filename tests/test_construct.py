@@ -3,9 +3,10 @@ import pytest
 
 from ballwsd.construct import construct_balls
 from ballwsd.embeddings import EmbeddingTable, hash_unit_vector
-from ballwsd.geometry import (BallConfiguration, GeometryConfig, containment_rule, contains,
+from ballwsd.geometry import (BallConfiguration, GeometryConfig, containment_rule,
                               gaps, load_balls, save_balls, verify_configuration)
 from ballwsd.inventory import SenseId, Taxonomy
+from ballwsd.selector import deduction_query
 
 from helpers import ancestor_or_self, random_table, random_taxonomy
 
@@ -67,7 +68,7 @@ class TestContainmentSemantics:
         nodes = tax.nodes()
         for a in nodes:
             for b in nodes:
-                got = contains(balls, str(b), str(a), cfg.epsilon)
+                got = deduction_query(a, b, balls, cfg)
                 assert got == ancestor_or_self(tax, a, b), (a, b)
 
     @staticmethod
@@ -84,13 +85,11 @@ class TestContainmentSemantics:
         nodes, balls, cfg = self.build_chain(12)
         for i in range(len(nodes)):
             for j in range(len(nodes)):
-                got = contains(balls, str(nodes[j]), str(nodes[i]), cfg.epsilon)
-                assert got == (j <= i)
+                assert deduction_query(nodes[i], nodes[j], balls, cfg) == (j <= i)
 
     def test_deep_chain_containment_direction(self):
         nodes, balls, cfg = self.build_chain(120)
-        deepest = str(nodes[-1])
-        wrong = [str(a) for a in nodes[:-1] if contains(balls, deepest, str(a), cfg.epsilon)]
+        wrong = [str(a) for a in nodes[:-1] if deduction_query(a, nodes[-1], balls, cfg)]
         assert wrong == []
 
     def test_1200_deep_chain_every_ordered_pair(self):

@@ -6,17 +6,33 @@ import pytest
 
 from ballwsd.construct import construct_balls
 from ballwsd.geometry import (BallConfiguration, GeometryConfig, RowError,
-                              as_vector, containment_slack, contains, cos_sim,
-                              disconnected, gaps, load_balls, overlap_slack,
-                              point_inside, save_balls, verify_configuration)
+                              containment_rule, gaps, load_balls, overlap_rule,
+                              save_balls, verify_configuration)
 from ballwsd.inventory import SenseId, Taxonomy
 
-from helpers import ball_row, configuration, random_table, random_taxonomy
+from helpers import ball_row, configuration, random_table, random_taxonomy, with_faults
 
 
 def ball(name, center, radius):
     """A `(sense_id, center, radius)` row for `configuration`."""
     return (name, np.asarray(center, dtype=float), radius)
+
+
+def slacks(config, a, b, eps):
+    """(containment slack of ball b in ball a, overlap slack of a and b):
+    the rules on the rows' `np.linalg.norm` gap, not on `gaps`."""
+    i, j = config.row[a], config.row[b]
+    gap = float(np.linalg.norm(config.centers[i] - config.centers[j]))
+    ra, rb = float(config.radii[i]), float(config.radii[j])
+    return float(containment_rule(gap, ra, rb, eps)), float(overlap_rule(gap, ra, rb, eps))
+
+
+def contains(config, outer, inner, eps=1e-9):
+    return slacks(config, outer, inner, eps)[0] <= 0.0
+
+
+def disconnected(config, a, b, eps=1e-9):
+    return slacks(config, a, b, eps)[1] <= 0.0
 
 
 class TestGaps:
@@ -30,43 +46,6 @@ class TestGaps:
                 assert gaps(block, point).tolist() == want
                 one = gaps(block[1], point)
                 assert one.shape == () and float(one) == want[1]
-
-
-class TestVectors:
-    def test_as_vector_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            as_vector(np.zeros((2, 2)))
-
-    def test_as_vector_rejects_nan(self):
-        with pytest.raises(ValueError):
-            as_vector([1.0, float("nan")])
-
-    def test_as_vector_checks_dim(self):
-        with pytest.raises(ValueError):
-            as_vector([1.0, 2.0], dim=3)
-
-    def test_cos_sim_matches_formula(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            d = int(rng.integers(1, 12))
-            a = rng.standard_normal(d)
-            b = rng.standard_normal(d)
-            want = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-            assert cos_sim(a, b) == pytest.approx(want, abs=1e-12)
-
-    def test_cos_sim_range(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            a, b = rng.standard_normal(5), rng.standard_normal(5)
-            assert -1.0 - 1e-12 <= cos_sim(a, b) <= 1.0 + 1e-12
-
-    def test_cos_sim_zero_vector_raises(self):
-        with pytest.raises(ValueError):
-            cos_sim([0.0, 0.0], [1.0, 0.0])
-
-    def test_cos_sim_dim_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            cos_sim([1.0], [1.0, 2.0])
 
 
 class TestPredicates:
@@ -99,8 +78,8 @@ class TestPredicates:
             assert contains(cfg, "a", "b", 0.0) == (gap + rb <= ra)
             assert disconnected(cfg, "a", "b", 0.0) == (gap >= ra + rb)
             # the tolerance is relative to the smaller radius
-            assert containment_slack(cfg, "a", "b", 0.25) == gap + rb - ra - 0.25 * min(ra, rb)
-            assert overlap_slack(cfg, "a", "b", 0.25) == ra + rb - gap - 0.25 * min(ra, rb)
+            assert slacks(cfg, "a", "b", 0.25) == (gap + rb - ra - 0.25 * min(ra, rb),
+                                                   ra + rb - gap - 0.25 * min(ra, rb))
 
     def test_containment_transitive(self):
         rng = np.random.default_rng(3)
@@ -119,27 +98,11 @@ class TestPredicates:
             hits += 1
         assert hits == 500
 
-    def test_point_inside(self):
-        cfg = configuration([ball("b", [1.0, 1.0], 0.5)])
-        assert point_inside([1.0, 1.0], cfg, "b")
-        assert point_inside([1.5, 1.0], cfg, "b")          # boundary inclusive
-        assert not point_inside([1.6, 1.0], cfg, "b")
-        with pytest.raises(ValueError):
-            point_inside([1.0], cfg, "b")
-
-    def test_unknown_id_raises(self):
-        cfg = configuration([ball("a", [0.0], 1.0)])
-        for predicate in (contains, disconnected, containment_slack, overlap_slack):
-            with pytest.raises(KeyError):
-                predicate(cfg, "a", "zzz")
-        with pytest.raises(KeyError):
-            point_inside([0.0], cfg, "zzz")
-
 
 class TestConfigs:
     def test_geometry_config_validation(self):
         GeometryConfig()
-        for bad in (-1e-9, float("nan"), float("inf")):
+        for bad in (-1e-9, 1.0, 2.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 GeometryConfig(epsilon=bad)
         for bad in (1.0, float("nan"), float("inf")):
@@ -338,8 +301,7 @@ class TestVerifier:
         assert all(v.slack > 0 for v in report.violations)
         # the reported slack is the value the verdict was decided on
         for v in report.violations:
-            want = containment_slack(cfg, v.subject, v.other, 1e-9)
-            assert v.slack == want
+            assert v.slack == slacks(cfg, v.subject, v.other, 1e-9)[0]
 
     def test_disconnection_violation_detected(self):
         tax, balls = self.good_balls()
@@ -387,11 +349,11 @@ class TestVerifier:
 
 
 # ---------------------------------------------------------------------------
-# the row-block verifier against the scalar slack functions, pair by pair
+# the row-block verifier against the rules on norm gaps, pair by pair
 
 def pairwise_report(config, taxonomy, eps):
     """(containment checked, disconnection checked, violations) of a loop
-    that calls the scalar slack functions once per pair of sense ids."""
+    that applies the rules to `np.linalg.norm` once per pair of sense ids."""
     checked_c = checked_d = 0
     found = []
     groups = [(p, taxonomy.children_of(p)) for p in taxonomy.nodes()]
@@ -405,35 +367,16 @@ def pairwise_report(config, taxonomy, eps):
                     found.append(("missing", pid, kid, math.inf))
                     continue
                 checked_c += 1
-                slack = containment_slack(config, pid, kid, eps)
+                slack = slacks(config, pid, kid, eps)[0]
                 if slack > 0.0:
                     found.append(("containment", pid, kid, slack))
         for i, a in enumerate(kids):
             for b in kids[i + 1:]:
                 checked_d += 1
-                slack = overlap_slack(config, a, b, eps)
+                slack = slacks(config, a, b, eps)[1]
                 if slack > 0.0:
                     found.append(("disconnection", a, b, slack))
     return checked_c, checked_d, found
-
-
-def with_faults(rng, config, n_faults):
-    """A copy of `config` in which some radii are inflated, some centers
-    are moved next to another ball's, and some rows are dropped."""
-    n = len(config)
-    centers, radii = config.centers.copy(), config.radii.copy()
-    keep = np.ones(n, dtype=bool)
-    for i in rng.choice(n, size=min(n, n_faults), replace=False):
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            radii[i] *= rng.uniform(1.5, 50.0)
-        elif kind == 1:
-            centers[i] = centers[int(rng.integers(0, n))] + 1e-3 * rng.standard_normal(config.dim)
-        else:
-            keep[i] = False
-    rows = np.flatnonzero(keep)
-    return BallConfiguration([config.ids[i] for i in rows], centers[rows], radii[rows],
-                             config.embedding_prefix_dim)
 
 
 def assert_same_as_pairwise(config, taxonomy, eps=1e-9):

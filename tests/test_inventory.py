@@ -23,7 +23,7 @@ class TestSenseId:
         assert s.lemma == "u.s.a" and s.pos == "n" and s.index == 1
 
     def test_parse_rejects_malformed(self):
-        for bad in ("goal", "goal.n", "goal.n.xx", ".n.01"):
+        for bad in ("goal", "goal.n", "goal.n.xx", ".n.01", "dog.n.\u0661", "dog.n.\u00b2"):
             with pytest.raises(ValueError):
                 SenseId.parse(bad)
 

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ballwsd.geometry import cos_sim, point_inside
+from ballwsd.construct import construct_balls
+from ballwsd.geometry import GeometryConfig, containment_rule
 from ballwsd.inventory import Inventory, SenseId, Taxonomy
 from ballwsd.selector import (Candidate, Prediction, candidate_set,
                               deduction_query, save_predictions,
                               select_sense)
 
-from helpers import configuration
+from helpers import configuration, cos_ref, random_table, random_taxonomy, with_faults
 
 
 def make_candidates(centers, radii=None, indices=None, lemma="w"):
@@ -37,6 +38,11 @@ def random_rows(rng, n, dim):
     return centers, radii
 
 
+def inside_ref(v, config, row):
+    """Whether point v lies in the ball of `row`: a point gets no tolerance."""
+    return bool(np.linalg.norm(np.asarray(v) - config.centers[row]) <= config.radii[row])
+
+
 def select_one(v, candidates, balls):
     """select_sense on the one-row block [v]."""
     return select_sense([v], candidates, balls)[0]
@@ -47,7 +53,7 @@ class TestSelectSense:
         cands, config = make_candidates([[1.0, 0.0], [0.0, 1.0]])
         pred = select_one([0.1, 0.9], cands, config)
         assert pred.chosen == SenseId("w", "n", 2)
-        assert pred.score == pytest.approx(cos_sim([0.1, 0.9], [0.0, 1.0]))
+        assert pred.score == pytest.approx(cos_ref([0.1, 0.9], [0.0, 1.0]))
 
     def test_tie_breaks_to_lowest_index(self):
         shared = [1.0, 1.0]
@@ -67,12 +73,12 @@ class TestSelectSense:
             cands, config = make_candidates(centers, radii)
             v = rng.standard_normal(dim)
             pred = select_one(v, cands, config)
-            scores = [cos_sim(v, config.centers[c.row]) for c in cands]
+            scores = [cos_ref(v, config.centers[c.row]) for c in cands]
             best = max(scores)
             want = min(i for i, s in enumerate(scores) if s == best)
             assert pred.chosen == cands[want].sense
             assert pred.score == scores[want]
-            assert pred.inside_anchor_ball == point_inside(v, config, str(cands[want].anchor))
+            assert pred.inside_anchor_ball == inside_ref(v, config, cands[want].row)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(21)
@@ -88,7 +94,7 @@ class TestSelectSense:
         cands, config = make_candidates([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         v = [3.0, 1.0]
         pred = select_one(v, cands, config)
-        scores = sorted((cos_sim(v, c) for c in config.centers), reverse=True)
+        scores = sorted((cos_ref(v, c) for c in config.centers), reverse=True)
         assert pred.margin == pytest.approx(scores[0] - scores[1])
 
     def test_lone_candidate_margin_is_inf(self):
@@ -98,8 +104,10 @@ class TestSelectSense:
     def test_inside_flag_matches_point_inside(self):
         near, config = make_candidates([[1.0, 0.0]], radii=[0.5])
         pred = select_one([1.2, 0.0], near, config)
-        assert pred.inside_anchor_ball == point_inside([1.2, 0.0], config, str(near[0].anchor))
+        assert pred.inside_anchor_ball == inside_ref([1.2, 0.0], config, near[0].row)
         assert pred.inside_anchor_ball
+        assert select_one([1.5, 0.0], near, config).inside_anchor_ball  # boundary inclusive
+        assert not select_one([1.6, 0.0], near, config).inside_anchor_ball
         far, config = make_candidates([[10.0, 0.0]], radii=[0.5])
         assert not select_one([1.0, 0.0], far, config).inside_anchor_ball
 
@@ -133,7 +141,7 @@ class TestSelectSense:
                      for i, a in enumerate(anchors)]
             v = rng.standard_normal((3, dim))[1]  # a row of a matrix, like encoder output
             pred = select_one(v, cands, config)
-            scores = [cos_sim(v, config.centers[c.row]) for c in cands]
+            scores = [cos_ref(v, config.centers[c.row]) for c in cands]
             best = scores.index(max(scores))
             assert pred.chosen == cands[best].sense
             assert pred.score == scores[best]
@@ -243,6 +251,25 @@ class TestDeductionQuery:
             deduction_query(SenseId("ghost", "n", 1), SenseId("human", "n", 1), config)
         with pytest.raises(KeyError):
             deduction_query(SenseId("human", "n", 1), SenseId("ghost", "n", 1), config)
+
+    def test_every_ordered_pair_of_faulted_balls_against_norm_rule(self):
+        rng = np.random.default_rng(24)
+        verdicts = set()
+        for _ in range(6):
+            tax = random_taxonomy(rng, int(rng.integers(10, 60)), forest_prob=0.5)
+            built = construct_balls(tax, random_table(rng, tax, int(rng.integers(2, 9))))
+            balls = with_faults(rng, built, int(rng.integers(1, 12)))
+            eps = float(rng.choice([0.0, 1e-9, 0.3]))
+            cfg = GeometryConfig(epsilon=eps)
+            senses = [SenseId.parse(sid) for sid in balls.ids]
+            for i, hypo in enumerate(senses):
+                for o, hyper in enumerate(senses):
+                    gap = float(np.linalg.norm(balls.centers[i] - balls.centers[o]))
+                    want = containment_rule(gap, balls.radii[o], balls.radii[i], eps) <= 0.0
+                    got = deduction_query(hypo, hyper, balls, cfg)
+                    assert type(got) is bool and got == want, (hypo, hyper)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 class TestPredictionFiles:

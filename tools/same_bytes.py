@@ -10,7 +10,9 @@ lost flag or help string shows.  Then, for each benchmark workload, the
 inputs are generated once at seed 0 by perfbench/workloads.py, and the
 benchmark's pipeline (perfbench/run.py `commands`: build-balls,
 verify-balls, both prepares, train with the workload's training keys,
-eval), QUERIES_PER_PASS seeded queries and show-config run once with
+eval), QUERIES_PER_PASS seeded queries, two queries that name the
+unknown sense GHOST (as hyponym, then as hypernym, each beside the first
+seeded query's other sense) and show-config run once with
 REF's `src/` and once with this tree's, from sibling directories that
 read the same inputs by the same relative paths.  Then each side's own
 balls.tsv is copied to faulted-input/balls.tsv in its directory with
@@ -54,6 +56,7 @@ FAULT_EVERY, FAULT_SCALE = 50, 50.0
 UNDERSCORE_LINE, RAGGED_LINE = 10, 20
 OOV_EVERY, OOV_WORD, UPPER_EVERY = 7, "qqxoovqq", 11
 SHOW_CHARS = 120
+GHOST = "qqxghost.n.01"  # a sense no generated inventory has
 # a tail qqxtail2 -> qqxtail1 -> into the 2-cycle qqxloopa <-> qqxloopb; with a
 # one-node tail its parent, a cycle node, would be read first as a provisional
 # root, and the first unreached node would be the node a cycle error names
@@ -218,7 +221,9 @@ def main(argv=None) -> int:
             queries = draw_queries(np.random.default_rng([0, 7]), inputs.parent,
                                    QUERIES_PER_PASS)
             argvs = [cmd for _, cmd, _ in commands(inputs, "").values()]
-            argvs += [query_argv("", q) for q in queries] + [["show-config"]]
+            hypo, hyper, _ = queries[0]
+            unknown = [(GHOST, hyper), (hypo, GHOST)]
+            argvs += [query_argv("", q) for q in queries + unknown] + [["show-config"]]
             ref_runs = run_pipeline(tmp / "ref-tree" / "src", work / "ref", argvs)
             tree_runs = run_pipeline(ROOT / "src", work / "tree", argvs)
             faulted = []
