@@ -249,7 +249,7 @@ def cmd_eval(args, cfg, out) -> int:
             V, inputs = forward_batch(params, *embed_records(records, table, tc.window_k)), key
         report, preds = predict_records(V, records, level, inventory, balls)
         reports[level] = report
-        save_predictions(preds, out(f"predictions-l{level}.tsv"))
+        save_predictions(preds, level, out(f"predictions-l{level}.tsv"))
         print(f"level {level}: {report.render()}")
     # an anchor-based selector cannot split senses of one word that share a hypernym
     print(f"shared-hypernym sense pairs: {len(check_distinct_hypernym_assumption(inventory))}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import BallConfiguration
-from .inventory import SenseId, Taxonomy, hypernym_at
+from .inventory import SenseId, Taxonomy
 
 
 class CorpusError(ValueError):
@@ -104,15 +104,18 @@ def save_records(records, path) -> None:
 def anchor_at(taxonomy: Taxonomy, sense: SenseId, level: int,
               balls: BallConfiguration) -> SenseId | None:
     """The sense whose ball stands for `sense` at `level`: its level-th
-    hypernym, provided the sense is in the taxonomy, that hypernym exists
-    and it has a ball.  None otherwise.
+    hypernym (level 0 is the sense itself), provided the sense is in the
+    taxonomy, that hypernym exists and it has a ball.  None otherwise.
     """
+    if level < 0:
+        raise ValueError("level must be >= 0")
     if sense not in taxonomy:
         return None
-    anchor = hypernym_at(taxonomy, sense, level)
-    if anchor is None or str(anchor) not in balls:
-        return None
-    return anchor
+    for _ in range(level):
+        sense = taxonomy.parent_of(sense)
+        if sense is None:
+            return None
+    return sense if str(sense) in balls else None
 
 
 def lift_to_level(records, taxonomy: Taxonomy, level: int, config: BallConfiguration) -> list[TrainingRecord]:

@@ -39,14 +39,11 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-    inside_rate: float | None = None
+    inside_rate: float
 
     @classmethod
     def from_counts(cls, correct: int, attempted: int, total_gold: int,
-                    inside_count: int | None = None) -> "EvalReport":
-        inside = None
-        if inside_count is not None:
-            inside = inside_count / attempted if attempted else 0.0
+                    inside_count: int) -> "EvalReport":
         return cls(
             attempted=attempted,
             correct=correct,
@@ -55,31 +52,26 @@ class EvalReport:
             precision=correct / attempted if attempted else 0.0,
             recall=correct / total_gold if total_gold else 0.0,
             f1=2 * correct / (attempted + total_gold) if correct else 0.0,
-            inside_rate=inside,
+            inside_rate=inside_count / attempted if attempted else 0.0,
         )
 
     def render(self) -> str:
-        inside = "-" if self.inside_rate is None else f"{self.inside_rate:.4f}"
         return (f"P={self.precision:.4f} R={self.recall:.4f} F1={self.f1:.4f} "
                 f"attempted={self.attempted} correct={self.correct} "
-                f"total={self.total_gold} skipped={self.skipped} inside={inside}")
+                f"total={self.total_gold} skipped={self.skipped} inside={self.inside_rate:.4f}")
 
 
-def score(predicted: dict[str, SenseId], gold: dict[str, SenseId],
-          inside: dict[str, bool] | None = None) -> EvalReport:
-    """Score predictions against gold labels by instance id.
-
-    Every predicted id must be a gold id; gold ids without a prediction
-    count as skipped (recall denominator only).
-    """
-    extra = set(predicted) - set(gold)
-    if extra:
-        raise ValueError(f"predictions for unknown instance ids: {sorted(extra)[:5]}")
-    correct = sum(1 for iid, p in predicted.items() if p == gold[iid])
-    inside_count = None
-    if inside is not None:
-        inside_count = sum(1 for iid in predicted if inside.get(iid, False))
-    return EvalReport.from_counts(correct, len(predicted), len(gold), inside_count)
+def score(predicted, gold, inside) -> EvalReport:
+    """Score row-aligned sequences: record i's predicted sense (None when
+    not attempted), its gold sense and its inside flag.  An unattempted row
+    counts as skipped (recall denominator only); its flag is ignored."""
+    if not len(predicted) == len(gold) == len(inside):
+        raise ValueError(f"{len(predicted)} predictions and {len(inside)} inside flags "
+                         f"for {len(gold)} gold senses")
+    attempted = [i for i, p in enumerate(predicted) if p is not None]
+    correct = sum(1 for i in attempted if predicted[i] == gold[i])
+    inside_count = sum(1 for i in attempted if inside[i])
+    return EvalReport.from_counts(correct, len(attempted), len(gold), inside_count)
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +84,19 @@ def save_reports(reports: dict[int, EvalReport], path, dataset: str = "eval") ->
         fh.write("#" + "\t".join(cols) + "\n")
         for level in sorted(reports):
             r = reports[level]
-            inside = "-" if r.inside_rate is None else "%.17g" % r.inside_rate
             fh.write("\t".join([
                 dataset, str(level), "%.17g" % r.precision, "%.17g" % r.recall,
                 "%.17g" % r.f1, str(r.attempted), str(r.correct),
-                str(r.total_gold), str(r.skipped), inside,
+                str(r.total_gold), str(r.skipped), "%.17g" % r.inside_rate,
             ]) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # synthetic fixture
+
+# tokens per record, chance a context token is a signature word, signature vector spread
+SENTENCE_LEN, SIGNATURE_PROB, NOISE = 9, 0.75, 0.6
+
 
 @dataclass
 class SyntheticFixture:
@@ -119,9 +114,7 @@ class SyntheticFixture:
 
 def make_synthetic_fixture(seed: int = 0, n_top: int = 4, senses_per_parent: int = 3,
                            vocab_size: int = 200, records_per_sense: int = 100,
-                           chain_levels: int = 0, embedding_dim: int = 32,
-                           sentence_len: int = 9, signature_prob: float = 0.75,
-                           noise: float = 0.6) -> SyntheticFixture:
+                           chain_levels: int = 0, embedding_dim: int = 32) -> SyntheticFixture:
     """Build a taxonomy, embeddings and an annotated corpus in one piece.
 
     The taxonomy has one root, `n_top` top hypernyms (behind a chain of
@@ -132,7 +125,7 @@ def make_synthetic_fixture(seed: int = 0, n_top: int = 4, senses_per_parent: int
     sense of a word sits under a different top.
 
     Context tokens are drawn from a per-top signature vocabulary with
-    probability `signature_prob` (fillers otherwise), so the window mean
+    probability SIGNATURE_PROB (fillers otherwise), so the window mean
     identifies the top, never the twin.  Word embeddings are
     orthogonalized against the taxonomy scaffold's embeddings to keep
     static word-to-anchor similarity out of the signal.
@@ -207,7 +200,7 @@ def make_synthetic_fixture(seed: int = 0, n_top: int = 4, senses_per_parent: int
         words = []
         for i in range(sig_size):
             w = f"sig{t}_{i}"
-            vectors[w] = unit(top_vec[t] + noise * rng.standard_normal(embedding_dim))
+            vectors[w] = unit(top_vec[t] + NOISE * rng.standard_normal(embedding_dim))
             words.append(w)
         signatures.append(words)
     fillers = []
@@ -221,12 +214,12 @@ def make_synthetic_fixture(seed: int = 0, n_top: int = 4, senses_per_parent: int
         for s in range(senses_per_parent):
             leaf = leaves[t * senses_per_parent + s]
             for _ in range(records_per_sense):
-                pos = int(rng.integers(0, sentence_len))
+                pos = int(rng.integers(0, SENTENCE_LEN))
                 tokens = []
-                for slot in range(sentence_len):
+                for slot in range(SENTENCE_LEN):
                     if slot == pos:
                         tokens.append(leaf.lemma)
-                    elif rng.random() < signature_prob:
+                    elif rng.random() < SIGNATURE_PROB:
                         tokens.append(signatures[t][int(rng.integers(0, sig_size))])
                     else:
                         tokens.append(fillers[int(rng.integers(0, len(fillers)))])
@@ -265,34 +258,29 @@ def split_records(records, n_train: int, n_test: int):
 # prediction
 
 def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
-                    balls: BallConfiguration) -> tuple[EvalReport, dict[str, Prediction]]:
+                    balls: BallConfiguration) -> tuple[EvalReport, list[Prediction | None]]:
     """Predict already-lifted records at one level and score them.
 
     Row i of V is record i's encoder output:
-    `forward_batch(params, *embed_records(records, table, window_k))`.  Gold
-    is each record's target; a record whose word has no candidate with a
-    ball at this level goes unattempted.  Each word's rows are selected in
-    one `select_sense` call.
+    `forward_batch(params, *embed_records(records, table, window_k))`, and
+    prediction i is its `Prediction`, or None (unattempted) when its word
+    has no candidate with a ball at this level.  Gold is each record's
+    target.  Each word's rows are selected in one `select_sense` call.
     """
     records = list(records)
     if len(V) != len(records):
         raise ValueError(f"{len(V)} encoded rows for {len(records)} records")
-    gold: dict[str, SenseId] = {}
     by_word: dict[tuple[str, str], list[int]] = {}
     for i, rec in enumerate(records):
-        gold[f"l{level}.{i:06d}"] = rec.target
         by_word.setdefault(rec.original.word, []).append(i)
-    predicted: dict[str, SenseId] = {}
-    inside: dict[str, bool] = {}
-    predictions: dict[str, Prediction] = {}
+    predictions: list[Prediction | None] = [None] * len(records)
+    anchors: list[SenseId | None] = [None] * len(records)
     for word, rows in by_word.items():
         candidates = candidate_set(*word, level, inventory, balls)
         if not candidates:
             continue
         anchor = {c.sense: c.anchor for c in candidates}
         for i, pred in zip(rows, select_sense(V[rows], candidates, balls)):
-            iid = f"l{level}.{i:06d}"
-            predicted[iid] = anchor[pred.chosen]
-            inside[iid] = pred.inside_anchor_ball
-            predictions[iid] = pred
-    return score(predicted, gold, inside), predictions
+            predictions[i], anchors[i] = pred, anchor[pred.chosen]
+    inside = [p is not None and p.inside_anchor_ball for p in predictions]
+    return score(anchors, [r.target for r in records], inside), predictions

@@ -161,8 +161,9 @@ def save_balls(config: BallConfiguration, path) -> None:
 
 
 def load_balls(path) -> BallConfiguration:
-    """Read a ball file.  A malformed row, a row before the header or a
-    second header raises one ValueError that starts `path:lineno:`."""
+    """Read a ball file.  A malformed row, a row before the header, a
+    header with dim < 1 or a second header raises one ValueError that
+    starts `path:lineno:`."""
     dim = prefix = None
     ids, radii, rows, linenos = [], [], [], []
     with open(path, encoding="utf-8") as fh:
@@ -177,6 +178,8 @@ def load_balls(path) -> BallConfiguration:
                         if dim is not None:
                             raise ValueError(f"second {_HEADER}")
                         dim, prefix = int(parts[1]), int(parts[3])
+                        if dim < 1:
+                            raise ValueError(f"dim must be >= 1, got {dim}")
                     continue
                 if dim is None:
                     raise ValueError(f"ball row before the {_HEADER}")

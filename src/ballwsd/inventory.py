@@ -181,23 +181,6 @@ def load_inventory(path) -> Inventory:
     return Inventory(taxonomy=taxonomy, dropped_edges=dropped)
 
 
-def hypernym_at(taxonomy: Taxonomy, sense: SenseId, level: int) -> SenseId | None:
-    """The level-th hypernym of a sense; level 0 is the sense itself.
-
-    Returns None once the walk runs past a root.
-    """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if sense not in taxonomy:
-        raise KeyError(f"unknown sense {sense}")
-    cur: SenseId | None = sense
-    for _ in range(level):
-        cur = taxonomy.parent_of(cur)
-        if cur is None:
-            return None
-    return cur
-
-
 def check_distinct_hypernym_assumption(inventory: Inventory) -> list[tuple[SenseId, SenseId]]:
     """Find sense pairs of the same word that share a direct hypernym.
 

@@ -103,9 +103,11 @@ def deduction_query(hyponym: SenseId, hypernym: SenseId,
 # ---------------------------------------------------------------------------
 # prediction files: instance_id, chosen sense, score, inside flag, margin
 
-def save_predictions(predictions: dict[str, Prediction], path) -> None:
+def save_predictions(predictions: list[Prediction | None], level: int, path) -> None:
+    """One line per attempted record, in record order, with the id
+    `l<level>.<row:06d>`; an unattempted record (None) has no line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for iid in sorted(predictions):
-            p = predictions[iid]
-            fh.write(f"{iid}\t{p.chosen}\t{'%.17g' % p.score}\t"
-                     f"inside:{1 if p.inside_anchor_ball else 0}\t{'%.17g' % p.margin}\n")
+        for i, p in enumerate(predictions):
+            if p is not None:
+                fh.write(f"l{level}.{i:06d}\t{p.chosen}\t{'%.17g' % p.score}\t"
+                         f"inside:{1 if p.inside_anchor_ball else 0}\t{'%.17g' % p.margin}\n")

@@ -189,34 +189,35 @@ def test_criterion_5_scorer_correctness():
     failures = []
 
     def golden(name, predicted, gold, want_p, want_r, want_f1):
-        report = score(predicted, gold)
+        report = score(predicted, gold, [False] * len(gold))
         got = (report.precision, report.recall, report.f1)
         want = (float(want_p), float(want_r), float(want_f1))
         if any(abs(a - b) > 1e-9 for a, b in zip(got, want)):
             failures.append(f"{name}: got {got}, want {want}")
 
-    gold5 = {f"i{k}": s(k) for k in range(5)}
+    # rows: predicted[k] is None when instance k is not attempted
+    gold5 = [s(k) for k in range(5)]
     golden("3-of-4-attempted-of-5",
-           {"i0": s(0), "i1": s(1), "i2": s(2), "i3": s(9)},
+           [s(0), s(1), s(2), s(9), None],
            gold5, Fraction(3, 4), Fraction(3, 5), Fraction(2, 3))
-    golden("all-correct", dict(gold5), gold5, 1, 1, 1)
-    golden("none-attempted", {}, gold5, 0, 0, 0)
-    golden("all-wrong", {f"i{k}": s(9) for k in range(5)}, gold5, 0, 0, 0)
-    golden("one-of-one", {"i0": s(0)}, {"i0": s(0)}, 1, 1, 1)
+    golden("all-correct", list(gold5), gold5, 1, 1, 1)
+    golden("none-attempted", [None] * 5, gold5, 0, 0, 0)
+    golden("all-wrong", [s(9)] * 5, gold5, 0, 0, 0)
+    golden("one-of-one", [s(0)], [s(0)], 1, 1, 1)
     golden("half-attempted-all-correct",
-           {"i0": s(0), "i1": s(1)}, {f"i{k}": s(k) for k in range(4)},
+           [s(0), s(1), None, None], [s(k) for k in range(4)],
            1, Fraction(1, 2), Fraction(2, 3))
     golden("two-of-three-of-three",
-           {"i0": s(0), "i1": s(1), "i2": s(9)},
-           {f"i{k}": s(k) for k in range(3)},
+           [s(0), s(1), s(9)],
+           [s(k) for k in range(3)],
            Fraction(2, 3), Fraction(2, 3), Fraction(2, 3))
     golden("one-of-two-of-four",
-           {"i0": s(0), "i1": s(9)}, {f"i{k}": s(k) for k in range(4)},
+           [s(0), s(9), None, None], [s(k) for k in range(4)],
            Fraction(1, 2), Fraction(1, 4), Fraction(1, 3))
-    golden("empty-gold", {}, {}, 0, 0, 0)
+    golden("empty-gold", [], [], 0, 0, 0)
     golden("perfect-with-skip",
-           {"i0": s(0), "i1": s(1), "i2": s(2)},
-           {f"i{k}": s(k) for k in range(6)},
+           [s(0), s(1), s(2), None, None, None],
+           [s(k) for k in range(6)],
            1, Fraction(1, 2), Fraction(2, 3))
     n_golden_failures = len(failures)
 
@@ -224,12 +225,13 @@ def test_criterion_5_scorer_correctness():
     random_mism = 0
     for _ in range(1000):
         n_gold = int(rng.integers(1, 30))
-        gold = {f"i{k}": s(int(rng.integers(0, 4))) for k in range(n_gold)}
-        predicted = {f"i{k}": s(int(rng.integers(0, 4)))
-                     for k in range(n_gold) if rng.random() < 0.7}
-        report = score(predicted, gold)
-        correct = sum(1 for k, v in predicted.items() if v == gold[k])
-        p = Fraction(correct, len(predicted)) if predicted else Fraction(0)
+        gold = [s(int(rng.integers(0, 4))) for _ in range(n_gold)]
+        predicted = [s(int(rng.integers(0, 4))) if rng.random() < 0.7 else None
+                     for _ in range(n_gold)]
+        report = score(predicted, gold, [False] * n_gold)
+        attempted = [k for k in range(n_gold) if predicted[k] is not None]
+        correct = sum(1 for k in attempted if predicted[k] == gold[k])
+        p = Fraction(correct, len(attempted)) if attempted else Fraction(0)
         r = Fraction(correct, n_gold)
         f1 = 2 * p * r / (p + r) if p + r else Fraction(0)
         if (report.precision, report.recall, report.f1) != (float(p), float(r), float(f1)):

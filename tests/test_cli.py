@@ -593,6 +593,14 @@ class TestOneLineErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"data error: {balls}:5: {sid}: radius must be positive and finite, got 0.0"]
 
+    def test_ball_header_without_dimensions_is_one_line_data_error(self, tmp_path, capsys):
+        balls = tmp_path / "balls.tsv"
+        balls.write_text("#dim -1 prefix 1\n")
+        assert main(["query", "--balls", str(balls), "fly.n.01", "move.n.01"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"data error: {balls}:1: dim must be >= 1, got -1"]
+
     @pytest.mark.parametrize("command", ["query", "verify-balls"])
     def test_truncated_center_is_one_line_data_error(self, workspace, capsys, command):
         balls = build(workspace)

@@ -4,9 +4,9 @@ import pytest
 from ballwsd.corpus import (CorpusError, TrainingRecord, anchor_at, dataset_report,
                             lift_to_level, parse_annotated_corpus,
                             save_records)
-from ballwsd.inventory import SenseId, Taxonomy, hypernym_at
+from ballwsd.inventory import SenseId, Taxonomy
 
-from helpers import configuration, random_taxonomy
+from helpers import ancestors, configuration, random_taxonomy
 
 AIM = SenseId("aim", "n", 2)
 GOAL = SenseId("goal", "n", 1)
@@ -189,9 +189,38 @@ class TestLifting:
                 recs.append(TrainingRecord(s, s, toks, (int(rng.integers(0, n_tok)),)))
             level = int(rng.integers(0, 4))
             for out in lift_to_level(recs, tax, level, balls):
-                assert out.target == hypernym_at(tax, out.original, level)
+                assert out.target == ([out.original] + ancestors(tax, out.original))[level]
                 src = [r for r in recs if r.original == out.original]
                 assert any(r.tokens == out.tokens and r.indices == out.indices for r in src)
+
+
+class TestAnchorAt:
+    """On configurations with a ball on every node, `anchor_at` is the
+    plain level walk."""
+
+    def test_walks_chain(self):
+        tax = aim_taxonomy()
+        balls = ball_config([AIM, GOAL, CONTENT, COGNITION])
+        assert [anchor_at(tax, AIM, lvl, balls) for lvl in range(6)] == \
+            [AIM, GOAL, CONTENT, COGNITION, None, None]
+        assert anchor_at(tax, AIM, 99, balls) is None
+
+    def test_errors(self):
+        tax = aim_taxonomy()
+        balls = ball_config([AIM, GOAL, CONTENT, COGNITION])
+        with pytest.raises(ValueError):
+            anchor_at(tax, COGNITION, -1, balls)
+        assert anchor_at(tax, SenseId("zz", "n", 1), 1, balls) is None
+
+    def test_matches_ancestor_list(self):
+        rng = np.random.default_rng(6)
+        tax = random_taxonomy(rng, 50)
+        balls = ball_config(tax.nodes(), dim=2)
+        for node in tax.nodes():
+            chain = [node] + ancestors(tax, node)
+            for lvl in range(len(chain) + 2):
+                want = chain[lvl] if lvl < len(chain) else None
+                assert anchor_at(tax, node, lvl, balls) == want
 
 
 class TestDatasetReport:

@@ -18,9 +18,9 @@ def sid(i):
 
 class TestScore:
     def test_three_of_four_attempted_five_gold(self):
-        gold = {f"i{k}": sid(k) for k in range(5)}
-        predicted = {"i0": sid(0), "i1": sid(1), "i2": sid(2), "i3": sid(99)}
-        report = score(predicted, gold)
+        gold = [sid(k) for k in range(5)]
+        predicted = [sid(0), sid(1), sid(2), sid(99), None]
+        report = score(predicted, gold, [False] * 5)
         assert (report.correct, report.attempted, report.total_gold) == (3, 4, 5)
         assert report.precision == float(Fraction(3, 4))
         assert report.recall == float(Fraction(3, 5))
@@ -28,54 +28,53 @@ class TestScore:
         assert report.skipped == 1
 
     def test_all_correct(self):
-        gold = {f"i{k}": sid(k) for k in range(4)}
-        report = score(dict(gold), gold)
+        gold = [sid(k) for k in range(4)]
+        report = score(list(gold), gold, [True] * 4)
         assert report.f1 == 1.0 and report.skipped == 0
 
     def test_nothing_attempted(self):
-        gold = {"i0": sid(0)}
-        report = score({}, gold)
+        report = score([None], [sid(0)], [True])
         assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
-        assert report.skipped == 1
+        assert report.skipped == 1 and report.inside_rate == 0.0
 
     def test_empty_gold(self):
-        report = score({}, {})
+        report = score([], [], [])
         assert report.total_gold == 0 and report.f1 == 0.0
 
     def test_all_wrong(self):
-        gold = {"i0": sid(0), "i1": sid(1)}
-        report = score({"i0": sid(9), "i1": sid(9)}, gold)
+        report = score([sid(9), sid(9)], [sid(0), sid(1)], [True, True])
         assert report.f1 == 0.0 and report.attempted == 2
 
     def test_inside_rate(self):
-        gold = {"i0": sid(0), "i1": sid(1), "i2": sid(2)}
-        predicted = {"i0": sid(0), "i1": sid(9)}
-        inside = {"i0": True, "i1": False}
-        report = score(predicted, gold, inside)
+        gold = [sid(0), sid(1), sid(2)]
+        predicted = [sid(0), sid(9), None]
+        # an unattempted row's flag is not counted
+        report = score(predicted, gold, [True, False, True])
         assert report.inside_rate == 0.5
-        assert score(predicted, gold).inside_rate is None
 
-    def test_unknown_instance_id_rejected(self):
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError) as info:
+            score([sid(0), None], [sid(0)], [True])
+        assert str(info.value) == "2 predictions and 1 inside flags for 1 gold senses"
         with pytest.raises(ValueError):
-            score({"ghost": sid(0)}, {"i0": sid(0)})
+            score([sid(0)], [sid(0)], [])
 
     def test_matches_fraction_tally_on_random_sets(self):
         rng = np.random.default_rng(30)
         for _ in range(300):
             n_gold = int(rng.integers(1, 40))
-            gold = {f"i{k}": sid(int(rng.integers(0, 5))) for k in range(n_gold)}
-            predicted = {}
-            for k in range(n_gold):
-                if rng.random() < 0.7:
-                    predicted[f"i{k}"] = sid(int(rng.integers(0, 5)))
-            inside = {k: bool(rng.random() < 0.5) for k in gold}
+            gold = [sid(int(rng.integers(0, 5))) for _ in range(n_gold)]
+            predicted = [sid(int(rng.integers(0, 5))) if rng.random() < 0.7 else None
+                         for _ in range(n_gold)]
+            inside = [bool(rng.random() < 0.5) for _ in range(n_gold)]
             report = score(predicted, gold, inside)
-            correct = sum(1 for k, p in predicted.items() if p == gold[k])
-            n_inside = sum(1 for k in predicted if inside[k])
-            p = Fraction(correct, len(predicted)) if predicted else Fraction(0)
+            attempted = [k for k in range(n_gold) if predicted[k] is not None]
+            correct = sum(1 for k in attempted if predicted[k] == gold[k])
+            n_inside = sum(1 for k in attempted if inside[k])
+            p = Fraction(correct, len(attempted)) if attempted else Fraction(0)
             r = Fraction(correct, n_gold)
             f1 = 2 * p * r / (p + r) if p + r else Fraction(0)
-            rate = Fraction(n_inside, len(predicted)) if predicted else Fraction(0)
+            rate = Fraction(n_inside, len(attempted)) if attempted else Fraction(0)
             assert report.precision == float(p)
             assert report.recall == float(r)
             assert report.f1 == float(f1)
@@ -90,13 +89,14 @@ class TestScore:
 class TestSaveReports:
     def test_file_shape(self, tmp_path):
         reports = {0: EvalReport.from_counts(1, 2, 4, 1),
-                   1: EvalReport.from_counts(2, 2, 4)}
+                   1: EvalReport.from_counts(0, 0, 4, 0)}
         path = tmp_path / "report.tsv"
         save_reports(reports, path, dataset="toy")
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#dataset\tlevel")
         assert lines[1].split("\t")[0:2] == ["toy", "0"]
-        assert lines[2].split("\t")[9] == "-"   # no inside info at level 1
+        assert lines[1].split("\t")[9] == "0.5"
+        assert lines[2].split("\t")[8:] == ["4", "0"]   # all skipped, nothing inside
         assert len(lines) == 3
 
 
@@ -218,17 +218,17 @@ class TestPredictRecords:
     def test_level1_anchors_and_skipped_word(self):
         inventory, balls = self.inputs()
         records = [self.record(self.MOVE, self.FLY1),    # aimed at move: right
-                   self.record(self.MAKE, self.FLY2),    # aimed at move, outside it: wrong
-                   self.record(self.HIDDEN, self.SOLO)]  # no anchor ball: unattempted
-        V = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+                   self.record(self.HIDDEN, self.SOLO),  # no anchor ball: unattempted
+                   self.record(self.MAKE, self.FLY2)]    # aimed at move, outside it: wrong
+        V = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]])
         report, preds = predict_records(V, records, 1, inventory, balls)
         assert (report.attempted, report.correct, report.total_gold, report.skipped) == (2, 1, 3, 1)
         assert report.inside_rate == 0.5
-        assert sorted(preds) == ["l1.000000", "l1.000001"]
+        assert len(preds) == 3 and preds[1] is None
         # the prediction names a sense; it scores by that sense's level-1 anchor
-        assert preds["l1.000000"].chosen == preds["l1.000001"].chosen == self.FLY1
-        assert preds["l1.000000"].inside_anchor_ball
-        assert not preds["l1.000001"].inside_anchor_ball
+        assert preds[0].chosen == preds[2].chosen == self.FLY1
+        assert preds[0].inside_anchor_ball
+        assert not preds[2].inside_anchor_ball
 
     def test_interleaved_words_equal_one_record_per_call(self):
         fx = make_synthetic_fixture(seed=5, n_top=4, senses_per_parent=3,
@@ -241,11 +241,11 @@ class TestPredictRecords:
             lifted = lift_to_level(records, fx.taxonomy, level, balls)
             V = rng.standard_normal((len(lifted), balls.dim))
             report, preds = predict_records(V, lifted, level, fx.inventory, balls)
-            singles = {}
+            singles = []
             correct = attempted = inside = 0
             for i, rec in enumerate(lifted):
                 one, pred = predict_records(V[i:i + 1], [rec], level, fx.inventory, balls)
-                singles.update({f"l{level}.{i:06d}": p for p in pred.values()})
+                singles += pred
                 correct, attempted = correct + one.correct, attempted + one.attempted
                 inside += round(one.inside_rate * one.attempted)
             assert preds == singles and len(preds) == len(lifted)

@@ -220,6 +220,16 @@ class TestRoundTrip:
             load_balls(p)
         assert str(exc.value) == f"{p}:3: {message}"
 
+    @pytest.mark.parametrize("dim", [-1, 0])
+    @pytest.mark.parametrize("with_row", [False, True], ids=["header-only", "with-row"])
+    def test_load_rejects_dim_below_one(self, tmp_path, dim, with_row):
+        p = tmp_path / "bad.tsv"
+        row = "a.n.01\t1.0\t\n" if with_row else ""
+        p.write_text(f"#dim {dim} prefix 1\n{row}")
+        with pytest.raises(ValueError) as exc:
+            load_balls(p)
+        assert str(exc.value) == f"{p}:1: dim must be >= 1, got {dim}"
+
     def test_load_rejects_file_with_decimal_centers(self, tmp_path):
         # the ball file format before centers were written as base64
         p = tmp_path / "old.tsv"

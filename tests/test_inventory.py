@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ballwsd.inventory import (Inventory, SenseId, Taxonomy, TaxonomyError,
-                               check_distinct_hypernym_assumption,
-                               hypernym_at, load_inventory)
+                               check_distinct_hypernym_assumption, load_inventory)
 
 from helpers import ancestors, random_taxonomy
 
@@ -259,33 +258,6 @@ class TestLoadInventory:
         assert inv.senses_of("fly", "v") == [SenseId("fly", "v", 1), SenseId("fly", "v", 6)]
         assert inv.senses_of("nope", "n") == []
         assert inv.words() == [("fly", "v"), ("travel", "v")]
-
-
-class TestHypernymAt:
-    def test_walks_chain(self):
-        e, m, h, g, d, tax = small_chain()
-        assert hypernym_at(tax, g, 0) == g
-        assert hypernym_at(tax, g, 1) == h
-        assert hypernym_at(tax, g, 2) == m
-        assert hypernym_at(tax, g, 3) == e
-        assert hypernym_at(tax, g, 4) is None
-        assert hypernym_at(tax, g, 99) is None
-
-    def test_errors(self):
-        *_, tax = small_chain()
-        with pytest.raises(ValueError):
-            hypernym_at(tax, SenseId("entity", "n", 1), -1)
-        with pytest.raises(KeyError):
-            hypernym_at(tax, SenseId("zz", "n", 1), 1)
-
-    def test_matches_ancestor_list(self):
-        rng = np.random.default_rng(6)
-        tax = random_taxonomy(rng, 50)
-        for node in tax.nodes():
-            chain = [node] + ancestors(tax, node)
-            for lvl in range(len(chain) + 2):
-                want = chain[lvl] if lvl < len(chain) else None
-                assert hypernym_at(tax, node, lvl) == want
 
 
 class TestDistinctHypernymAssumption:

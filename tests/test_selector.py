@@ -274,24 +274,35 @@ class TestDeductionQuery:
 
 class TestPredictionFiles:
     def sample(self):
-        return {
-            "e2.0001": Prediction(SenseId("fly", "v", 1), 0.912345678901234567, True, 0.25),
-            "e2.0002": Prediction(SenseId("aim", "n", 2), -0.125, False, math.inf),
-        }
+        return [
+            Prediction(SenseId("fly", "v", 1), 0.912345678901234567, True, 0.25),
+            None,
+            Prediction(SenseId("aim", "n", 2), -0.125, False, math.inf),
+        ]
 
     def test_round_trip(self, tmp_path):
         preds = self.sample()
         path = tmp_path / "p.tsv"
-        save_predictions(preds, path)
-        back = {}
+        save_predictions(preds, 2, path)
+        back = [None] * len(preds)
         for line in path.read_text().splitlines():
             iid, chosen, score, inside, margin = line.split("\t")
-            back[iid] = Prediction(SenseId.parse(chosen), float(score),
-                                   {"inside:1": True, "inside:0": False}[inside],
-                                   float(margin))
+            level, row = iid[1:].split(".")
+            assert level == "2" and len(row) == 6
+            back[int(row)] = Prediction(SenseId.parse(chosen), float(score),
+                                        {"inside:1": True, "inside:0": False}[inside],
+                                        float(margin))
         assert back == preds
 
+    def test_record_order_past_six_digits(self, tmp_path):
+        preds = [None] * 1_000_001
+        preds[999_999] = preds[1_000_000] = self.sample()[0]
+        path = tmp_path / "p.tsv"
+        save_predictions(preds, 0, path)
+        ids = [line.split("\t")[0] for line in path.read_text().splitlines()]
+        assert ids == ["l0.999999", "l0.1000000"]
+
     def test_deterministic_bytes(self, tmp_path):
-        save_predictions(self.sample(), tmp_path / "a.tsv")
-        save_predictions(self.sample(), tmp_path / "b.tsv")
+        save_predictions(self.sample(), 0, tmp_path / "a.tsv")
+        save_predictions(self.sample(), 0, tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()

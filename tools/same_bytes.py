@@ -17,17 +17,20 @@ REF's `src/` and once with this tree's, from sibling directories that
 read the same inputs by the same relative paths.  Then each side's own
 balls.tsv is copied to faulted-input/balls.tsv in its directory with
 every FAULT_EVERY-th radius times FAULT_SCALE, and verify-balls runs on
-that copy, so violation order and slack text are compared too.  Three
+that copy, so violation order and slack text are compared too.  Five
 more faulted inputs follow: eval on a copy of the tree's test-data whose
 dataset-l1.tsv lacks its first record, so levels cannot share one
 encoded batch; eval on a copy whose every OOV_EVERY-th record has a
 context token replaced by OOV_WORD and every UPPER_EVERY-th record one
 upper-cased, so the hashed OOV vectors and the lowercase fallback are
-compared; build-balls on a copy of embeddings.txt whose line
-UNDERSCORE_LINE carries a `1_0` style token and whose line RAGGED_LINE
-lacks its last coordinate; and verify-balls on a copy of inventory.tsv
-that opens with a two-node tail and ends with the 2-cycle that tail
-leads into, so the node a cycle error names is compared.
+compared; eval on a copy whose every UNATTEMPTED_EVERY-th record names
+the unknown sense GHOST as its original sense, so unattempted records
+(skipped counts and missing prediction lines) are compared; build-balls
+on a copy of embeddings.txt whose line UNDERSCORE_LINE carries a `1_0`
+style token and whose line RAGGED_LINE lacks its last coordinate; and
+verify-balls on a copy of inventory.tsv that opens with a two-node tail
+and ends with the 2-cycle that tail leads into, so the node a cycle
+error names is compared.
 Every written file, exit code, stdout and stderr that differs is listed,
 a differing stdout or stderr with the first line where the sides part
 (each cut to SHOW_CHARS characters); a file matches only when its bytes
@@ -55,6 +58,7 @@ from workloads import WORKLOADS, draw_queries  # noqa: E402
 FAULT_EVERY, FAULT_SCALE = 50, 50.0
 UNDERSCORE_LINE, RAGGED_LINE = 10, 20
 OOV_EVERY, OOV_WORD, UPPER_EVERY = 7, "qqxoovqq", 11
+UNATTEMPTED_EVERY = 5
 SHOW_CHARS = 120
 GHOST = "qqxghost.n.01"  # a sense no generated inventory has
 # a tail qqxtail2 -> qqxtail1 -> into the 2-cycle qqxloopa <-> qqxloopb; with a
@@ -111,26 +115,47 @@ def write_dropped(data: Path, dest: Path) -> None:
         (dest / path.name).write_text("".join(lines), encoding="utf-8")
 
 
-def write_oov(data: Path, dest: Path) -> None:
+def write_records(data: Path, dest: Path, edit) -> None:
     """Copy a prepared dataset directory, editing every level file alike:
-    the token next to a record's first target index (before it, or after
-    it at the sentence start) becomes OOV_WORD in every OOV_EVERY-th record
-    and is upper-cased in every UPPER_EVERY-th."""
+    the n-th record (from 1) of each becomes `edit(n, fields)`, its
+    tab-separated fields rejoined."""
     dest.mkdir()
     for path in sorted(data.glob("dataset-l*.tsv")):
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
         for n, i in enumerate(rows, start=1):
-            *head, idx, text = lines[i].rstrip("\n").split("\t")
-            tokens, indices = text.split(" "), [int(k) for k in idx.split(",")]
-            j = indices[0] - 1 if indices[0] else 1
-            if j < len(tokens) and j not in indices:
-                if n % OOV_EVERY == 0:
-                    tokens[j] = OOV_WORD
-                if n % UPPER_EVERY == 0:
-                    tokens[j] = tokens[j].upper()
-            lines[i] = "\t".join([*head, idx, " ".join(tokens)]) + "\n"
+            lines[i] = "\t".join(edit(n, lines[i].rstrip("\n").split("\t"))) + "\n"
         (dest / path.name).write_text("".join(lines), encoding="utf-8")
+
+
+def write_oov(data: Path, dest: Path) -> None:
+    """Copy a prepared dataset directory: the token next to a record's
+    first target index (before it, or after it at the sentence start)
+    becomes OOV_WORD in every OOV_EVERY-th record and is upper-cased in
+    every UPPER_EVERY-th."""
+    def edit(n, fields):
+        *head, idx, text = fields
+        tokens, indices = text.split(" "), [int(k) for k in idx.split(",")]
+        j = indices[0] - 1 if indices[0] else 1
+        if j < len(tokens) and j not in indices:
+            if n % OOV_EVERY == 0:
+                tokens[j] = OOV_WORD
+            if n % UPPER_EVERY == 0:
+                tokens[j] = tokens[j].upper()
+        return [*head, idx, " ".join(tokens)]
+    write_records(data, dest, edit)
+
+
+def write_unattempted(data: Path, dest: Path) -> None:
+    """Copy a prepared dataset directory with every UNATTEMPTED_EVERY-th
+    record's original sense (column 1 of a 3-column line, column 2 of a
+    4-column one) replaced by GHOST, whose word no generated inventory
+    has, so eval cannot attempt that record at any level."""
+    def edit(n, fields):
+        if n % UNATTEMPTED_EVERY == 0:
+            fields[-3] = GHOST
+        return fields
+    write_records(data, dest, edit)
 
 
 def write_ragged(table: Path, dest: Path) -> None:
@@ -239,7 +264,8 @@ def main(argv=None) -> int:
             if test_data.is_dir():
                 write_dropped(test_data, work / "inputs" / "test-data-dropped")
                 write_oov(test_data, work / "inputs" / "test-data-oov")
-                for probe in ("dropped", "oov"):
+                write_unattempted(test_data, work / "inputs" / "test-data-unattempted")
+                for probe in ("dropped", "oov", "unattempted"):
                     faulted.append(with_flags(commands(inputs, "")["eval"][1],
                                               data=f"../inputs/test-data-{probe}",
                                               out=f"eval-{probe}"))
