@@ -105,7 +105,7 @@ def _build(cls, cfg: dict):
 
 def _levels(cfg: dict) -> list[int]:
     try:
-        out = [int(tok) for tok in str(cfg["levels"]).split(",") if tok.strip() != ""]
+        out = [int(tok) for tok in str(cfg["levels"]).split(",")]
     except ValueError:
         raise UsageError(f"levels expects comma-separated integers, got {cfg['levels']!r}")
     if not out or any(v < 0 for v in out):

@@ -49,8 +49,14 @@ class TrainConfig:
             raise ValueError(f"lr must be a number, got {self.lr!r}")
         if self.window_k < 0:
             raise ValueError("window_k must be >= 0")
-        if not 0.0 < self.lr < math.inf or self.epochs < 0 or self.batch_size < 1 or self.seed < 0:
-            raise ValueError("lr must be finite and > 0, epochs >= 0, batch_size >= 1, seed >= 0")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # The architecture is fixed; a checkpoint's arrays give only the widths.

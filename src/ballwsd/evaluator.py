@@ -39,11 +39,9 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-    inside_rate: float
 
     @classmethod
-    def from_counts(cls, correct: int, attempted: int, total_gold: int,
-                    inside_count: int) -> "EvalReport":
+    def from_counts(cls, correct: int, attempted: int, total_gold: int) -> "EvalReport":
         return cls(
             attempted=attempted,
             correct=correct,
@@ -52,26 +50,23 @@ class EvalReport:
             precision=correct / attempted if attempted else 0.0,
             recall=correct / total_gold if total_gold else 0.0,
             f1=2 * correct / (attempted + total_gold) if correct else 0.0,
-            inside_rate=inside_count / attempted if attempted else 0.0,
         )
 
     def render(self) -> str:
         return (f"P={self.precision:.4f} R={self.recall:.4f} F1={self.f1:.4f} "
                 f"attempted={self.attempted} correct={self.correct} "
-                f"total={self.total_gold} skipped={self.skipped} inside={self.inside_rate:.4f}")
+                f"total={self.total_gold} skipped={self.skipped}")
 
 
-def score(predicted, gold, inside) -> EvalReport:
+def score(predicted, gold) -> EvalReport:
     """Score row-aligned sequences: record i's predicted sense (None when
-    not attempted), its gold sense and its inside flag.  An unattempted row
-    counts as skipped (recall denominator only); its flag is ignored."""
-    if not len(predicted) == len(gold) == len(inside):
-        raise ValueError(f"{len(predicted)} predictions and {len(inside)} inside flags "
-                         f"for {len(gold)} gold senses")
+    not attempted) against its gold sense.  An unattempted row counts as
+    skipped (recall denominator only)."""
+    if len(predicted) != len(gold):
+        raise ValueError(f"{len(predicted)} predictions for {len(gold)} gold senses")
     attempted = [i for i, p in enumerate(predicted) if p is not None]
     correct = sum(1 for i in attempted if predicted[i] == gold[i])
-    inside_count = sum(1 for i in attempted if inside[i])
-    return EvalReport.from_counts(correct, len(attempted), len(gold), inside_count)
+    return EvalReport.from_counts(correct, len(attempted), len(gold))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +74,7 @@ def score(predicted, gold, inside) -> EvalReport:
 
 def save_reports(reports: dict[int, EvalReport], path, dataset: str = "eval") -> None:
     cols = ("dataset", "level", "precision", "recall", "f1", "attempted",
-            "correct", "total_gold", "skipped", "inside_rate")
+            "correct", "total_gold", "skipped")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#" + "\t".join(cols) + "\n")
         for level in sorted(reports):
@@ -87,7 +82,7 @@ def save_reports(reports: dict[int, EvalReport], path, dataset: str = "eval") ->
             fh.write("\t".join([
                 dataset, str(level), "%.17g" % r.precision, "%.17g" % r.recall,
                 "%.17g" % r.f1, str(r.attempted), str(r.correct),
-                str(r.total_gold), str(r.skipped), "%.17g" % r.inside_rate,
+                str(r.total_gold), str(r.skipped),
             ]) + "\n")
 
 
@@ -282,5 +277,4 @@ def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
         anchor = {c.sense: c.anchor for c in candidates}
         for i, pred in zip(rows, select_sense(V[rows], candidates, balls)):
             predictions[i], anchors[i] = pred, anchor[pred.chosen]
-    inside = [p is not None and p.inside_anchor_ball for p in predictions]
-    return score(anchors, [r.target for r in records], inside), predictions
+    return score(anchors, [r.target for r in records]), predictions

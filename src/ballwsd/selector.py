@@ -29,7 +29,6 @@ class Candidate:
 class Prediction:
     chosen: SenseId
     score: float
-    inside_anchor_ball: bool
     margin: float  # winner score minus runner-up; inf for a lone candidate
 
 
@@ -52,8 +51,6 @@ def select_sense(V, candidates: list[Candidate],
     """One prediction per row of V (n x dim, the encoded records of one
     word): argmax of cos(row, anchor center) over the candidates' rows of
     `balls`; argmax keeps the first (lowest-index) candidate on exact ties.
-    A row is inside its anchor's ball when its gap to the centre is at most
-    the radius: a point is a ball of radius 0 and gets no tolerance.
     """
     if not candidates:
         raise ValueError("no candidates to select from")
@@ -63,7 +60,7 @@ def select_sense(V, candidates: list[Candidate],
     if not np.isfinite(V).all():
         raise ValueError("vector has non-finite entries")
     rows = [c.row for c in candidates]
-    centers, radii = balls.centers[rows], balls.radii[rows]
+    centers = balls.centers[rows]
     nv, nc = gaps(V, 0.0), balls.norms[rows]
     if not (nv.all() and nc.all()):
         raise ValueError("cosine similarity undefined for zero-norm input")
@@ -76,10 +73,8 @@ def select_sense(V, candidates: list[Candidate],
     top, rest = scores[at], scores.copy()
     rest[at] = -np.inf
     margin = top - rest.max(axis=1)  # inf for a lone candidate
-    inside = gaps(V, centers[best]) <= radii[best]
-    return [Prediction(chosen=candidates[b].sense, score=float(t),
-                       inside_anchor_ball=bool(ok), margin=float(m))
-            for b, t, ok, m in zip(best, top, inside, margin)]
+    return [Prediction(chosen=candidates[b].sense, score=float(t), margin=float(m))
+            for b, t, m in zip(best, top, margin)]
 
 
 def deduction_query(hyponym: SenseId, hypernym: SenseId,
@@ -101,7 +96,7 @@ def deduction_query(hyponym: SenseId, hypernym: SenseId,
 
 
 # ---------------------------------------------------------------------------
-# prediction files: instance_id, chosen sense, score, inside flag, margin
+# prediction files: instance_id, chosen sense, score, margin
 
 def save_predictions(predictions: list[Prediction | None], level: int, path) -> None:
     """One line per attempted record, in record order, with the id
@@ -109,5 +104,5 @@ def save_predictions(predictions: list[Prediction | None], level: int, path) -> 
     with open(path, "w", encoding="utf-8") as fh:
         for i, p in enumerate(predictions):
             if p is not None:
-                fh.write(f"l{level}.{i:06d}\t{p.chosen}\t{'%.17g' % p.score}\t"
-                         f"inside:{1 if p.inside_anchor_ball else 0}\t{'%.17g' % p.margin}\n")
+                fh.write(f"l{level}.{i:06d}\t{p.chosen}\t"
+                         f"{'%.17g' % p.score}\t{'%.17g' % p.margin}\n")

@@ -189,7 +189,7 @@ def test_criterion_5_scorer_correctness():
     failures = []
 
     def golden(name, predicted, gold, want_p, want_r, want_f1):
-        report = score(predicted, gold, [False] * len(gold))
+        report = score(predicted, gold)
         got = (report.precision, report.recall, report.f1)
         want = (float(want_p), float(want_r), float(want_f1))
         if any(abs(a - b) > 1e-9 for a, b in zip(got, want)):
@@ -228,7 +228,7 @@ def test_criterion_5_scorer_correctness():
         gold = [s(int(rng.integers(0, 4))) for _ in range(n_gold)]
         predicted = [s(int(rng.integers(0, 4))) if rng.random() < 0.7 else None
                      for _ in range(n_gold)]
-        report = score(predicted, gold, [False] * n_gold)
+        report = score(predicted, gold)
         attempted = [k for k in range(n_gold) if predicted[k] is not None]
         correct = sum(1 for k in attempted if predicted[k] == gold[k])
         p = Fraction(correct, len(attempted)) if attempted else Fraction(0)

@@ -258,11 +258,15 @@ class TestTrainEval:
                      "--balls", str(balls), "--out", str(out_dir),
                      "--set", "levels=0,1"])
         assert code == 0
-        report = (out_dir / "report.tsv").read_text()
-        assert report.splitlines()[0].startswith("#dataset")
-        assert (out_dir / "predictions-l1.tsv").exists()
+        report = (out_dir / "report.tsv").read_text().splitlines()
+        assert report[0] == ("#dataset\tlevel\tprecision\trecall\tf1\tattempted"
+                             "\tcorrect\ttotal_gold\tskipped")
+        assert [len(row.split("\t")) for row in report[1:]] == [9, 9]
+        lines = (out_dir / "predictions-l1.tsv").read_text().splitlines()
+        assert lines and all(len(line.split("\t")) == 4 for line in lines)
         stdout = capsys.readouterr().out
         assert "level 1" in stdout
+        assert not any("inside=" in line for line in stdout.splitlines())
         # the two fly senses sit under different hypernyms
         assert stdout.splitlines()[-1] == "shared-hypernym sense pairs: 0"
 
@@ -682,6 +686,9 @@ class TestShowConfigAndUsage:
         ("show-config", "margin=inf"),
         ("show-config", "seed=-1"),
         ("show-config", "levels=1,1"),
+        ("show-config", "levels=0,,1"),
+        ("show-config", "levels=1,"),
+        ("show-config", "batch_size=0"),
     ])
     def test_bad_config_value_is_usage_error(self, workspace, capsys, command, pair):
         balls = build(workspace)
@@ -699,6 +706,9 @@ class TestShowConfigAndUsage:
         assert main([command, *flags, "--set", pair]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
+        # the message names the bad key and no other (batch_size=0, not lr)
+        key = pair.split("=")[0]
+        assert [k for k in DEFAULTS if k in captured.err] == [key]
         assert not out.exists()
 
     def test_bad_levels_value_is_usage_error(self, workspace):

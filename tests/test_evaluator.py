@@ -20,7 +20,7 @@ class TestScore:
     def test_three_of_four_attempted_five_gold(self):
         gold = [sid(k) for k in range(5)]
         predicted = [sid(0), sid(1), sid(2), sid(99), None]
-        report = score(predicted, gold, [False] * 5)
+        report = score(predicted, gold)
         assert (report.correct, report.attempted, report.total_gold) == (3, 4, 5)
         assert report.precision == float(Fraction(3, 4))
         assert report.recall == float(Fraction(3, 5))
@@ -29,35 +29,28 @@ class TestScore:
 
     def test_all_correct(self):
         gold = [sid(k) for k in range(4)]
-        report = score(list(gold), gold, [True] * 4)
+        report = score(list(gold), gold)
         assert report.f1 == 1.0 and report.skipped == 0
 
     def test_nothing_attempted(self):
-        report = score([None], [sid(0)], [True])
+        report = score([None], [sid(0)])
         assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
-        assert report.skipped == 1 and report.inside_rate == 0.0
+        assert report.skipped == 1
 
     def test_empty_gold(self):
-        report = score([], [], [])
+        report = score([], [])
         assert report.total_gold == 0 and report.f1 == 0.0
 
     def test_all_wrong(self):
-        report = score([sid(9), sid(9)], [sid(0), sid(1)], [True, True])
+        report = score([sid(9), sid(9)], [sid(0), sid(1)])
         assert report.f1 == 0.0 and report.attempted == 2
-
-    def test_inside_rate(self):
-        gold = [sid(0), sid(1), sid(2)]
-        predicted = [sid(0), sid(9), None]
-        # an unattempted row's flag is not counted
-        report = score(predicted, gold, [True, False, True])
-        assert report.inside_rate == 0.5
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError) as info:
-            score([sid(0), None], [sid(0)], [True])
-        assert str(info.value) == "2 predictions and 1 inside flags for 1 gold senses"
+            score([sid(0), None], [sid(0)])
+        assert str(info.value) == "2 predictions for 1 gold senses"
         with pytest.raises(ValueError):
-            score([sid(0)], [sid(0)], [])
+            score([sid(0)], [])
 
     def test_matches_fraction_tally_on_random_sets(self):
         rng = np.random.default_rng(30)
@@ -66,37 +59,33 @@ class TestScore:
             gold = [sid(int(rng.integers(0, 5))) for _ in range(n_gold)]
             predicted = [sid(int(rng.integers(0, 5))) if rng.random() < 0.7 else None
                          for _ in range(n_gold)]
-            inside = [bool(rng.random() < 0.5) for _ in range(n_gold)]
-            report = score(predicted, gold, inside)
+            report = score(predicted, gold)
             attempted = [k for k in range(n_gold) if predicted[k] is not None]
             correct = sum(1 for k in attempted if predicted[k] == gold[k])
-            n_inside = sum(1 for k in attempted if inside[k])
             p = Fraction(correct, len(attempted)) if attempted else Fraction(0)
             r = Fraction(correct, n_gold)
             f1 = 2 * p * r / (p + r) if p + r else Fraction(0)
-            rate = Fraction(n_inside, len(attempted)) if attempted else Fraction(0)
             assert report.precision == float(p)
             assert report.recall == float(r)
             assert report.f1 == float(f1)
-            assert report.inside_rate == float(rate)
 
     def test_report_render_mentions_counts(self):
-        report = EvalReport.from_counts(3, 4, 5, inside_count=2)
-        text = report.render()
-        assert "attempted=4" in text and "correct=3" in text and "inside=0.5000" in text
+        report = EvalReport.from_counts(3, 4, 5)
+        assert report.render() == ("P=0.7500 R=0.6000 F1=0.6667 "
+                                   "attempted=4 correct=3 total=5 skipped=1")
 
 
 class TestSaveReports:
     def test_file_shape(self, tmp_path):
-        reports = {0: EvalReport.from_counts(1, 2, 4, 1),
-                   1: EvalReport.from_counts(0, 0, 4, 0)}
+        reports = {0: EvalReport.from_counts(1, 2, 4),
+                   1: EvalReport.from_counts(0, 0, 4)}
         path = tmp_path / "report.tsv"
         save_reports(reports, path, dataset="toy")
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#dataset\tlevel")
-        assert lines[1].split("\t")[0:2] == ["toy", "0"]
-        assert lines[1].split("\t")[9] == "0.5"
-        assert lines[2].split("\t")[8:] == ["4", "0"]   # all skipped, nothing inside
+        assert lines[1].split("\t") == ["toy", "0", "0.5", "0.25", "0.33333333333333331",
+                                         "2", "1", "4", "2"]
+        assert lines[2].split("\t")[5:] == ["0", "0", "4", "4"]   # all skipped
         assert len(lines) == 3
 
 
@@ -219,16 +208,13 @@ class TestPredictRecords:
         inventory, balls = self.inputs()
         records = [self.record(self.MOVE, self.FLY1),    # aimed at move: right
                    self.record(self.HIDDEN, self.SOLO),  # no anchor ball: unattempted
-                   self.record(self.MAKE, self.FLY2)]    # aimed at move, outside it: wrong
+                   self.record(self.MAKE, self.FLY2)]    # aimed at move: wrong
         V = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]])
         report, preds = predict_records(V, records, 1, inventory, balls)
         assert (report.attempted, report.correct, report.total_gold, report.skipped) == (2, 1, 3, 1)
-        assert report.inside_rate == 0.5
         assert len(preds) == 3 and preds[1] is None
         # the prediction names a sense; it scores by that sense's level-1 anchor
         assert preds[0].chosen == preds[2].chosen == self.FLY1
-        assert preds[0].inside_anchor_ball
-        assert not preds[2].inside_anchor_ball
 
     def test_interleaved_words_equal_one_record_per_call(self):
         fx = make_synthetic_fixture(seed=5, n_top=4, senses_per_parent=3,
@@ -242,11 +228,10 @@ class TestPredictRecords:
             V = rng.standard_normal((len(lifted), balls.dim))
             report, preds = predict_records(V, lifted, level, fx.inventory, balls)
             singles = []
-            correct = attempted = inside = 0
+            correct = attempted = 0
             for i, rec in enumerate(lifted):
                 one, pred = predict_records(V[i:i + 1], [rec], level, fx.inventory, balls)
                 singles += pred
                 correct, attempted = correct + one.correct, attempted + one.attempted
-                inside += round(one.inside_rate * one.attempted)
             assert preds == singles and len(preds) == len(lifted)
-            assert report == EvalReport.from_counts(correct, attempted, len(lifted), inside)
+            assert report == EvalReport.from_counts(correct, attempted, len(lifted))

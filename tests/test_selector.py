@@ -38,11 +38,6 @@ def random_rows(rng, n, dim):
     return centers, radii
 
 
-def inside_ref(v, config, row):
-    """Whether point v lies in the ball of `row`: a point gets no tolerance."""
-    return bool(np.linalg.norm(np.asarray(v) - config.centers[row]) <= config.radii[row])
-
-
 def select_one(v, candidates, balls):
     """select_sense on the one-row block [v]."""
     return select_sense([v], candidates, balls)[0]
@@ -78,7 +73,6 @@ class TestSelectSense:
             want = min(i for i, s in enumerate(scores) if s == best)
             assert pred.chosen == cands[want].sense
             assert pred.score == scores[want]
-            assert pred.inside_anchor_ball == inside_ref(v, config, cands[want].row)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(21)
@@ -100,16 +94,6 @@ class TestSelectSense:
     def test_lone_candidate_margin_is_inf(self):
         pred = select_one([1.0, 0.0], *make_candidates([[1.0, 0.1]]))
         assert pred.margin == math.inf
-
-    def test_inside_flag_matches_point_inside(self):
-        near, config = make_candidates([[1.0, 0.0]], radii=[0.5])
-        pred = select_one([1.2, 0.0], near, config)
-        assert pred.inside_anchor_ball == inside_ref([1.2, 0.0], config, near[0].row)
-        assert pred.inside_anchor_ball
-        assert select_one([1.5, 0.0], near, config).inside_anchor_ball  # boundary inclusive
-        assert not select_one([1.6, 0.0], near, config).inside_anchor_ball
-        far, config = make_candidates([[10.0, 0.0]], radii=[0.5])
-        assert not select_one([1.0, 0.0], far, config).inside_anchor_ball
 
     def test_empty_candidates_raise(self):
         _, config = make_candidates([[1.0]])
@@ -149,32 +133,24 @@ class TestSelectSense:
             assert pred.margin == (scores[best] - max(rest) if rest else math.inf)
 
     def test_rows_equal_one_row_calls_bit_for_bit(self):
-        # integer centers and (3, 4, 0, ...) offsets of length 5 put rows
-        # exactly on a radius-5 ball's boundary
         rng = np.random.default_rng(23)
-        boundary = lone = tie = 0
+        lone = tie = 0
         for _ in range(400):
             dim = int(rng.integers(2, 40))
             k = int(rng.integers(1, 7))
             centers = [rng.integers(-4, 5, dim).astype(float) for _ in range(k)]
             for c in centers:
                 c[0] = rng.integers(1, 5)  # no zero-norm center
-            radii = [5.0] * k
             if k > 1 and rng.random() < 0.3:
                 centers[int(rng.integers(1, k))] = centers[0].copy()
                 tie += 1
             lone += k == 1
-            cands, config = make_candidates(centers, radii)
+            cands, config = make_candidates(centers)
             V = rng.standard_normal((int(rng.integers(1, 12)), dim))
-            step = np.zeros(dim)
-            step[:2] = [3.0, 4.0]
-            for i in range(0, len(V), 3):
-                V[i] = centers[int(rng.integers(0, k))] + step
             batch = select_sense(V, cands, config)
             singles = [select_one(v, cands, config) for v in V]
             assert batch == singles
-            boundary += sum(p.inside_anchor_ball for p in batch)
-        assert boundary and lone and tie
+        assert lone and tie
 
 class TestCandidateSet:
     def fixture(self):
@@ -275,9 +251,9 @@ class TestDeductionQuery:
 class TestPredictionFiles:
     def sample(self):
         return [
-            Prediction(SenseId("fly", "v", 1), 0.912345678901234567, True, 0.25),
+            Prediction(SenseId("fly", "v", 1), 0.912345678901234567, 0.25),
             None,
-            Prediction(SenseId("aim", "n", 2), -0.125, False, math.inf),
+            Prediction(SenseId("aim", "n", 2), -0.125, math.inf),
         ]
 
     def test_round_trip(self, tmp_path):
@@ -286,12 +262,10 @@ class TestPredictionFiles:
         save_predictions(preds, 2, path)
         back = [None] * len(preds)
         for line in path.read_text().splitlines():
-            iid, chosen, score, inside, margin = line.split("\t")
+            iid, chosen, score, margin = line.split("\t")
             level, row = iid[1:].split(".")
             assert level == "2" and len(row) == 6
-            back[int(row)] = Prediction(SenseId.parse(chosen), float(score),
-                                        {"inside:1": True, "inside:0": False}[inside],
-                                        float(margin))
+            back[int(row)] = Prediction(SenseId.parse(chosen), float(score), float(margin))
         assert back == preds
 
     def test_record_order_past_six_digits(self, tmp_path):
