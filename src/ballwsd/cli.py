@@ -166,7 +166,7 @@ class _Outputs:
 
 def cmd_build_balls(args, cfg, out) -> int:
     inventory = load_inventory(args.inventory)
-    table = load_embeddings(args.embeddings)
+    table = load_embeddings(args.embeddings, {node.lemma for node in inventory.taxonomy.nodes()})
     balls = construct_balls(inventory.taxonomy, table, cfg.geometry)
     report = verify_configuration(balls, inventory.taxonomy, cfg.geometry)
     print(report.render())
@@ -208,7 +208,7 @@ def cmd_train(args, cfg, out) -> int:
     records = parse_annotated_corpus(args.corpus)
     if not records:
         raise ValueError(f"{args.corpus}: training corpus is empty")
-    table = load_embeddings(args.embeddings)
+    table = load_embeddings(args.embeddings, {t for r in records for t in r.tokens})
     balls = load_balls(args.balls)
     result = train(records, table, balls, cfg.train)
     save_encoder(result.params, out("checkpoint.json"), cfg.train)
@@ -227,7 +227,10 @@ def cmd_eval(args, cfg, out) -> int:
     for level, path in zip(cfg.levels, data_paths):
         if not os.path.exists(path):
             raise ValueError(f"{path}: no dataset for level {level}")
-    table = load_embeddings(args.embeddings)
+    # the datasets name every token eval reads, so they are parsed before the table
+    datasets = [parse_annotated_corpus(path) for path in data_paths]
+    table = load_embeddings(args.embeddings,
+                            {t for records in datasets for r in records for t in r.tokens})
     balls = load_balls(args.balls)
     inventory = load_inventory(args.inventory)
     params, tc = load_encoder(args.checkpoint)
@@ -241,8 +244,7 @@ def cmd_eval(args, cfg, out) -> int:
     out.manifest_config = {**cfg.values, **asdict(tc)}
     reports = {}
     inputs = V = None
-    for level, path in zip(cfg.levels, data_paths):
-        records = parse_annotated_corpus(path)
+    for level, records in zip(cfg.levels, datasets):
         # lifting rewrites targets only, so levels often share one batch of inputs
         key = [(r.tokens, r.indices) for r in records]
         if key != inputs:

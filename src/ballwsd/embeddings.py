@@ -106,15 +106,23 @@ def _convert_block(path, lines: list[tuple[int, str, str]], dim: int) -> np.ndar
     return block
 
 
-def load_embeddings(path) -> EmbeddingTable:
+def load_embeddings(path, words) -> EmbeddingTable:
     """Read a text table: `word v1 v2 ... vd` per line, space separated.
 
-    A malformed row or a non-finite value raises one ValueError that
-    starts `path:lineno:`, for the first bad line in the file.
+    Only the rows `vector()` reads for `words` are kept, each word's own
+    and its lowercase form's, so the full matrix is never held.  Every
+    line is still checked, kept or not: a malformed row or a non-finite
+    value raises one ValueError that starts `path:lineno:`, for the first
+    bad line in the file.  A file holding none of `words` gives a
+    zero-row table of the file's width.
     """
-    row: dict[str, int] = {}
-    blocks: list[np.ndarray] = []
+    want = set(words)
+    want |= {w.lower() for w in want}
+    seen: set[str] = set()
+    row: dict[str, int] = {}  # kept word -> its row of the kept matrix
+    kept: list[np.ndarray] = []
     pending: list[tuple[int, str, str]] = []  # checked lines not yet converted
+    picks: list[int] = []  # the kept lines among them
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -122,7 +130,7 @@ def load_embeddings(path) -> EmbeddingTable:
                 continue
             word, _, text = raw.partition(" ")
             n = raw.count(" ")  # as many coordinates as line.split(" ") gives
-            if n != dim or word in row:
+            if n != dim or word in seen:
                 if dim is None and n:
                     dim = n
                 else:
@@ -133,13 +141,16 @@ def load_embeddings(path) -> EmbeddingTable:
                                f"expected {dim} coordinates, got {n}" if n != dim else
                                f"duplicate word {word!r}")
                     raise ValueError(f"{path}:{lineno}: {problem}")
-            row[word] = len(row)
+            seen.add(word)
+            if word in want:
+                row[word] = len(row)
+                picks.append(len(pending))
             pending.append((lineno, word, text))
             if len(pending) == _BLOCK:
-                blocks.append(_convert_block(path, pending, dim))
-                pending = []
+                kept.append(_convert_block(path, pending, dim)[picks])
+                pending, picks = [], []
     if pending:
-        blocks.append(_convert_block(path, pending, dim))
-    if not row:
+        kept.append(_convert_block(path, pending, dim)[picks])
+    if not seen:
         raise ValueError(f"{path}: empty embedding table")
-    return EmbeddingTable.from_rows(np.concatenate(blocks), row)
+    return EmbeddingTable.from_rows(np.concatenate(kept), row)

@@ -141,6 +141,15 @@ def _check_finite(x, where: str):
         raise FloatingPointError(f"non-finite activations in {where}")
 
 
+def _relu_dense(X, w, b):
+    """relu(X @ w + b) in the product's own buffer, the same bits as the
+    out-of-place form.  The backward pass masks with its result, since
+    relu(x) > 0 exactly where x > 0."""
+    Y = X @ w
+    Y += b
+    return np.maximum(Y, 0.0, out=Y)
+
+
 # overflow ends up as non-finite activations, which _check_finite reports
 @np.errstate(over="ignore", invalid="ignore")
 def _forward(p: EncoderParams, T: np.ndarray, C: np.ndarray, keep: bool):
@@ -164,21 +173,19 @@ def _forward(p: EncoderParams, T: np.ndarray, C: np.ndarray, keep: bool):
         O = A @ a[f"l{l}.wo"] + a[f"l{l}.bo"]
         R1 = pre + O
         N1, ln1_cache = _ln_forward(R1, a[f"l{l}.ln1.g"], a[f"l{l}.ln1.b"])
-        Fpre = N1 @ a[f"l{l}.ff1"] + a[f"l{l}.ff1b"]
-        Fact = np.maximum(Fpre, 0.0)
+        Fact = _relu_dense(N1, a[f"l{l}.ff1"], a[f"l{l}.ff1b"])
         F2 = Fact @ a[f"l{l}.ff2"] + a[f"l{l}.ff2b"]
         R2 = N1 + F2
         X, ln2_cache = _ln_forward(R2, a[f"l{l}.ln2.g"], a[f"l{l}.ln2.b"])
         _check_finite(X, f"transformer layer {l}")
         if keep:
-            cache[f"l{l}"] = (pre, Qh, Kh, Vh, P, A, ln1_cache, N1, Fpre, Fact, ln2_cache)
+            cache[f"l{l}"] = (pre, Qh, Kh, Vh, P, A, ln1_cache, N1, Fact, ln2_cache)
     flat = X.reshape(B, 2 * d)
-    Hpre = flat @ a["head.w1"] + a["head.b1"]
-    Hact = np.maximum(Hpre, 0.0)
+    Hact = _relu_dense(flat, a["head.w1"], a["head.b1"])
     out = Hact @ a["head.w2"] + a["head.b2"]
     _check_finite(out, "output head")
     if keep:
-        cache["head"] = (flat, Hpre, Hact)
+        cache["head"] = (flat, Hact)
     return out, cache
 
 
@@ -199,18 +206,18 @@ def _backward(p: EncoderParams, cache, dV: np.ndarray) -> dict[str, np.ndarray]:
     scale = 1.0 / np.sqrt(dh)
     grads: dict[str, np.ndarray] = {}
 
-    flat, Hpre, Hact = cache["head"]
+    flat, Hact = cache["head"]
     _dense_grads(grads, "head.w2", "head.b2", Hact, dV)
-    dH = (dV @ a["head.w2"].T) * (Hpre > 0.0)
+    dH = (dV @ a["head.w2"].T) * (Hact > 0.0)
     _dense_grads(grads, "head.w1", "head.b1", flat, dH)
     dX = (dH @ a["head.w1"].T).reshape(B, 2, d)
 
     for l in reversed(range(LAYERS)):
-        pre, Qh, Kh, Vh, P, A, ln1_cache, N1, Fpre, Fact, ln2_cache = cache[f"l{l}"]
+        pre, Qh, Kh, Vh, P, A, ln1_cache, N1, Fact, ln2_cache = cache[f"l{l}"]
         dR2, grads[f"l{l}.ln2.g"], grads[f"l{l}.ln2.b"] = _ln_backward(
             dX, a[f"l{l}.ln2.g"], ln2_cache)
         _dense_grads(grads, f"l{l}.ff2", f"l{l}.ff2b", Fact, dR2)
-        dFact = (dR2 @ a[f"l{l}.ff2"].T) * (Fpre > 0.0)
+        dFact = (dR2 @ a[f"l{l}.ff2"].T) * (Fact > 0.0)
         _dense_grads(grads, f"l{l}.ff1", f"l{l}.ff1b", N1, dFact)
         dN1 = dR2 + dFact @ a[f"l{l}.ff1"].T
         dR1, grads[f"l{l}.ln1.g"], grads[f"l{l}.ln1.b"] = _ln_backward(

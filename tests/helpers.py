@@ -144,7 +144,9 @@ def gradient_check(params, T, C, Y, h: float, n_coords: int,
 
     def relu_signs(p):
         # on/off pattern of every relu unit: the transformer feed-forwards
-        # (item 8 of a layer's cache) and the output head
+        # (item 8 of a layer's cache, now the post-relu activation) and the
+        # output head (item 1 of its cache, also post-relu); relu(x) > 0
+        # exactly where x > 0
         _, cache = _forward(p, T, C, keep=True)
         parts = [(cache[f"l{l}"][8] > 0.0).ravel() for l in range(LAYERS)]
         parts.append((cache["head"][1] > 0.0).ravel())

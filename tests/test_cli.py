@@ -572,6 +572,55 @@ class TestOneLineErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"data error: {workspace['embeddings']}:3: {word!r} has a non-finite value"]
 
+    # build-balls reads the inventory's lemmas, train and eval the datasets'
+    # tokens; a bad line is reported whoever reads its word
+    @pytest.mark.parametrize("command, word", [
+        ("build-balls", "navigator"), ("train", "entity"), ("eval", "entity")])
+    def test_bad_line_of_unread_word_is_one_line_data_error(self, workspace, capsys,
+                                                            command, word):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+        inv, emb = str(workspace["inventory"]), str(workspace["embeddings"])
+        lines = workspace["embeddings"].read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{word} "))
+        lines[at] = lines[at].rsplit(" ", 1)[0]
+        workspace["embeddings"].write_text("\n".join(lines) + "\n")
+        out_dir = workspace["dir"] / "out"
+        argv = {
+            "build-balls": ["build-balls", "--inventory", inv, "--embeddings", emb],
+            "train": ["train", "--corpus", str(data / "dataset-l1.tsv"), "--embeddings", emb,
+                      "--balls", str(balls)],
+            "eval": ["eval", "--data", str(data), "--checkpoint", str(ckpt), "--inventory", inv,
+                     "--embeddings", emb, "--balls", str(balls), "--set", "levels=0,1"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out_dir)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            f"data error: {emb}:{at + 1}: expected 12 coordinates, got 11"]
+        assert not out_dir.exists()
+
+    def test_eval_reports_bad_dataset_before_bad_table(self, workspace, capsys):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+        with open(workspace["embeddings"], "a", encoding="utf-8") as fh:
+            fh.write("zebra 1\n")
+        dataset = data / "dataset-l1.tsv"
+        lines = dataset.read_text().splitlines()
+        lines.append("fly.n.01\tnot-an-index\ttok")
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]), "--balls", str(balls),
+                     "--out", str(workspace["dir"] / "e"), "--set", "levels=0,1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {dataset}:{len(lines)}: ")
+        assert not (workspace["dir"] / "e").exists()
+
     @pytest.mark.parametrize("edges, where, message", [
         ("a.n.01\t-\nbad\ta.n.01\n", ":2", "malformed sense id 'bad', want lemma.pos.index"),
         ("b.n.01\tc.n.01\nc.n.01\tb.n.01\n", "", "cycle through c.n.01"),

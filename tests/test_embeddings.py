@@ -62,7 +62,7 @@ class TestFiles:
                                 for i in range(30)})
         p = tmp_path / "emb.txt"
         save_embeddings(table, p)
-        back = load_embeddings(p)
+        back = load_embeddings(p, table.words())
         assert back.dim == 5 and back.words() == table.words()
         for w in table.words():
             assert np.array_equal(back.vector(w), table.vector(w))
@@ -71,13 +71,13 @@ class TestFiles:
         p = tmp_path / "emb.txt"
         p.write_text("a 1.0 2.0\nb 1.0\n")
         with pytest.raises(ValueError):
-            load_embeddings(p)
+            load_embeddings(p, ["a", "b"])
 
     def test_load_rejects_bad_float(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("a 1.0 zz\n")
         with pytest.raises(ValueError):
-            load_embeddings(p)
+            load_embeddings(p, ["a"])
 
     @pytest.mark.parametrize("value, message", [
         ("zz", "could not convert string to float: 'zz'"),
@@ -89,14 +89,14 @@ class TestFiles:
         p = tmp_path / "emb.txt"
         p.write_text(f"a 1.0 2.0\nb 1.0 {value}\nc 3.0 4.0\n")
         with pytest.raises(ValueError) as exc:
-            load_embeddings(p)
+            load_embeddings(p, ["a", "b", "c"])
         assert str(exc.value) == f"{p}:2: {message}"
 
     def test_large_finite_values_load(self, tmp_path):
         # their squares overflow; the values themselves are finite
         p = tmp_path / "emb.txt"
         p.write_text("a 1e200 -1.5e300\n")
-        assert np.array_equal(load_embeddings(p).vector("a"), [1e200, -1.5e300])
+        assert np.array_equal(load_embeddings(p, ["a"]).vector("a"), [1e200, -1.5e300])
 
 
 def load_row_by_row(path):
@@ -142,7 +142,7 @@ class TestBlockLoader:
     def test_table_is_one_matrix_with_row_views(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("".join(f"w{i} {i} {-i}.5\n" for i in range(7)))
-        table = load_embeddings(p)
+        table = load_embeddings(p, [f"w{i}" for i in range(7)])
         assert table.matrix.shape == (7, 2) and table.row == {f"w{i}": i for i in range(7)}
         assert np.shares_memory(table.get("w5"), table.matrix)
         assert np.array_equal(table.vector("W5"), [5.0, -5.5])
@@ -151,7 +151,7 @@ class TestBlockLoader:
         p = tmp_path / "emb.txt"
         p.write_text("a 1 2\nb 3 4\nc 5 6\nd 7 zz\ne 9 10\n")
         with pytest.raises(ValueError) as exc:
-            load_embeddings(p)
+            load_embeddings(p, list("abcde"))
         assert str(exc.value) == f"{p}:4: could not convert string to float: 'zz'"
 
     @pytest.mark.parametrize("bad, message", [
@@ -162,7 +162,7 @@ class TestBlockLoader:
         p = tmp_path / "emb.txt"
         p.write_text(f"a 1 2\nb 3 {bad}\nc 5\n")
         with pytest.raises(ValueError) as exc:
-            load_embeddings(p)
+            load_embeddings(p, list("abcde"))
         assert str(exc.value) == f"{p}:2: {message}"
 
     @pytest.mark.parametrize("text, lineno", [("a 1\nb \nc 2\n", 2), ("a \n", 1)])
@@ -171,21 +171,21 @@ class TestBlockLoader:
         p = tmp_path / "emb.txt"
         p.write_text(text)
         with pytest.raises(ValueError) as exc:
-            load_embeddings(p)
+            load_embeddings(p, list("abcde"))
         assert str(exc.value) == f"{p}:{lineno}: could not convert string to float: ''"
 
     def test_non_finite_value_after_bad_token_is_not_reported(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("a 1 zz\nb 3 nan\n")
         with pytest.raises(ValueError) as exc:
-            load_embeddings(p)
+            load_embeddings(p, list("abcde"))
         assert str(exc.value) == f"{p}:1: could not convert string to float: 'zz'"
 
     def test_tokens_only_python_accepts_load_as_row_by_row(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_bytes("a 1_000 2\r\nb \u0663 -0\r\nc 1.5 2.5\r\nd 1e3 .5\n".encode("utf-8"))
         words, matrix = load_row_by_row(p)
-        table = load_embeddings(p)
+        table = load_embeddings(p, words)
         assert table.words() == sorted(words) == ["a", "b", "c", "d"]
         assert table.matrix.tobytes() == matrix.tobytes()
         assert np.array_equal(table.vector("a"), [1000.0, 2.0])
@@ -198,6 +198,7 @@ class TestBlockLoader:
                    "+.5", "1.", "-0", "0x1", "1d3", "", "\t1", "1\u3000", "1 2", "1e-400",
                    "4.9e-324", "2.2250738585072011e-308", "0.1000000000000000055511151231257827"]
         alphabet = list("0123456789012345.-+e_nfE\t\u0663")
+        vocab_rng = np.random.default_rng(13)
         p = tmp_path / "emb.txt"
         outcomes = set()
         for case in range(400):
@@ -214,17 +215,77 @@ class TestBlockLoader:
                 lines.append(f"w{r} " + " ".join(coords) + "\n")
             p.write_text("".join(lines), encoding="utf-8")
             want = load_row_by_row(p)
+            # a random vocabulary: errors do not depend on it, kept rows do
+            vocab = [f"w{r}" for r in range(len(lines)) if vocab_rng.random() < 0.5]
             try:
-                table = load_embeddings(p)
+                table = load_embeddings(p, vocab)
             except ValueError as exc:
                 assert str(exc) == want, (case, lines)
                 outcomes.add("error")
                 continue
             assert not isinstance(want, str), (case, lines, want)
-            assert list(table.row) == want[0], (case, lines)
-            assert table.matrix.tobytes() == want[1].tobytes(), (case, lines)
+            rows = [i for i, w in enumerate(want[0]) if w in vocab]
+            assert list(table.row) == [want[0][i] for i in rows], (case, lines)
+            assert table.matrix.tobytes() == want[1][rows].tobytes(), (case, lines)
             outcomes.add("loaded")
         assert outcomes == {"error", "loaded"}
+
+
+class TestKeptRows:
+    """The loader keeps only the rows its caller's words can read, yet checks
+    every line as a full load does."""
+
+    # mixed case, a word whose only row is its lowercase form's, a word
+    # whose exact and lowercase rows both exist, and rows nobody asks for
+    LINES = ["dog 1 2", "Cat 3 4", "cat 5 6", "emu 7 8", "Yak 9 10", "owl 11 12"]
+
+    def write(self, tmp_path, lines):
+        p = tmp_path / "emb.txt"
+        p.write_text("".join(line + "\n" for line in lines))
+        return p
+
+    def test_requested_words_read_as_in_the_full_table(self, tmp_path):
+        p = self.write(tmp_path, self.LINES)
+        full = load_embeddings(p, [line.split(" ")[0] for line in self.LINES])
+        words = ["Dog", "dog", "CAT", "Cat", "cat", "Yak", "yak", "gnu", "GNU"]
+        kept = load_embeddings(p, words)
+        for w in words:
+            assert np.array_equal(kept.vector(w), full.vector(w)), w
+        assert np.array_equal(kept.vector("Dog"), [1.0, 2.0])   # lowercase fallback
+        assert np.array_equal(kept.vector("CAT"), [5.0, 6.0])
+        assert np.array_equal(kept.vector("gnu"), hash_unit_vector("gnu", 2))
+
+    def test_unrequested_rows_are_absent(self, tmp_path):
+        kept = load_embeddings(self.write(tmp_path, self.LINES), ["Dog", "CAT", "gnu"])
+        assert kept.row == {"dog": 0, "cat": 1}
+        assert kept.matrix.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+        assert kept.get("Cat") is not None and kept.get("emu") is None
+
+    def test_vocabulary_outside_the_file_gives_zero_rows(self, tmp_path):
+        kept = load_embeddings(self.write(tmp_path, self.LINES), ["gnu", "ZEBRA"])
+        assert len(kept) == 0 and kept.matrix.shape == (0, 2) and kept.dim == 2
+        assert np.array_equal(kept.vector("gnu"), hash_unit_vector("gnu", 2))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("owl 11 nan", "'owl' has a non-finite value"),
+        ("owl 11", "expected 2 coordinates, got 1"),
+        ("emu 11 12", "duplicate word 'emu'"),
+    ], ids=["non-finite", "ragged", "duplicate"])
+    def test_bad_line_of_unrequested_word_is_reported(self, tmp_path, monkeypatch,
+                                                      bad, message):
+        monkeypatch.setattr(embeddings, "_BLOCK", 3)
+        p = self.write(tmp_path, self.LINES[:5] + [bad])
+        for words in (["dog"], [], [line.split(" ")[0] for line in self.LINES]):
+            with pytest.raises(ValueError) as exc:
+                load_embeddings(p, words)
+            assert str(exc.value) == f"{p}:6: {message}"
+
+    def test_underscore_token_block_keeps_requested_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_BLOCK", 3)
+        p = self.write(tmp_path, ["a 1 2", "b 1_0 2", "c 3 4", "d 5 6"])
+        kept = load_embeddings(p, ["b", "d"])
+        assert kept.row == {"b": 0, "d": 1}
+        assert kept.matrix.tolist() == [[10.0, 2.0], [5.0, 6.0]]
 
 
 def record(tokens, *indices):

@@ -1,0 +1,94 @@
+"""Print each pipeline command's own peak RSS on a benchmark workload.
+
+    python3 tools/peak_rss.py --workload NAME --seed N
+
+Run from anywhere inside a checkout.  The workload's inputs are generated
+at the seed by perfbench/workloads.py in a child process, which also
+draws one query.  Then each command of perfbench/run.py's `commands`
+(build-balls, verify-balls, both prepares, train, eval) and that query
+run once, in that order, each in a fresh `python -m ballwsd` process
+with this tree's `src/` and run.py's child environment (one BLAS
+thread).  A child's peak RSS (`ru_maxrss`) starts at the high-water mark
+of the process that launched it, so this launcher imports no numpy and
+generates nothing itself: each number printed, read from `os.wait4`, is
+the command's own peak.  (run.py's `peak_rss_mb` is read under run.py,
+which has generated the inputs, so it can read run.py's mark instead.)
+The last stdout line is JSON: workload, seed and each command's peak in
+MiB.  Exit status: 0 when every command exits 0, 1 when one does not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import child_env, commands, query_argv  # noqa: E402
+
+# run in a child: generate the inputs into argv[3], print what the commands need
+GENERATE = """
+import json, sys
+import numpy as np
+from workloads import WORKLOADS, draw_queries
+seed = int(sys.argv[2])
+inputs = WORKLOADS[sys.argv[1]](seed, sys.argv[3])
+query = draw_queries(np.random.default_rng([seed, 7]), inputs.parent, 1)[0]
+print(json.dumps({"train_config": inputs.train_config, "levels": inputs.levels,
+                  "query": query[:2]}))
+"""
+
+
+def peak(argv: list[str], cwd: Path, env) -> tuple[int, float, str]:
+    """(exit code, peak RSS in MiB, stderr) of one `python -m ballwsd` run."""
+    with open(cwd / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "ballwsd", *argv], cwd=cwd, env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024.0, (cwd / "stderr.txt").read_text()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args(argv)
+    env = child_env()
+    with tempfile.TemporaryDirectory(prefix="peak-rss-") as tmp:
+        work = Path(tmp)
+        (work / "inputs").mkdir()
+        (work / "pass").mkdir()
+        gen = subprocess.run([sys.executable, "-c", GENERATE, args.workload, str(args.seed),
+                              str(work / "inputs")],
+                             env=dict(env, PYTHONPATH=os.pathsep.join(
+                                 [str(ROOT / "perfbench"), env["PYTHONPATH"]])),
+                             capture_output=True, text=True)
+        if gen.returncode != 0:
+            print(gen.stderr, end="", file=sys.stderr)
+            return 1
+        made = json.loads(gen.stdout)
+        inputs = SimpleNamespace(train_config=made["train_config"], levels=made["levels"])
+        argvs = {key: cmd for key, (_, cmd, _) in commands(inputs, "").items()}
+        argvs["query"] = query_argv("", made["query"])
+        peaks, failed = {}, []
+        for key, cmd in argvs.items():
+            code, mib, err = peak(cmd, work / "pass", env)
+            peaks[key] = round(mib, 1)
+            print(f"{key:14s} {mib:8.1f} MiB  exit {code}")
+            if code != 0:
+                failed.append(key)
+                print(err, end="", file=sys.stderr)
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "peak_rss_mb": peaks}))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
