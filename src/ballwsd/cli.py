@@ -23,7 +23,8 @@ from . import __version__
 from .construct import construct_balls
 from .corpus import dataset_report, lift_to_level, parse_annotated_corpus, save_records
 from .embeddings import load_embeddings
-from .encoder import TrainConfig, embed_records, forward_batch, load_encoder, save_encoder, train
+from .encoder import (TrainConfig, embed_records, forward_batch, load_encoder, prepare_arrays,
+                      save_encoder, train)
 from .evaluator import predict_records, save_reports
 from .geometry import (GeometryConfig, load_balls, save_balls,
                        verify_configuration)
@@ -204,13 +205,20 @@ def cmd_prepare(args, cfg, out) -> int:
     return EXIT_OK
 
 
-def cmd_train(args, cfg, out) -> int:
+def _training_arrays(args, window_k: int):
+    """prepare_arrays' (T, C, Y) for the training corpus.  The records,
+    table and balls they come from are freed when this returns, so none
+    of them is alive at the first training step."""
     records = parse_annotated_corpus(args.corpus)
     if not records:
         raise ValueError(f"{args.corpus}: training corpus is empty")
     table = load_embeddings(args.embeddings, {t for r in records for t in r.tokens})
-    balls = load_balls(args.balls)
-    result = train(records, table, balls, cfg.train)
+    return prepare_arrays(records, table, load_balls(args.balls), window_k)
+
+
+def cmd_train(args, cfg, out) -> int:
+    T, C, Y = _training_arrays(args, cfg.train.window_k)
+    result = train(T, C, Y, cfg.train)
     save_encoder(result.params, out("checkpoint.json"), cfg.train)
     with open(out("curve.tsv"), "w", encoding="utf-8") as fh:
         for epoch, value in result.curve:
@@ -222,6 +230,26 @@ def cmd_train(args, cfg, out) -> int:
     return EXIT_OK
 
 
+def _encode_levels(args, datasets):
+    """Encoder outputs for each level's records, the checkpoint's output
+    width and its training config.  The table and the weights live only
+    in this call, so they are freed before eval loads what selection reads."""
+    table = load_embeddings(args.embeddings,
+                            {t for records in datasets for r in records for t in r.tokens})
+    params, tc = load_encoder(args.checkpoint)
+    if params.dim != table.dim:
+        raise ValueError(f"model width is {params.dim} in {args.checkpoint}, "
+                         f"but {args.embeddings} holds {table.dim}-d vectors")
+    outputs, inputs = [], None
+    for records in datasets:
+        # lifting rewrites targets only, so levels often share one batch of inputs
+        key = [(r.tokens, r.indices) for r in records]
+        if key != inputs:
+            V, inputs = forward_batch(params, *embed_records(records, table, tc.window_k)), key
+        outputs.append(V)
+    return outputs, params.out_dim, tc
+
+
 def cmd_eval(args, cfg, out) -> int:
     data_paths = _dataset_paths(args.data, cfg.levels)
     for level, path in zip(cfg.levels, data_paths):
@@ -229,26 +257,16 @@ def cmd_eval(args, cfg, out) -> int:
             raise ValueError(f"{path}: no dataset for level {level}")
     # the datasets name every token eval reads, so they are parsed before the table
     datasets = [parse_annotated_corpus(path) for path in data_paths]
-    table = load_embeddings(args.embeddings,
-                            {t for records in datasets for r in records for t in r.tokens})
+    outputs, out_dim, tc = _encode_levels(args, datasets)
     balls = load_balls(args.balls)
-    inventory = load_inventory(args.inventory)
-    params, tc = load_encoder(args.checkpoint)
-    if params.dim != table.dim:
-        raise ValueError(f"model width is {params.dim} in {args.checkpoint}, "
-                         f"but {args.embeddings} holds {table.dim}-d vectors")
-    if params.out_dim != balls.dim:
-        raise ValueError(f"{args.checkpoint} predicts {params.out_dim}-d vectors, "
+    if out_dim != balls.dim:
+        raise ValueError(f"{args.checkpoint} predicts {out_dim}-d vectors, "
                          f"but {args.balls} holds {balls.dim}-d balls")
+    inventory = load_inventory(args.inventory)
     # training keys describe the evaluated model, so they come from its checkpoint
     out.manifest_config = {**cfg.values, **asdict(tc)}
     reports = {}
-    inputs = V = None
-    for level, records in zip(cfg.levels, datasets):
-        # lifting rewrites targets only, so levels often share one batch of inputs
-        key = [(r.tokens, r.indices) for r in records]
-        if key != inputs:
-            V, inputs = forward_batch(params, *embed_records(records, table, tc.window_k)), key
+    for level, records, V in zip(cfg.levels, datasets, outputs):
         report, preds = predict_records(V, records, level, inventory, balls)
         reports[level] = report
         save_predictions(preds, level, out(f"predictions-l{level}.tsv"))

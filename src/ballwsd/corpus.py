@@ -10,6 +10,7 @@ ratio is one correctly rounded division.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .geometry import BallConfiguration
@@ -61,7 +62,8 @@ def _parse_line(line: str) -> TrainingRecord:
         indices = tuple(int(t) for t in idx_s.split(","))
     except ValueError:
         raise ValueError(f"bad index list {idx_s!r}") from None
-    return TrainingRecord(target, original, tuple(tok_s.split()), indices)
+    # interned, so repeated words and every level's copy share one string
+    return TrainingRecord(target, original, tuple(map(sys.intern, tok_s.split())), indices)
 
 
 def parse_annotated_corpus(path) -> list[TrainingRecord]:

@@ -68,7 +68,7 @@ class EmbeddingTable:
 
 
 # lines converted per np.loadtxt call
-_BLOCK = 4096
+_BLOCK = 1024
 
 
 def _convert_block(path, lines: list[tuple[int, str, str]], dim: int) -> np.ndarray:

@@ -340,14 +340,13 @@ class TrainResult:
     curve: list[tuple[int, float]]   # (epoch, mean training loss)
 
 
-def train(records, table: EmbeddingTable, balls: BallConfiguration,
-          config: TrainConfig) -> TrainResult:
-    """Plain mini-batch gradient descent on the cosine loss.
+def train(T: np.ndarray, C: np.ndarray, Y: np.ndarray, config: TrainConfig) -> TrainResult:
+    """Plain mini-batch gradient descent on the cosine loss, over the rows
+    of prepare_arrays' (T, C, Y), built at `config.window_k`.
 
     Deterministic given the config seed: initialization, shuffling and
     arithmetic order are all fixed by it.
     """
-    T, C, Y = prepare_arrays(records, table, balls, config.window_k)
     params = init_params(T.shape[1], Y.shape[1], seed=config.seed)
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     n = T.shape[0]

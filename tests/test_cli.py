@@ -1,6 +1,8 @@
 import base64
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -385,6 +387,43 @@ class TestTrainEval:
                      "--out", str(workspace["dir"] / "e"), "--set", "levels=0,1,2"]) == 0
         assert len(calls) == 1
 
+    def test_eval_encodes_before_loading_balls_and_inventory(self, workspace, monkeypatch):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+        level1 = data / "dataset-l1.tsv"
+        level1.write_text("".join(level1.read_text().splitlines(keepends=True)[:-1]))
+        calls = []
+        for name in ("forward_batch", "load_balls", "load_inventory"):
+            def spy(*args, name=name, real=getattr(cli, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(cli, name, spy)
+        assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]), "--balls", str(balls),
+                     "--out", str(workspace["dir"] / "e"), "--set", "levels=0,1"]) == 0
+        assert calls == ["forward_batch", "forward_batch", "load_balls", "load_inventory"]
+
+    def test_train_frees_table_and_balls_before_training(self, workspace, monkeypatch):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        refs, alive = [], []
+        for name in ("load_embeddings", "load_balls"):
+            def spy(*args, real=getattr(cli, name)):
+                loaded = real(*args)
+                refs.append(weakref.ref(loaded))
+                return loaded
+            monkeypatch.setattr(cli, name, spy)
+
+        def train_spy(*args, real=cli.train):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            return real(*args)
+        monkeypatch.setattr(cli, "train", train_spy)
+        train(workspace, balls, data)
+        assert alive == [[False, False]]
+
     def test_eval_level_without_records_scores_nothing(self, workspace, capsys):
         balls = build(workspace)
         data = prepare(workspace, balls, levels="0,1,2,5")   # nothing sits 5 levels up
@@ -619,6 +658,24 @@ class TestOneLineErrors:
                      "--out", str(workspace["dir"] / "e"), "--set", "levels=0,1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"data error: {dataset}:{len(lines)}: ")
+        assert not (workspace["dir"] / "e").exists()
+
+    def test_eval_reports_bad_checkpoint_before_bad_balls(self, workspace, capsys):
+        balls = build(workspace)
+        data = prepare(workspace, balls)
+        ckpt = train(workspace, balls, data)
+        lines = balls.read_text().splitlines()
+        sid, radius, coords = lines[4].split("\t")
+        lines[4] = "\t".join([sid, "0", coords])
+        balls.write_text("\n".join(lines) + "\n")
+        ckpt.write_text(ckpt.read_text()[:100])
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]), "--balls", str(balls),
+                     "--out", str(workspace["dir"] / "e"), "--set", "levels=0,1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {ckpt}: not valid JSON")
         assert not (workspace["dir"] / "e").exists()
 
     @pytest.mark.parametrize("edges, where, message", [

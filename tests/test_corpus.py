@@ -100,6 +100,16 @@ class TestParsing:
             parse_annotated_corpus(p)
         assert str(info.value) == f"{p}:3: {MALFORMED[line]}"
 
+    def test_tokens_are_shared_across_files_and_records(self, tmp_path):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a.write_text("aim.n.02\t4\t" + " ".join(TOKENS) + "\n")
+        b.write_text("goal.n.01\taim.n.02\t4\t" + " ".join(TOKENS) + "\n"
+                     "aim.n.02\t0\tcareer objectives\n")
+        (ra,), (rb, rc) = parse_annotated_corpus(a), parse_annotated_corpus(b)
+        assert ra.tokens == rb.tokens == TOKENS
+        assert all(x is y for x, y in zip(ra.tokens, rb.tokens))
+        assert rc.tokens[0] is ra.tokens[7] and rc.tokens[1] is ra.tokens[4]
+
     def test_empty_file_gives_no_records(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_text("")

@@ -262,29 +262,30 @@ class TestTraining:
     def test_loss_decreases_on_separable_data(self):
         table, balls, records = toy_setup()
         cfg = TrainConfig(window_k=2, lr=0.05, epochs=15, batch_size=8, seed=0)
-        result = train(records, table, balls, cfg)
+        result = train(*prepare_arrays(records, table, balls, cfg.window_k), cfg)
         assert result.curve[-1][1] < 0.25 * result.curve[0][1]
         assert [e for e, _ in result.curve] == list(range(15))
 
     def test_deterministic_given_seed(self):
         table, balls, records = toy_setup()
         cfg = TrainConfig(window_k=2, lr=0.05, epochs=3, batch_size=8, seed=5)
-        a = train(records, table, balls, cfg)
-        b = train(records, table, balls, cfg)
+        a = train(*prepare_arrays(records, table, balls, cfg.window_k), cfg)
+        b = train(*prepare_arrays(records, table, balls, cfg.window_k), cfg)
         assert a.curve == b.curve
         for name in a.params.arrays:
             assert np.array_equal(a.params.arrays[name], b.params.arrays[name])
 
     def test_seed_changes_outcome(self):
         table, balls, records = toy_setup()
-        a = train(records, table, balls, TrainConfig(window_k=2, epochs=2, seed=1))
-        b = train(records, table, balls, TrainConfig(window_k=2, epochs=2, seed=2))
+        arrays = prepare_arrays(records, table, balls, window_k=2)
+        a = train(*arrays, TrainConfig(window_k=2, epochs=2, seed=1))
+        b = train(*arrays, TrainConfig(window_k=2, epochs=2, seed=2))
         assert not np.array_equal(a.params.arrays["head.w2"], b.params.arrays["head.w2"])
 
     def test_zero_epochs_returns_init(self):
         table, balls, records = toy_setup()
         cfg = TrainConfig(window_k=2, epochs=0, seed=9)
-        result = train(records, table, balls, cfg)
+        result = train(*prepare_arrays(records, table, balls, cfg.window_k), cfg)
         init = init_params(8, 4, seed=9)
         assert result.curve == []
         for name in init.arrays:
@@ -295,7 +296,7 @@ class TestCheckpoints:
     def test_round_trip_exact(self, tmp_path):
         table, balls, records = toy_setup()
         cfg = TrainConfig(window_k=2, epochs=2, seed=0)
-        result = train(records, table, balls, cfg)
+        result = train(*prepare_arrays(records, table, balls, cfg.window_k), cfg)
         path = tmp_path / "ck.json"
         save_encoder(result.params, path, cfg)
         params, tc = load_encoder(path)
@@ -351,7 +352,7 @@ class TestCheckpoints:
     def test_loaded_params_reproduce_outputs(self, tmp_path):
         table, balls, records = toy_setup()
         cfg = TrainConfig(window_k=2, epochs=2, seed=0)
-        result = train(records, table, balls, cfg)
+        result = train(*prepare_arrays(records, table, balls, cfg.window_k), cfg)
         path = tmp_path / "ck.json"
         save_encoder(result.params, path, cfg)
         params, _ = load_encoder(path)

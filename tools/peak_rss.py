@@ -11,10 +11,13 @@ with this tree's `src/` and run.py's child environment (one BLAS
 thread).  A child's peak RSS (`ru_maxrss`) starts at the high-water mark
 of the process that launched it, so this launcher imports no numpy and
 generates nothing itself: each number printed, read from `os.wait4`, is
-the command's own peak.  (run.py's `peak_rss_mb` is read under run.py,
-which has generated the inputs, so it can read run.py's mark instead.)
-The last stdout line is JSON: workload, seed and each command's peak in
-MiB.  Exit status: 0 when every command exits 0, 1 when one does not.
+the command's own peak.  The generator child's own peak is printed too:
+run.py's `peak_rss_mb` is read under run.py, which generates the inputs
+in its own process (at least three times), so no command can read below
+that mark there; the generator's peak is a floor under it.
+The last stdout line is JSON: workload, seed, each command's peak and
+the generator's peak in MiB.  Exit status: 0 when every command exits 0,
+1 when one does not.
 """
 
 from __future__ import annotations
@@ -46,14 +49,13 @@ print(json.dumps({"train_config": inputs.train_config, "levels": inputs.levels,
 """
 
 
-def peak(argv: list[str], cwd: Path, env) -> tuple[int, float, str]:
-    """(exit code, peak RSS in MiB, stderr) of one `python -m ballwsd` run."""
-    with open(cwd / "stderr.txt", "wb") as err:
-        proc = subprocess.Popen([sys.executable, "-m", "ballwsd", *argv], cwd=cwd, env=env,
-                                stdout=subprocess.DEVNULL, stderr=err)
+def peak(argv: list[str], cwd: Path, env) -> tuple[int, float, str, str]:
+    """(exit code, peak RSS in MiB, stdout, stderr) of one child process."""
+    with open(cwd / "stdout.txt", "wb") as out, open(cwd / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024.0, (cwd / "stderr.txt").read_text()
+    return (os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0,
+            (cwd / "stdout.txt").read_text(), (cwd / "stderr.txt").read_text())
 
 
 def main(argv=None) -> int:
@@ -66,27 +68,27 @@ def main(argv=None) -> int:
         work = Path(tmp)
         (work / "inputs").mkdir()
         (work / "pass").mkdir()
-        gen = subprocess.run([sys.executable, "-c", GENERATE, args.workload, str(args.seed),
-                              str(work / "inputs")],
-                             env=dict(env, PYTHONPATH=os.pathsep.join(
-                                 [str(ROOT / "perfbench"), env["PYTHONPATH"]])),
-                             capture_output=True, text=True)
-        if gen.returncode != 0:
-            print(gen.stderr, end="", file=sys.stderr)
+        code, generator_mb, stdout, err = peak(
+            [sys.executable, "-c", GENERATE, args.workload, str(args.seed), str(work / "inputs")],
+            work, dict(env, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), env["PYTHONPATH"]])))
+        if code != 0:
+            print(err, end="", file=sys.stderr)
             return 1
-        made = json.loads(gen.stdout)
+        print(f"{'generate':14s} {generator_mb:8.1f} MiB  floor under run.py's peak_rss_mb")
+        made = json.loads(stdout)
         inputs = SimpleNamespace(train_config=made["train_config"], levels=made["levels"])
         argvs = {key: cmd for key, (_, cmd, _) in commands(inputs, "").items()}
         argvs["query"] = query_argv("", made["query"])
         peaks, failed = {}, []
         for key, cmd in argvs.items():
-            code, mib, err = peak(cmd, work / "pass", env)
+            code, mib, _, err = peak([sys.executable, "-m", "ballwsd", *cmd], work / "pass", env)
             peaks[key] = round(mib, 1)
             print(f"{key:14s} {mib:8.1f} MiB  exit {code}")
             if code != 0:
                 failed.append(key)
                 print(err, end="", file=sys.stderr)
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "peak_rss_mb": peaks}))
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "peak_rss_mb": peaks,
+                      "generator_peak_rss_mb": round(generator_mb, 1)}))
     return 1 if failed else 0
 
 
