@@ -28,7 +28,7 @@ from .encoder import (TrainConfig, embed_records, forward_batch, load_encoder, p
 from .evaluator import predict_records, save_reports
 from .geometry import (GeometryConfig, load_balls, save_balls,
                        verify_configuration)
-from .inventory import SenseId, check_distinct_hypernym_assumption, load_inventory
+from .inventory import SenseId, load_inventory, shared_hypernym_pairs
 from .selector import deduction_query, save_predictions
 
 EXIT_OK = 0
@@ -272,7 +272,7 @@ def cmd_eval(args, cfg, out) -> int:
         save_predictions(preds, level, out(f"predictions-l{level}.tsv"))
         print(f"level {level}: {report.render()}")
     # an anchor-based selector cannot split senses of one word that share a hypernym
-    print(f"shared-hypernym sense pairs: {len(check_distinct_hypernym_assumption(inventory))}")
+    print(f"shared-hypernym sense pairs: {shared_hypernym_pairs(inventory)}")
     save_reports(reports, out("report.tsv"), dataset=os.path.basename(args.data.rstrip("/")))
     return EXIT_OK
 

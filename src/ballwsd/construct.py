@@ -61,31 +61,24 @@ def _unit_prefix(table: EmbeddingTable, lemma: str) -> np.ndarray:
     return base / norm
 
 
-def _pack_offsets(radii: list[float], axes: list[int]) -> list[tuple[int, float]]:
-    """1-d offsets (axis, distance) separating sibling balls.
+def _pack_offsets(radii: list[float], axes: list[int]) -> list[float]:
+    """Distance of each sibling ball along its axis, separating the balls.
 
-    Each ball i goes to distance t_i along its axis.  With distinct axes,
-    t_i = (r_i + r_max)/sqrt(2) makes every cross pair disconnected;
-    same-axis groups are chained in descending-radius order so the
-    first (largest) member alone satisfies the cross-axis bound.
+    With distinct axes, t_i = (r_i + r_max)/sqrt(2) makes every cross pair
+    disconnected; same-axis groups are chained in descending-radius order
+    so the first (largest) member alone satisfies the cross-axis bound.
     """
     r_max = max(radii)
-    order: dict[int, list[int]] = {}
-    for i, axis in enumerate(axes):
-        order.setdefault(axis, []).append(i)
-    out: list[tuple[int, float] | None] = [None] * len(radii)
-    for axis, members in order.items():
-        members.sort(key=lambda i: (-radii[i], i))
-        pos = 0.0
-        prev_r = None
-        for i in members:
-            if prev_r is None:
-                pos = (1.0 + _REL_SLACK) * (radii[i] + r_max) / math.sqrt(2.0)
-            else:
-                pos += (1.0 + _REL_SLACK) * (prev_r + radii[i])
-            out[i] = (axis, pos)
-            prev_r = radii[i]
-    return out  # type: ignore[return-value]
+    last: dict[int, int] = {}  # axis -> the member placed last on it
+    out = [0.0] * len(radii)
+    for i in sorted(range(len(radii)), key=lambda i: (-radii[i], i)):
+        prev = last.get(axes[i])
+        if prev is None:
+            out[i] = (1.0 + _REL_SLACK) * (radii[i] + r_max) / math.sqrt(2.0)
+        else:
+            out[i] = out[prev] + (1.0 + _REL_SLACK) * (radii[prev] + radii[i])
+        last[axes[i]] = i
+    return out
 
 
 class _Builder:
@@ -109,7 +102,7 @@ class _Builder:
         """Translate each subtree rigidly so its top ball (row) sits at its
         offset along its axis."""
         offsets = _pack_offsets(self.radii[rows].tolist(), axes)
-        for i, (axis, dist) in zip(rows, offsets):
+        for i, axis, dist in zip(rows, axes, offsets):
             shift = -self.centers[i, self.pdim:]
             shift[axis] += dist
             self.centers[i:self.end[i], self.pdim:] += shift

@@ -13,7 +13,6 @@ disconnected.
 from __future__ import annotations
 
 import base64
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, TYPE_CHECKING
@@ -131,11 +130,6 @@ class BallConfiguration:
     def __contains__(self, sense_id: str) -> bool:
         return sense_id in self.row
 
-    @functools.cached_property
-    def norms(self) -> np.ndarray:
-        """|center| of each row, computed on first use."""
-        return gaps(self.centers, 0.0)
-
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -165,7 +159,8 @@ def load_balls(path) -> BallConfiguration:
     header with dim < 1 or a second header raises one ValueError that
     starts `path:lineno:`."""
     dim = prefix = None
-    ids, radii, rows, linenos = [], [], [], []
+    ids, radii, linenos = [], [], []
+    buf = bytearray()  # the centers' bytes, one row after another
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").removesuffix("\r")
@@ -199,11 +194,11 @@ def load_balls(path) -> BallConfiguration:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             ids.append(sid)
             radii.append(radius)
-            rows.append(center)
+            buf += center
             linenos.append(lineno)
     if dim is None:
         raise ValueError(f"{path}: missing {_HEADER}")
-    centers = np.frombuffer(b"".join(rows), dtype="<f8").reshape(len(rows), dim).copy()
+    centers = np.frombuffer(buf, dtype="<f8").reshape(len(ids), dim)
     try:
         return BallConfiguration(ids, centers, radii, prefix)
     except RowError as exc:

@@ -11,7 +11,7 @@ the cycle check.
 from __future__ import annotations
 
 import logging
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
@@ -130,9 +130,6 @@ class Inventory:
         for node in self.taxonomy.nodes():
             self._by_word.setdefault(node.word, []).append(node)
 
-    def words(self) -> list[tuple[str, str]]:
-        return list(self._by_word)
-
     def senses_of(self, lemma: str, pos: str) -> list[SenseId]:
         return list(self._by_word.get((lemma, pos), []))
 
@@ -181,24 +178,12 @@ def load_inventory(path) -> Inventory:
     return Inventory(taxonomy=taxonomy, dropped_edges=dropped)
 
 
-def check_distinct_hypernym_assumption(inventory: Inventory) -> list[tuple[SenseId, SenseId]]:
-    """Find sense pairs of the same word that share a direct hypernym.
+def shared_hypernym_pairs(inventory: Inventory) -> int:
+    """How many sense pairs of one word share a direct hypernym.
 
     The selection rule keys candidates by their hypernym anchor, so such
-    pairs collapse to a tie; callers surface them in reports.
-    Returned pairs are ordered (lower sense index first) and sorted.
+    pairs collapse to a tie; `eval` reports the count.
     """
-    collisions: list[tuple[SenseId, SenseId]] = []
     tax = inventory.taxonomy
-    for word in inventory.words():
-        senses = inventory.senses_of(*word)
-        by_parent: dict[SenseId, list[SenseId]] = {}
-        for s in senses:
-            par = tax.parent_of(s)
-            if par is not None:
-                by_parent.setdefault(par, []).append(s)
-        for group in by_parent.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    collisions.append((group[i], group[j]))
-    return sorted(collisions)
+    groups = Counter((s.word, p) for s in tax.nodes() if (p := tax.parent_of(s)) is not None)
+    return sum(k * (k - 1) // 2 for k in groups.values())

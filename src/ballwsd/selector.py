@@ -61,7 +61,7 @@ def select_sense(V, candidates: list[Candidate],
         raise ValueError("vector has non-finite entries")
     rows = [c.row for c in candidates]
     centers = balls.centers[rows]
-    nv, nc = gaps(V, 0.0), balls.norms[rows]
+    nv, nc = gaps(V, 0.0), gaps(centers, 0.0)
     if not (nv.all() and nc.all()):
         raise ValueError("cosine similarity undefined for zero-norm input")
     # one 1 x d by d x 1 product per (row, candidate): np.dot(v, c) bit for

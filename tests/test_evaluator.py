@@ -7,7 +7,7 @@ from ballwsd.construct import construct_balls
 from ballwsd.corpus import TrainingRecord, lift_to_level
 from ballwsd.evaluator import (EvalReport, make_synthetic_fixture, predict_records,
                                save_reports, score, split_records)
-from ballwsd.inventory import Inventory, SenseId, Taxonomy
+from ballwsd.inventory import Inventory, SenseId, Taxonomy, shared_hypernym_pairs
 
 from helpers import ancestors, configuration
 
@@ -104,11 +104,17 @@ class TestSyntheticFixture:
             assert parents[0] != parents[2]
 
     def test_odd_spp_has_distinct_parents(self):
-        from ballwsd.inventory import check_distinct_hypernym_assumption
         fx = make_synthetic_fixture(seed=0, n_top=4, senses_per_parent=3,
                                     records_per_sense=2)
         assert len(fx.leaves) == 12
-        assert check_distinct_hypernym_assumption(fx.inventory) == []
+        assert shared_hypernym_pairs(fx.inventory) == 0
+
+    @pytest.mark.parametrize("n_top, spp", [(2, 2), (4, 4), (8, 8)])
+    def test_even_spp_pairs_twins(self, n_top, spp):
+        # polysemy-eval's shape (8, 8) gives the 32 pairs its eval prints
+        fx = make_synthetic_fixture(seed=0, n_top=n_top, senses_per_parent=spp,
+                                    records_per_sense=1)
+        assert shared_hypernym_pairs(fx.inventory) == n_top * spp // 2
 
     def test_chain_levels_deepen_taxonomy(self):
         fx = make_synthetic_fixture(seed=0, n_top=3, senses_per_parent=2,

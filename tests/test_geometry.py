@@ -1,5 +1,6 @@
 import base64
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,10 +126,16 @@ class TestConfigs:
             BallConfiguration(["a.n.01"], np.zeros(3), [1.0], 1)
 
     def test_norms_are_one_norm_per_row(self):
-        centers = np.random.default_rng(5).standard_normal((40, 33))
-        cfg = BallConfiguration([f"s{i}.n.01" for i in range(40)], centers, np.ones(40), 1)
-        assert cfg.norms is cfg.norms  # computed once
-        assert cfg.norms.tolist() == [float(np.linalg.norm(c)) for c in centers]
+        # selection takes the norms of only the candidate rows it gathers
+        rng = np.random.default_rng(5)
+        centers = rng.standard_normal((400, 116)) * 10.0 ** rng.integers(-6, 6, size=(400, 1))
+        cfg = BallConfiguration([f"s{i}.n.01" for i in range(400)], centers, np.ones(400), 1)
+        norms = gaps(cfg.centers, 0.0)
+        assert norms.tolist() == [float(np.linalg.norm(c)) for c in centers]
+        for k in (1, 2, 3, 8, 40, 400):
+            for _ in range(20):
+                rows = rng.choice(len(centers), size=k, replace=False)
+                assert gaps(cfg.centers[rows], 0.0).tolist() == norms[rows].tolist()
 
     @pytest.mark.parametrize("row, fault, message", [
         (1, "radius", "b.n.01: radius must be positive and finite, got 0.0"),
@@ -173,6 +180,25 @@ class TestRoundTrip:
         for name, (_, center, radius) in balls.items():
             assert back.radii[back.row[name]] == radius
             assert np.array_equal(back.centers[back.row[name]], center)
+
+    def test_load_holds_one_copy_of_the_centers(self, tmp_path):
+        n, dim = 2000, 128
+        rng = np.random.default_rng(9)
+        cfg = BallConfiguration([f"s{i}.n.01" for i in range(n)], rng.standard_normal((n, dim)),
+                                np.ones(n), 100)
+        path = tmp_path / "balls.tsv"
+        save_balls(cfg, path)
+        tracemalloc.start()
+        try:
+            back = load_balls(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        centers = back.centers
+        assert peak <= 2 * centers.nbytes, peak / centers.nbytes
+        assert centers.dtype == np.float64 and centers.flags.c_contiguous
+        assert centers.flags.writeable
+        assert np.array_equal(centers[[back.row[sid] for sid in cfg.ids]], cfg.centers)
 
     def test_save_is_deterministic(self, tmp_path):
         b = ball("a.n.01", [1.0 / 3.0, 2.0 / 7.0], 0.1)

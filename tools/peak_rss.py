@@ -15,6 +15,9 @@ the command's own peak.  The generator child's own peak is printed too:
 run.py's `peak_rss_mb` is read under run.py, which generates the inputs
 in its own process (at least three times), so no command can read below
 that mark there; the generator's peak is a floor under it.
+Heap layout alone moves a command's reading by about 1.5 MiB (binding
+one more name in a module it imports has done so), so one reading per
+side is no gate for a difference under ~2 MiB: compare several runs.
 The last stdout line is JSON: workload, seed, each command's peak and
 the generator's peak in MiB.  Exit status: 0 when every command exits 0,
 1 when one does not.
