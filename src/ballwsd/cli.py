@@ -183,7 +183,7 @@ def cmd_verify_balls(args, cfg, out) -> int:
     balls = load_balls(args.balls)
     inventory = load_inventory(args.inventory)
     # a ball file that shares no sense with the inventory would pass unchecked
-    if not any(str(node) in balls for node in inventory.taxonomy.nodes()):
+    if not any(node in balls for node in inventory.taxonomy.nodes()):
         raise ValueError(f"{args.balls}: no ball names a node of {args.inventory}")
     report = verify_configuration(balls, inventory.taxonomy, cfg.geometry)
     print(report.render())

@@ -142,5 +142,5 @@ def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
 
     # final homothety into the unit ball
     scale = 1.0 / np.max(gaps(builder.centers, 0.0) + builder.radii)
-    return BallConfiguration([str(node) for node, _ in builder.order], builder.centers * scale,
+    return BallConfiguration([node for node, _ in builder.order], builder.centers * scale,
                              builder.radii * scale, builder.pdim)

@@ -117,7 +117,7 @@ def anchor_at(taxonomy: Taxonomy, sense: SenseId, level: int,
         sense = taxonomy.parent_of(sense)
         if sense is None:
             return None
-    return sense if str(sense) in balls else None
+    return sense if sense in balls else None
 
 
 def lift_to_level(records, taxonomy: Taxonomy, level: int, config: BallConfiguration) -> list[TrainingRecord]:

@@ -327,7 +327,7 @@ def prepare_arrays(records, table: EmbeddingTable, balls: BallConfiguration,
     T, C = embed_records(recs, table, window_k)
     rows = []
     for rec in recs:
-        i = balls.row.get(str(rec.target))
+        i = balls.row.get(rec.target)
         if i is None:
             raise ValueError(f"no ball for target sense {rec.target}")
         rows.append(i)

@@ -15,12 +15,11 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .inventory import Taxonomy
+from .inventory import SenseId, Taxonomy
 
 
 @dataclass
@@ -78,20 +77,20 @@ class RowError(ValueError):
 
 @dataclass(eq=False)
 class BallConfiguration:
-    """All balls of one taxonomy, as rows: sense `ids[i]` has center
-    `centers[i]` (an N x dim float64 matrix) and radius `radii[i]`, and
-    `row` maps each id to its row.
+    """All balls of one taxonomy, as rows: sense `ids[i]` (a `SenseId`,
+    the taxonomy's key) has center `centers[i]` (an N x dim float64
+    matrix) and radius `radii[i]`, and `row` maps each id to its row.
 
     The first `embedding_prefix_dim` components of each center are a
     positive multiple of the static word embedding the ball was built from.
     Rows are validated once, here; a ball exists only as its row.
     """
 
-    ids: list[str]
+    ids: list[SenseId]
     centers: np.ndarray
     radii: np.ndarray
     embedding_prefix_dim: int
-    row: dict[str, int] = field(init=False, repr=False)
+    row: dict[SenseId, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ids = list(self.ids)
@@ -105,6 +104,8 @@ class BallConfiguration:
             raise ValueError("need 0 < embedding_prefix_dim <= dim")
         self.row = {}
         for i, sid in enumerate(self.ids):
+            if not isinstance(sid, SenseId):
+                raise RowError(i, f"row {i}: id {sid!r} is not a SenseId")
             self.row.setdefault(sid, i)
         duplicate = np.array([self.row[sid] != i for i, sid in enumerate(self.ids)], dtype=bool)
         bad_center = ~np.isfinite(self.centers).all(axis=1)
@@ -114,7 +115,7 @@ class BallConfiguration:
             i = int(np.argmax(bad))
             sid = self.ids[i]
             if duplicate[i]:
-                raise RowError(i, f"duplicate sense id {sid!r}")
+                raise RowError(i, f"duplicate sense id '{sid}'")
             if bad_center[i]:
                 raise RowError(i, f"{sid}: center has non-finite entries")
             raise RowError(i, f"{sid}: radius must be positive and finite, "
@@ -127,7 +128,7 @@ class BallConfiguration:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, sense_id: str) -> bool:
+    def __contains__(self, sense_id: SenseId) -> bool:
         return sense_id in self.row
 
 
@@ -144,8 +145,8 @@ _HEADER = "'#dim n prefix p' header"
 
 
 def save_balls(config: BallConfiguration, path) -> None:
-    """Write one line per ball, in sorted-id order."""
-    order = [config.row[sid] for sid in sorted(config.ids)]
+    """Write one line per ball, in the sorted text order of the ids."""
+    order = [config.row[sid] for sid in sorted(config.ids, key=str)]
     centers = np.ascontiguousarray(config.centers[order], dtype="<f8")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#dim {config.dim} prefix {config.embedding_prefix_dim}\n")
@@ -155,9 +156,9 @@ def save_balls(config: BallConfiguration, path) -> None:
 
 
 def load_balls(path) -> BallConfiguration:
-    """Read a ball file.  A malformed row, a row before the header, a
-    header with dim < 1 or a second header raises one ValueError that
-    starts `path:lineno:`."""
+    """Read a ball file; ids parse with `SenseId.parse`.  A malformed row
+    or id, a repeated id, a row before the header, a header with dim < 1
+    or a second header raises one ValueError that starts `path:lineno:`."""
     dim = prefix = None
     ids, radii, linenos = [], [], []
     buf = bytearray()  # the centers' bytes, one row after another
@@ -181,7 +182,7 @@ def load_balls(path) -> BallConfiguration:
                 fields = line.split("\t")
                 if len(fields) != 3:
                     raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
-                sid, radius_s, center_s = fields
+                sid, radius_s, center_s = SenseId.parse(fields[0]), fields[1], fields[2]
                 try:
                     center = base64.b64decode(center_s, validate=True)
                 except ValueError:
@@ -212,8 +213,8 @@ def load_balls(path) -> BallConfiguration:
 
 class Violation(NamedTuple):
     kind: str        # "containment" | "disconnection" | "missing"
-    subject: str
-    other: str
+    subject: SenseId
+    other: SenseId
     slack: float     # how far past the tolerance the pair lies (positive = bad)
 
     def render(self) -> str:
@@ -244,7 +245,7 @@ class VerificationReport:
 
 def verify_configuration(
     config: BallConfiguration,
-    taxonomy: "Taxonomy",
+    taxonomy: Taxonomy,
     cfg: GeometryConfig | None = None,
 ) -> VerificationReport:
     """Check every parent-child pair for containment and every co-hyponym
@@ -266,19 +267,18 @@ def verify_configuration(
     groups = [(parent, taxonomy.children_of(parent)) for parent in taxonomy.nodes()]
     groups.append((None, taxonomy.roots()))  # co-roots: no covering ball, still disjoint
     for parent, group in groups:
-        rows = [r for r in map(row.get, map(str, group)) if r is not None]
+        rows = [r for r in map(row.get, group) if r is not None]
         if not rows:
             continue
         kids, block, kid_radii = [ids[r] for r in rows], centers[rows], radii[rows]
         if parent is not None:
-            pid = str(parent)
-            p = row.get(pid)
+            p = row.get(parent)
             if p is None:
-                found.extend(Violation("missing", pid, kid, math.inf) for kid in kids)
+                found.extend(Violation("missing", parent, kid, math.inf) for kid in kids)
             else:
                 report.checked_containment += len(rows)
                 slack = containment_rule(gaps(block, centers[p]), radii[p], kid_radii, eps)
-                found.extend(Violation("containment", pid, kids[j], float(slack[j]))
+                found.extend(Violation("containment", parent, kids[j], float(slack[j]))
                              for j in np.flatnonzero(slack > 0.0))
         for i in range(len(rows) - 1):
             slack = overlap_rule(gaps(block[i + 1:], block[i]), kid_radii[i],

@@ -42,7 +42,7 @@ def candidate_set(lemma: str, pos: str, level: int,
     for sense in inventory.senses_of(lemma, pos):
         anchor = anchor_at(inventory.taxonomy, sense, level, balls)
         if anchor is not None:
-            out.append(Candidate(sense=sense, anchor=anchor, row=balls.row[str(anchor)]))
+            out.append(Candidate(sense=sense, anchor=anchor, row=balls.row[anchor]))
     return out
 
 
@@ -87,7 +87,7 @@ def deduction_query(hyponym: SenseId, hypernym: SenseId,
     boundary.  A sense without a ball raises KeyError, the hyponym first.
     """
     cfg = cfg or GeometryConfig()
-    i, o = balls.row.get(str(hyponym)), balls.row.get(str(hypernym))
+    i, o = balls.row.get(hyponym), balls.row.get(hypernym)
     for sense, row in ((hyponym, i), (hypernym, o)):
         if row is None:
             raise KeyError(f"no ball for sense {sense}")

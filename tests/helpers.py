@@ -60,16 +60,21 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(f"{word} {coords}\n")
 
 
+def sense(sid) -> SenseId:
+    """`sid` as a SenseId: text is parsed, a SenseId passes through."""
+    return SenseId.parse(sid) if isinstance(sid, str) else sid
+
+
 def configuration(balls, prefix: int | None = None, dim: int | None = None) -> BallConfiguration:
     """The configuration whose rows are `balls`, an iterable of
-    `(sense_id, center, radius)` triples, in order.  `dim` is needed only
-    when there are no balls; the embedding prefix spans `prefix`
-    dimensions, or all of them."""
+    `(sense_id, center, radius)` triples, in order; a sense id is a
+    SenseId or its text.  `dim` is needed only when there are no balls;
+    the embedding prefix spans `prefix` dimensions, or all of them."""
     balls = list(balls)
     dim = dim or len(balls[0][1])
     centers = np.array([c for _, c, _ in balls], dtype=np.float64).reshape(len(balls), dim)
-    return BallConfiguration([sid for sid, _, _ in balls], centers, [r for _, _, r in balls],
-                             prefix or dim)
+    return BallConfiguration([sense(sid) for sid, _, _ in balls], centers,
+                             [r for _, _, r in balls], prefix or dim)
 
 
 def with_faults(rng, config, n_faults):

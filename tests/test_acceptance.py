@@ -58,12 +58,12 @@ def test_criterion_1_geometry_invariants():
         for node in tax.nodes():
             par = tax.parent_of(node)
             if par is not None:
-                p, k = row[str(par)], row[str(node)]
+                p, k = row[par], row[node]
                 gap = float(np.linalg.norm(centers[k] - centers[p]))
                 containment_pairs += 1
                 if gap + radii[k] > radii[p] + cfg.epsilon * min(radii[p], radii[k]):
                     bad += 1
-            kids = [row[str(k)] for k in tax.children_of(node)]
+            kids = [row[k] for k in tax.children_of(node)]
             for i in range(len(kids)):
                 for j in range(i + 1, len(kids)):
                     a, b = kids[i], kids[j]
@@ -162,7 +162,7 @@ def test_criterion_4_selector_oracle():
             src = int(rng.integers(0, n - 1))
             centers[int(rng.integers(1, n))] = centers[src].copy()
         anchors = [SenseId("p", "n", i + 1) for i in range(n)]
-        balls = configuration(zip(map(str, anchors), centers, radii))
+        balls = configuration(zip(anchors, centers, radii))
         cands = [Candidate(SenseId("w", "n", i + 1), anchors[i], i) for i in range(n)]
         v = rng.standard_normal(dim)
         while float(np.linalg.norm(v)) < 1e-6:

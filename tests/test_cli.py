@@ -162,8 +162,8 @@ class TestBuildVerify:
         assert "time" not in " ".join(manifest).lower()
 
     def test_failed_verification_writes_nothing(self, workspace, monkeypatch):
-        bad = VerificationReport(violations=[Violation("containment", "move.n.01",
-                                                       "fly.n.01", 1.0)])
+        bad = VerificationReport(violations=[Violation("containment", SenseId("move", "n", 1),
+                                                       SenseId("fly", "n", 1), 1.0)])
         monkeypatch.setattr("ballwsd.cli.verify_configuration", lambda *a: bad)
         out_dir = workspace["dir"] / "build"
         code = main(["build-balls", "--inventory", str(workspace["inventory"]),
@@ -749,6 +749,62 @@ class TestQuery:
             out = capsys.readouterr()
             assert out.out == ""
             assert out.err == f"unknown sense: no ball for sense {missing}\n"
+
+
+def unpad(text: str) -> str:
+    """A ball file's or argument's text with every `.01`-style index
+    written without its leading zero, as `x.n.1`."""
+    return text.replace(".n.01", ".n.1").replace(".n.02", ".n.2")
+
+
+class TestSenseIdSpelling:
+    """A ball file and the command line name a sense as the inventory
+    does: `x.n.1` and `x.n.01` are one sense."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("pair", [("entity.n.01", "entity.n.01"),
+                                      ("fly.n.01", "move.n.01"), ("fly.n.02", "move.n.01")])
+    def test_query_with_unpadded_ids(self, workspace, capsys, pair):
+        balls = build(workspace)
+        capsys.readouterr()
+        want = self.run(capsys, ["query", "--balls", str(balls), *pair])
+        assert want[0] == 0
+        assert self.run(capsys, ["query", "--balls", str(balls), *map(unpad, pair)]) == want
+        balls.write_text(unpad(balls.read_text()))
+        assert self.run(capsys, ["query", "--balls", str(balls), *pair]) == want
+
+    def test_verify_balls_on_unpadded_file(self, workspace, capsys):
+        balls = build(workspace)
+        capsys.readouterr()
+        argv = ["verify-balls", "--balls", str(balls), "--inventory", str(workspace["inventory"])]
+        want = self.run(capsys, argv)
+        assert want[0] == 0 and "violations:                   0" in want[1]
+        balls.write_text(unpad(balls.read_text()))
+        assert self.run(capsys, argv) == want
+
+    def test_two_spellings_of_one_id_are_a_duplicate(self, workspace, capsys):
+        balls = build(workspace)
+        lines = balls.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("fly.n.01\t"))
+        lines.append(unpad(lines[row]))
+        balls.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.run(capsys, ["query", "--balls", str(balls), "fly.n.01", "move.n.01"]) == (
+            2, "", f"data error: {balls}:{len(lines)}: duplicate sense id 'fly.n.01'\n")
+
+    def test_malformed_ball_id_is_one_line_data_error(self, workspace, capsys):
+        balls = build(workspace)
+        lines = balls.read_text().splitlines()
+        _, radius, center = lines[1].split("\t")
+        lines.append("\t".join(["w1.n.x", radius, center]))
+        balls.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.run(capsys, ["query", "--balls", str(balls), "fly.n.01", "move.n.01"]) == (
+            2, "", f"data error: {balls}:{len(lines)}: malformed sense index in 'w1.n.x'\n")
 
 
 class TestShowConfigAndUsage:

@@ -41,7 +41,7 @@ class TestInvariants:
             base = table.vector(node.lemma)
             if np.linalg.norm(base) == 0.0:
                 base = hash_unit_vector(node.lemma, table.dim)
-            prefix = balls.centers[balls.row[str(node)], :table.dim]
+            prefix = balls.centers[balls.row[node], :table.dim]
             norm = float(np.linalg.norm(prefix))
             assert norm > 0.0
             cos = float(np.dot(prefix, base) / (norm * np.linalg.norm(base)))
@@ -51,13 +51,13 @@ class TestInvariants:
         for seed in (2, 3):
             tax, table, balls, _ = build_random(seed, 80, 16)
             for node in tax.nodes():
-                i = balls.row[str(node)]
+                i = balls.row[node]
                 assert float(np.linalg.norm(balls.centers[i])) + balls.radii[i] <= 1.0 + 1e-9
 
     def test_radii_positive_and_finite(self):
         tax, table, balls, _ = build_random(4, 100, 8)
         for node in tax.nodes():
-            i = balls.row[str(node)]
+            i = balls.row[node]
             assert 0.0 < balls.radii[i] < 1.0
             assert np.all(np.isfinite(balls.centers[i]))
 
@@ -97,7 +97,7 @@ class TestContainmentSemantics:
         # relative to the balls keeps the deep ones from containing their
         # ancestors
         nodes, balls, cfg = self.build_chain(1200)
-        rows = [balls.row[str(node)] for node in nodes]
+        rows = [balls.row[node] for node in nodes]
         centers, radii = balls.centers[rows], balls.radii[rows]
         depth = np.arange(len(nodes))
         for j in range(len(nodes)):  # ball j holds ball i iff j is i or above it
@@ -133,7 +133,7 @@ class TestContainmentSemantics:
         tax = Taxonomy({only: None})
         table = EmbeddingTable({"solo": np.array([1.0, 2.0])})
         balls = construct_balls(tax, table, GeometryConfig())
-        assert balls.ids == [str(only)] and balls.radii[0] > 0
+        assert balls.ids == [only] and balls.radii[0] > 0
 
 
 def comb(leaf_counts):
@@ -152,7 +152,7 @@ def overlap_nearest_sibling(balls, taxonomy, node, share):
     clearance) until the two overlap by `share` of the smaller radius; also
     returns that sibling's id.  The nearest one, so no third ball is hit."""
     sibs = [s for s in taxonomy.children_of(taxonomy.parent_of(node)) if s != node]
-    a, rows = balls.row[str(node)], [balls.row[str(s)] for s in sibs]
+    a, rows = balls.row[node], [balls.row[s] for s in sibs]
     ca, ra = balls.centers[a], balls.radii[a]
     b = rows[int(np.argmin(gaps(balls.centers[rows], ca) - balls.radii[rows]))]
     cb, rb = balls.centers[b], balls.radii[b]
@@ -175,14 +175,14 @@ class TestRelativeTolerance:
         assert len(balls) == n_nodes
         assert verify_configuration(balls, tax, cfg).ok
         leaf = SenseId(f"leaf{len(leaf_counts) - 1}x0", "n", 1)
-        r = float(balls.radii[balls.row[str(leaf)]])
+        r = float(balls.radii[balls.row[leaf]])
         # where r < epsilon, a tolerance of epsilon itself would swallow the
         # whole overlap below
         assert (r < cfg.epsilon) == below_epsilon
         moved, sib = overlap_nearest_sibling(balls, tax, leaf, 0.01)
         found = verify_configuration(moved, tax, cfg).violations
         assert [(v.kind, {v.subject, v.other}) for v in found] == [
-            ("disconnection", {str(leaf), sib})]
+            ("disconnection", {leaf, sib})]
         assert found[0].slack / r == pytest.approx(0.01, abs=1e-6)
 
 
@@ -228,7 +228,7 @@ class TestConfigKnobs:
         assert verify_configuration(large, tax, cfg).ok
 
         def prefix_share(cfgb, node):
-            c = cfgb.centers[cfgb.row[str(node)]]
+            c = cfgb.centers[cfgb.row[node]]
             return np.linalg.norm(c[:6]) / np.linalg.norm(c)
 
         leaf = [n for n in tax.nodes() if not tax.children_of(n)][0]

@@ -25,8 +25,8 @@ def toy_setup():
         "ctxb": rng.standard_normal(8),
         "pad": rng.standard_normal(8),
     })
-    centers = {str(s1): np.array([1.0, 0.0, 0.0, 0.0]),
-               str(s2): np.array([-1.0, 0.5, 0.0, 0.0])}
+    centers = {s1: np.array([1.0, 0.0, 0.0, 0.0]),
+               s2: np.array([-1.0, 0.5, 0.0, 0.0])}
     balls = configuration(((sid, c, 0.1) for sid, c in centers.items()), prefix=2)
     records = []
     for sense, ctx in ((s1, "ctxa"), (s2, "ctxb")):
@@ -243,7 +243,7 @@ class TestArrays:
         table, balls, records = toy_setup()
         T, C, Y = prepare_arrays(records, table, balls, window_k=2)
         assert T.shape == (24, 8) and Y.shape == (24, 4)
-        assert np.array_equal(Y[0], balls.centers[balls.row[str(records[0].target)]])
+        assert np.array_equal(Y[0], balls.centers[balls.row[records[0].target]])
 
     def test_prepare_arrays_missing_ball_raises(self):
         table, balls, records = toy_setup()

@@ -11,7 +11,8 @@ from ballwsd.geometry import (BallConfiguration, GeometryConfig, RowError,
                               save_balls, verify_configuration)
 from ballwsd.inventory import SenseId, Taxonomy
 
-from helpers import ball_row, configuration, random_table, random_taxonomy, with_faults
+from helpers import (ball_row, configuration, random_table, random_taxonomy, sense,
+                     with_faults)
 
 
 def ball(name, center, radius):
@@ -21,8 +22,9 @@ def ball(name, center, radius):
 
 def slacks(config, a, b, eps):
     """(containment slack of ball b in ball a, overlap slack of a and b):
-    the rules on the rows' `np.linalg.norm` gap, not on `gaps`."""
-    i, j = config.row[a], config.row[b]
+    the rules on the rows' `np.linalg.norm` gap, not on `gaps`.  `a` and
+    `b` are SenseIds or their text."""
+    i, j = config.row[sense(a)], config.row[sense(b)]
     gap = float(np.linalg.norm(config.centers[i] - config.centers[j]))
     ra, rb = float(config.radii[i]), float(config.radii[j])
     return float(containment_rule(gap, ra, rb, eps)), float(overlap_rule(gap, ra, rb, eps))
@@ -51,51 +53,51 @@ class TestGaps:
 
 class TestPredicates:
     def test_containment_hand_cases(self):
-        cfg = configuration([ball("o", [0.0, 0.0], 2.0), ball("i", [0.5, 0.0], 1.0),
-                             ball("t", [1.0, 0.0], 1.0), ball("b", [1.5, 0.0], 1.0)])
-        assert contains(cfg, "o", "i")
-        assert contains(cfg, "o", "o")                      # inclusive: itself
-        assert contains(cfg, "o", "t")                      # inclusive: tangent inside
-        assert not contains(cfg, "o", "b")
-        assert not contains(cfg, "i", "o")
+        cfg = configuration([ball("o.n.01", [0.0, 0.0], 2.0), ball("i.n.01", [0.5, 0.0], 1.0),
+                             ball("t.n.01", [1.0, 0.0], 1.0), ball("b.n.01", [1.5, 0.0], 1.0)])
+        assert contains(cfg, "o.n.01", "i.n.01")
+        assert contains(cfg, "o.n.01", "o.n.01")            # inclusive: itself
+        assert contains(cfg, "o.n.01", "t.n.01")            # inclusive: tangent inside
+        assert not contains(cfg, "o.n.01", "b.n.01")
+        assert not contains(cfg, "i.n.01", "o.n.01")
 
     def test_disconnection_hand_cases(self):
-        cfg = configuration([ball("a", [0.0, 0.0], 1.0), ball("b", [3.0, 0.0], 1.0),
-                             ball("t", [2.0, 0.0], 1.0), ball("c", [1.5, 0.0], 1.0),
-                             ball("d", [0.1, 0.0], 0.5)])
-        assert disconnected(cfg, "a", "b")
-        assert disconnected(cfg, "a", "t")                  # inclusive: tangent
-        assert not disconnected(cfg, "a", "c")
-        assert not disconnected(cfg, "a", "d")
+        cfg = configuration([ball("a.n.01", [0.0, 0.0], 1.0), ball("b.n.01", [3.0, 0.0], 1.0),
+                             ball("t.n.01", [2.0, 0.0], 1.0), ball("c.n.01", [1.5, 0.0], 1.0),
+                             ball("d.n.01", [0.1, 0.0], 0.5)])
+        assert disconnected(cfg, "a.n.01", "b.n.01")
+        assert disconnected(cfg, "a.n.01", "t.n.01")        # inclusive: tangent
+        assert not disconnected(cfg, "a.n.01", "c.n.01")
+        assert not disconnected(cfg, "a.n.01", "d.n.01")
 
     def test_predicates_against_norm_arithmetic(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
             d = int(rng.integers(1, 6))
-            a = ball("a", rng.standard_normal(d), float(rng.uniform(0.1, 2.0)))
-            b = ball("b", rng.standard_normal(d), float(rng.uniform(0.1, 2.0)))
+            a = ball("a.n.01", rng.standard_normal(d), float(rng.uniform(0.1, 2.0)))
+            b = ball("b.n.01", rng.standard_normal(d), float(rng.uniform(0.1, 2.0)))
             cfg = configuration([a, b])
             gap, ra, rb = float(np.linalg.norm(a[1] - b[1])), a[2], b[2]
-            assert contains(cfg, "a", "b", 0.0) == (gap + rb <= ra)
-            assert disconnected(cfg, "a", "b", 0.0) == (gap >= ra + rb)
+            assert contains(cfg, "a.n.01", "b.n.01", 0.0) == (gap + rb <= ra)
+            assert disconnected(cfg, "a.n.01", "b.n.01", 0.0) == (gap >= ra + rb)
             # the tolerance is relative to the smaller radius
-            assert slacks(cfg, "a", "b", 0.25) == (gap + rb - ra - 0.25 * min(ra, rb),
-                                                   ra + rb - gap - 0.25 * min(ra, rb))
+            assert slacks(cfg, "a.n.01", "b.n.01", 0.25) == (
+                gap + rb - ra - 0.25 * min(ra, rb), ra + rb - gap - 0.25 * min(ra, rb))
 
     def test_containment_transitive(self):
         rng = np.random.default_rng(3)
         hits = 0
         for _ in range(500):
-            c = ball("c", rng.standard_normal(3), float(rng.uniform(0.05, 0.3)))
+            c = ball("c.n.01", rng.standard_normal(3), float(rng.uniform(0.05, 0.3)))
             shift = rng.standard_normal(3)
             shift *= rng.uniform(0, 0.4) / np.linalg.norm(shift)
-            b = ball("b", c[1] + shift, c[2] + float(np.linalg.norm(shift)) + 0.1)
+            b = ball("b.n.01", c[1] + shift, c[2] + float(np.linalg.norm(shift)) + 0.1)
             shift2 = rng.standard_normal(3)
             shift2 *= rng.uniform(0, 0.4) / np.linalg.norm(shift2)
-            a = ball("a", b[1] + shift2, b[2] + float(np.linalg.norm(shift2)) + 0.1)
+            a = ball("a.n.01", b[1] + shift2, b[2] + float(np.linalg.norm(shift2)) + 0.1)
             cfg = configuration([a, b, c])
-            assert contains(cfg, "b", "c") and contains(cfg, "a", "b")
-            assert contains(cfg, "a", "c")
+            assert contains(cfg, "b.n.01", "c.n.01") and contains(cfg, "a.n.01", "b.n.01")
+            assert contains(cfg, "a.n.01", "c.n.01")
             hits += 1
         assert hits == 500
 
@@ -115,21 +117,23 @@ class TestConfigs:
             GeometryConfig(code_width=0)
 
     def test_ball_configuration_validation(self):
-        cfg = BallConfiguration(["a.n.01"], [[1.0, 2.0, 3.0]], [0.5], 2)
-        assert "a.n.01" in cfg and len(cfg) == 1 and cfg.dim == 3
-        assert cfg.row == {"a.n.01": 0} and "zzz" not in cfg
+        a = SenseId("a", "n", 1)
+        cfg = BallConfiguration([a], [[1.0, 2.0, 3.0]], [0.5], 2)
+        assert a in cfg and len(cfg) == 1 and cfg.dim == 3
+        assert cfg.row == {a: 0} and SenseId("zzz", "n", 1) not in cfg
+        assert "a.n.01" not in cfg  # the text of an id is not a key
         with pytest.raises(ValueError):
             BallConfiguration([], np.zeros((0, 3)), [], 4)
         with pytest.raises(ValueError):
-            BallConfiguration(["a.n.01"], np.zeros((1, 3)), [1.0, 2.0], 1)
+            BallConfiguration([a], np.zeros((1, 3)), [1.0, 2.0], 1)
         with pytest.raises(ValueError):
-            BallConfiguration(["a.n.01"], np.zeros(3), [1.0], 1)
+            BallConfiguration([a], np.zeros(3), [1.0], 1)
 
     def test_norms_are_one_norm_per_row(self):
         # selection takes the norms of only the candidate rows it gathers
         rng = np.random.default_rng(5)
         centers = rng.standard_normal((400, 116)) * 10.0 ** rng.integers(-6, 6, size=(400, 1))
-        cfg = BallConfiguration([f"s{i}.n.01" for i in range(400)], centers, np.ones(400), 1)
+        cfg = BallConfiguration([SenseId(f"s{i}", "n", 1) for i in range(400)], centers, np.ones(400), 1)
         norms = gaps(cfg.centers, 0.0)
         assert norms.tolist() == [float(np.linalg.norm(c)) for c in centers]
         for k in (1, 2, 3, 8, 40, 400):
@@ -147,7 +151,7 @@ class TestConfigs:
         (3, "duplicate", "duplicate sense id 'a.n.01'"),
     ])
     def test_first_bad_row_is_named(self, row, fault, message):
-        ids = ["a.n.01", "b.n.01", "c.n.01", "d.n.01", "e.n.01"]
+        ids = [SenseId(lemma, "n", 1) for lemma in "abcde"]
         centers, radii = np.zeros((5, 2)), np.ones(5)
         radii[4] = -1.0  # a later fault is not the one reported
         bad = {"radius": 0.0, "radius-negative": -1.0, "radius-nan": np.nan,
@@ -157,10 +161,18 @@ class TestConfigs:
         elif fault.startswith("center"):
             centers[row, 1] = bad[fault]
         else:
-            ids[row] = "a.n.01"
+            ids[row] = SenseId("a", "n", 1)
         with pytest.raises(RowError) as exc:
             BallConfiguration(ids, centers, radii, 1)
         assert exc.value.row == row and str(exc.value) == message
+
+    def test_text_id_is_rejected(self):
+        # a text key would miss every SenseId lookup, so the verifier
+        # would check no pair and report ok
+        ids = [SenseId("a", "n", 1), "b.n.01", SenseId("c", "n", 1)]
+        with pytest.raises(RowError) as exc:
+            BallConfiguration(ids, np.zeros((3, 2)), np.ones(3), 1)
+        assert exc.value.row == 1 and str(exc.value) == "row 1: id 'b.n.01' is not a SenseId"
 
 
 class TestRoundTrip:
@@ -176,15 +188,15 @@ class TestRoundTrip:
         save_balls(cfg, path)
         back = load_balls(path)
         assert back.dim == 7 and back.embedding_prefix_dim == 4
-        assert back.ids == sorted(balls)  # rows in the file's sorted-id order
+        assert [str(sid) for sid in back.ids] == sorted(balls)  # the file's sorted-id order
         for name, (_, center, radius) in balls.items():
-            assert back.radii[back.row[name]] == radius
-            assert np.array_equal(back.centers[back.row[name]], center)
+            assert back.radii[back.row[sense(name)]] == radius
+            assert np.array_equal(back.centers[back.row[sense(name)]], center)
 
     def test_load_holds_one_copy_of_the_centers(self, tmp_path):
         n, dim = 2000, 128
         rng = np.random.default_rng(9)
-        cfg = BallConfiguration([f"s{i}.n.01" for i in range(n)], rng.standard_normal((n, dim)),
+        cfg = BallConfiguration([SenseId(f"s{i}", "n", 1) for i in range(n)], rng.standard_normal((n, dim)),
                                 np.ones(n), 100)
         path = tmp_path / "balls.tsv"
         save_balls(cfg, path)
@@ -199,6 +211,25 @@ class TestRoundTrip:
         assert centers.dtype == np.float64 and centers.flags.c_contiguous
         assert centers.flags.writeable
         assert np.array_equal(centers[[back.row[sid] for sid in cfg.ids]], cfg.centers)
+
+    def test_save_writes_ids_in_text_order(self, tmp_path):
+        # tuple order would put a.n.02 before a.b.n.01 and z.n.99 before z.n.100
+        names = ["z.n.99", "a.n.02", "z.n.100", "a.b.n.01"]
+        cfg = configuration([ball(name, [float(i)], 1.0) for i, name in enumerate(names)])
+        path = tmp_path / "balls.tsv"
+        save_balls(cfg, path)
+        rows = [line.split("\t")[0] for line in path.read_text().splitlines()[1:]]
+        assert rows == ["a.b.n.01", "a.n.02", "z.n.100", "z.n.99"]
+
+    def test_ids_parse_as_the_inventory_reads_them(self, tmp_path):
+        p = tmp_path / "balls.tsv"
+        p.write_text(f"#dim 1 prefix 1\n{ball_row('x.n.1', '1.0', [0.0])}\n"
+                     f"{ball_row('y.n.002', '1.0', [5.0])}\n")
+        back = load_balls(p)
+        assert back.ids == [SenseId("x", "n", 1), SenseId("y", "n", 2)]
+        save_balls(back, p)
+        assert [line.split("\t")[0] for line in p.read_text().splitlines()[1:]] == [
+            "x.n.01", "y.n.02"]
 
     def test_save_is_deterministic(self, tmp_path):
         b = ball("a.n.01", [1.0 / 3.0, 2.0 / 7.0], 0.1)
@@ -221,6 +252,14 @@ class TestRoundTrip:
             load_balls(p)
         assert str(exc.value) == f"{p}:3: duplicate sense id 'a.n.01'"
 
+    def test_load_rejects_two_spellings_of_one_id(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"#dim 2 prefix 1\n{ball_row('x.n.1', '1.0', [0, 0])}\n"
+                     f"{ball_row('x.n.01', '1.0', [1, 1])}\n")
+        with pytest.raises(ValueError) as exc:
+            load_balls(p)
+        assert str(exc.value) == f"{p}:3: duplicate sense id 'x.n.01'"
+
     def test_load_rejects_bad_field_count(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("#dim 2 prefix 1\na.n.01\t1.0\n")
@@ -237,7 +276,10 @@ class TestRoundTrip:
         ("#dim 3 prefix 1", "second '#dim n prefix p' header"),
         ("b.n.01\t1.0\t" + base64.b64encode(bytes(17)).decode("ascii"),
          "b.n.01: expected 2 coordinates, got 17 bytes"),
-    ], ids=["nan", "radius-0", "long-row", "token", "second-header", "ragged-bytes"])
+        (ball_row("w1.n.x", "1.0", [5, 5]), "malformed sense index in 'w1.n.x'"),
+        (ball_row("b", "1.0", [5, 5]), "malformed sense id 'b', want lemma.pos.index"),
+    ], ids=["nan", "radius-0", "long-row", "token", "second-header", "ragged-bytes",
+            "id-index", "id-parts"])
     def test_load_error_names_file_and_line(self, tmp_path, line, message):
         p = tmp_path / "bad.tsv"
         p.write_text(f"#dim 2 prefix 1\n{ball_row('a.n.01', '1.0', [0, 0])}\n{line}\n"
@@ -295,7 +337,7 @@ class TestRoundTrip:
         save_balls(cfg, path)
         rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
         got = np.array([float(radius) for _, radius, _ in rows])
-        want = np.array([cfg.radii[cfg.row[sid]] for sid, _, _ in rows])
+        want = np.array([cfg.radii[cfg.row[sense(sid)]] for sid, _, _ in rows])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -395,17 +437,16 @@ def pairwise_report(config, taxonomy, eps):
     groups = [(p, taxonomy.children_of(p)) for p in taxonomy.nodes()]
     groups.append((None, taxonomy.roots()))
     for parent, group in groups:
-        kids = [str(k) for k in group if str(k) in config]
+        kids = [k for k in group if k in config]
         if parent is not None:
-            pid = str(parent)
             for kid in kids:
-                if pid not in config:
-                    found.append(("missing", pid, kid, math.inf))
+                if parent not in config:
+                    found.append(("missing", parent, kid, math.inf))
                     continue
                 checked_c += 1
-                slack = slacks(config, pid, kid, eps)[0]
+                slack = slacks(config, parent, kid, eps)[0]
                 if slack > 0.0:
-                    found.append(("containment", pid, kid, slack))
+                    found.append(("containment", parent, kid, slack))
         for i, a in enumerate(kids):
             for b in kids[i + 1:]:
                 checked_d += 1

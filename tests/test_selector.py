@@ -20,9 +20,9 @@ def make_candidates(centers, radii=None, indices=None, lemma="w"):
     indices = indices or range(1, len(centers) + 1)
     radii = radii or [0.5] * len(centers)
     anchors = [SenseId(f"{lemma}par", "n", i) for i in indices]
-    config = configuration((str(a), np.asarray(c, dtype=float), r)
+    config = configuration((a, np.asarray(c, dtype=float), r)
                            for a, c, r in zip(anchors, centers, radii))
-    cands = [Candidate(SenseId(lemma, "n", i), a, config.row[str(a)])
+    cands = [Candidate(SenseId(lemma, "n", i), a, config.row[a])
              for i, a in zip(indices, anchors)]
     return cands, config
 
@@ -120,8 +120,8 @@ class TestSelectSense:
             dim = int(rng.integers(2, 120))
             n = int(rng.integers(1, 10))
             anchors = [SenseId("p", "n", i + 1) for i in range(n)]
-            config = configuration((str(a), rng.standard_normal(dim), 0.5) for a in anchors)
-            cands = [Candidate(SenseId("w", "n", i + 1), a, config.row[str(a)])
+            config = configuration((a, rng.standard_normal(dim), 0.5) for a in anchors)
+            cands = [Candidate(SenseId("w", "n", i + 1), a, config.row[a])
                      for i, a in enumerate(anchors)]
             v = rng.standard_normal((3, dim))[1]  # a row of a matrix, like encoder output
             pred = select_one(v, cands, config)
@@ -163,7 +163,7 @@ class TestCandidateSet:
         for i, sid in enumerate([root, top1, top2, f1, f2]):
             c = np.zeros(3)
             c[0] = i + 1.0
-            balls[str(sid)] = (str(sid), c, 0.1)
+            balls[sid] = (sid, c, 0.1)
         config = configuration(balls.values())
         return Inventory(taxonomy=tax), config
 
@@ -179,7 +179,7 @@ class TestCandidateSet:
         cands = candidate_set("fly", "v", 1, inv, config)
         assert [str(c.anchor) for c in cands] == ["move.v.01", "make.v.01", "move.v.01"]
         assert [c.sense.index for c in cands] == [1, 2, 9]
-        assert all(config.ids[c.row] == str(c.anchor) for c in cands)
+        assert all(config.ids[c.row] == c.anchor for c in cands)
 
     def test_level_past_root_gives_empty(self):
         inv, config = self.fixture()
@@ -237,9 +237,8 @@ class TestDeductionQuery:
             balls = with_faults(rng, built, int(rng.integers(1, 12)))
             eps = float(rng.choice([0.0, 1e-9, 0.3]))
             cfg = GeometryConfig(epsilon=eps)
-            senses = [SenseId.parse(sid) for sid in balls.ids]
-            for i, hypo in enumerate(senses):
-                for o, hyper in enumerate(senses):
+            for i, hypo in enumerate(balls.ids):
+                for o, hyper in enumerate(balls.ids):
                     gap = float(np.linalg.norm(balls.centers[i] - balls.centers[o]))
                     want = containment_rule(gap, balls.radii[o], balls.radii[i], eps) <= 0.0
                     got = deduction_query(hypo, hyper, balls, cfg)

@@ -12,7 +12,9 @@ benchmark's pipeline (perfbench/run.py `commands`: build-balls,
 verify-balls, both prepares, train with the workload's training keys,
 eval), QUERIES_PER_PASS seeded queries, two queries that name the
 unknown sense GHOST (as hyponym, then as hypernym, each beside the first
-seeded query's other sense) and show-config run once with
+seeded query's other sense), the first seeded query again with its
+senses' indices unpadded (x.n.1 for x.n.01, so arguments and ball ids
+must meet in one key) and show-config run once with
 REF's `src/` and once with this tree's, from sibling directories that
 read the same inputs by the same relative paths.  Then each side's own
 balls.tsv is copied to faulted-input/balls.tsv in its directory with
@@ -53,6 +55,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 from run import QUERIES_PER_PASS, child_env, commands, query_argv  # noqa: E402
 from ballwsd.cli import COMMANDS  # noqa: E402
+from ballwsd.inventory import SenseId  # noqa: E402
 from workloads import WORKLOADS, draw_queries  # noqa: E402
 
 FAULT_EVERY, FAULT_SCALE = 50, 50.0
@@ -248,7 +251,8 @@ def main(argv=None) -> int:
             argvs = [cmd for _, cmd, _ in commands(inputs, "").values()]
             hypo, hyper, _ = queries[0]
             unknown = [(GHOST, hyper), (hypo, GHOST)]
-            argvs += [query_argv("", q) for q in queries + unknown] + [["show-config"]]
+            unpadded = [tuple("{}.{}.{}".format(*SenseId.parse(s)) for s in (hypo, hyper))]
+            argvs += [query_argv("", q) for q in queries + unknown + unpadded] + [["show-config"]]
             ref_runs = run_pipeline(tmp / "ref-tree" / "src", work / "ref", argvs)
             tree_runs = run_pipeline(ROOT / "src", work / "tree", argvs)
             faulted = []
