@@ -88,7 +88,10 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> Config:
                 if "=" not in line:
                     raise UsageError(f"{config_path}:{lineno}: expected key=value")
                 key, raw = line.split("=", 1)
-                cfg[key.strip()] = _coerce(key.strip(), raw.strip())
+                try:
+                    cfg[key.strip()] = _coerce(key.strip(), raw.strip())
+                except UsageError as exc:
+                    raise UsageError(f"{config_path}:{lineno}: {exc}") from None
     for pair in overrides:
         if "=" not in pair:
             raise UsageError(f"--set expects key=value, got {pair!r}")

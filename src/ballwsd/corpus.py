@@ -6,12 +6,16 @@ hypernym of the original sense, keeping the record only when that
 hypernym actually has a ball.  A lift's coverage is read off its outcome
 (the covered senses are the kept records' originals), and each coverage
 ratio is one correctly rounded division.
+
+A record's text is checked once, as it is read: its sense ids, index
+list, tokens and index range.  A lifted record is built from a checked
+one and shares its `tokens` and `indices`, so nothing is checked again.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import BallConfiguration
 from .inventory import SenseId, Taxonomy
@@ -21,9 +25,9 @@ class CorpusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TrainingRecord:
-    """One annotated occurrence.
+class TrainingRecord(NamedTuple):
+    """One annotated occurrence; a plain tuple, checked where its text is
+    read (`parse_annotated_corpus`).
 
     `target` is the supervision label at the dataset's level; `original`
     is the level-0 sense annotation it was lifted from (equal to `target`
@@ -34,17 +38,6 @@ class TrainingRecord:
     original: SenseId
     tokens: tuple[str, ...]
     indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if not self.tokens:
-            raise CorpusError("record has no tokens")
-        if not self.indices:
-            raise CorpusError("record has no target indices")
-        for i in self.indices:
-            if not (0 <= i < len(self.tokens)):
-                raise CorpusError(f"target index {i} out of range for {len(self.tokens)} tokens")
 
 
 def _parse_line(line: str) -> TrainingRecord:
@@ -63,7 +56,13 @@ def _parse_line(line: str) -> TrainingRecord:
     except ValueError:
         raise ValueError(f"bad index list {idx_s!r}") from None
     # interned, so repeated words and every level's copy share one string
-    return TrainingRecord(target, original, tuple(map(sys.intern, tok_s.split())), indices)
+    tokens = tuple(map(sys.intern, tok_s.split()))
+    if not tokens:
+        raise ValueError("record has no tokens")
+    for i in indices:
+        if not 0 <= i < len(tokens):
+            raise ValueError(f"target index {i} out of range for {len(tokens)} tokens")
+    return TrainingRecord(target, original, tokens, indices)
 
 
 def parse_annotated_corpus(path) -> list[TrainingRecord]:

@@ -27,25 +27,12 @@ def hash_unit_vector(token: str, dim: int) -> np.ndarray:
 class EmbeddingTable:
     """Word -> vector lookup with a deterministic out-of-vocabulary fallback.
 
-    Word w's vector is row `row[w]` of the (N, dim) float64 `matrix`.
+    `EmbeddingTable(matrix, row)` is the one constructor: a table over the
+    (N, dim) float64 `matrix` as given, word w's vector being row `row[w]`.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray]):
-        if not vectors:
-            raise ValueError("embedding table is empty")
-        dims = {v.shape[0] for v in vectors.values()}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        self.matrix = np.array(list(vectors.values()), dtype=np.float64)
-        self.row = {w: i for i, w in enumerate(vectors)}
-        self.dim = self.matrix.shape[1]
-
-    @classmethod
-    def from_rows(cls, matrix: np.ndarray, row: dict[str, int]) -> "EmbeddingTable":
-        """A table over `matrix` as given; `row` maps each word to its row."""
-        table = cls.__new__(cls)
-        table.matrix, table.row, table.dim = matrix, row, matrix.shape[1]
-        return table
+    def __init__(self, matrix: np.ndarray, row: dict[str, int]):
+        self.matrix, self.row, self.dim = matrix, row, matrix.shape[1]
 
     def __len__(self) -> int:
         return len(self.row)
@@ -153,4 +140,4 @@ def load_embeddings(path, words) -> EmbeddingTable:
         kept.append(_convert_block(path, pending, dim)[picks])
     if not seen:
         raise ValueError(f"{path}: empty embedding table")
-    return EmbeddingTable.from_rows(np.concatenate(kept), row)
+    return EmbeddingTable(np.concatenate(kept), row)

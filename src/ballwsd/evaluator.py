@@ -221,9 +221,10 @@ def make_synthetic_fixture(seed: int = 0, n_top: int = 4, senses_per_parent: int
                 records.append(TrainingRecord(leaf, leaf, tuple(tokens), (pos,)))
 
     inventory = Inventory(taxonomy=Taxonomy(parent))
+    matrix = np.array(list(vectors.values()))
     return SyntheticFixture(
         inventory=inventory,
-        table=EmbeddingTable(vectors),
+        table=EmbeddingTable(matrix, {w: i for i, w in enumerate(vectors)}),
         records=records,
         leaves=leaves,
         tops=tops,

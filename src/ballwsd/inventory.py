@@ -10,30 +10,24 @@ the cycle check.
 
 from __future__ import annotations
 
-import logging
-from collections import Counter, namedtuple
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
-
-log = logging.getLogger(__name__)
+from typing import NamedTuple
 
 
 class TaxonomyError(ValueError):
     pass
 
 
-class SenseId(namedtuple("SenseId", "lemma pos index")):
-    """A sense key of the form lemma.pos.index, e.g. aim.n.02; a tuple, so
-    it hashes, compares and sorts as `(lemma, pos, index)`."""
+class SenseId(NamedTuple):
+    """A sense key of the form lemma.pos.index, e.g. aim.n.02; a plain
+    tuple, so it hashes, compares and sorts as `(lemma, pos, index)`.
+    Text becomes one only through `parse`, which checks it."""
 
-    __slots__ = ()
-
-    def __new__(cls, lemma: str, pos: str, index: int):
-        self = super().__new__(cls, lemma, pos, index)
-        if not lemma or not pos:
-            raise ValueError(f"empty lemma or pos in sense id {self!r}")
-        if index < 0:
-            raise ValueError(f"negative sense index in {self!r}")
-        return self
+    lemma: str
+    pos: str
+    index: int
 
     def __str__(self) -> str:
         return f"{self.lemma}.{self.pos}.{self.index:02d}"
@@ -51,6 +45,8 @@ class SenseId(namedtuple("SenseId", "lemma pos index")):
         lemma, pos, idx = parts
         if not (idx.isascii() and idx.isdigit()):  # "١" and "²" are digits too
             raise ValueError(f"malformed sense index in {text!r}")
+        if not lemma or not pos:
+            raise ValueError(f"empty lemma or pos in sense id {text!r}")
         return cls(lemma, pos, int(idx))
 
 
@@ -169,8 +165,9 @@ def load_inventory(path) -> Inventory:
     if not parent:
         raise TaxonomyError(f"{path}: empty inventory")
     if dropped:
-        log.warning("%s: %d extra parent edges dropped, first %s -> %s (keeping %s)",
-                    path, len(dropped), *dropped[0], parent[dropped[0][0]] or "-")
+        child, par = dropped[0]
+        print(f"{path}: {len(dropped)} extra parent edges dropped, first {child} -> {par} "
+              f"(keeping {parent[child] or '-'})", file=sys.stderr)
     try:
         taxonomy = Taxonomy(parent)
     except TaxonomyError as exc:

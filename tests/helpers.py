@@ -1,6 +1,7 @@
-"""Shared test helpers: random taxonomies and embedding tables, table
-files, ball configurations from balls and with faults, ball file rows,
-the cosine reference, ancestor chains and gradient checks."""
+"""Shared test helpers: random taxonomies and embedding tables, tables
+from word vectors, table files, ball configurations from balls and with
+faults, ball file rows, the cosine reference, ancestor chains and
+gradient checks."""
 
 import base64
 import copy
@@ -49,7 +50,13 @@ def random_table(rng: np.random.Generator, taxonomy: Taxonomy, dim: int,
             vectors[node.lemma] = np.zeros(dim)
         else:
             vectors[node.lemma] = rng.standard_normal(dim)
-    return EmbeddingTable(vectors)
+    return table(vectors)
+
+
+def table(vectors: dict) -> EmbeddingTable:
+    """The table whose word w's vector is `vectors[w]`, rows in the dict's order."""
+    return EmbeddingTable(np.array(list(vectors.values()), dtype=np.float64),
+                          {w: i for i, w in enumerate(vectors)})
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:

@@ -16,7 +16,6 @@ import numpy as np
 from ballwsd.cli import main
 from ballwsd.construct import construct_balls
 from ballwsd.corpus import parse_annotated_corpus, save_records
-from ballwsd.embeddings import EmbeddingTable
 from ballwsd.encoder import init_params
 from ballwsd.evaluator import make_synthetic_fixture, score, split_records
 from ballwsd.geometry import GeometryConfig, verify_configuration
@@ -25,7 +24,7 @@ from ballwsd.selector import Candidate, deduction_query, select_sense
 
 from conftest import acceptance_lines
 from helpers import (ancestor_or_self, configuration, cos_ref, gradient_check, random_table,
-                     random_taxonomy, save_embeddings)
+                     random_taxonomy, save_embeddings, table)
 
 
 def check(criterion: int, ok: bool, detail: str) -> None:
@@ -330,7 +329,7 @@ def test_criterion_7_pipeline_fidelity(tmp_path):
     rng = np.random.default_rng(1006)
     lemmas = ["aim", "goal", "content", "cognition", "psychological_feature",
               "abstraction", "entity", *tokens]
-    save_embeddings(EmbeddingTable({w: rng.standard_normal(16) for w in lemmas}),
+    save_embeddings(table({w: rng.standard_normal(16) for w in lemmas}),
                     tmp_path / "embeddings.txt")
     code_build = main(["build-balls", "--inventory", str(tmp_path / "inventory.tsv"),
                        "--embeddings", str(tmp_path / "embeddings.txt"),
@@ -369,7 +368,7 @@ def test_criterion_8_determinism(tmp_path):
     rng = np.random.default_rng(1007)
     lemmas = ["entity", "move", "make", "fly", "wing", "air", "sky", "glide",
               "soar", "factory", "tool", "seam", "stitch", "navigator"]
-    save_embeddings(EmbeddingTable({w: rng.standard_normal(12) for w in lemmas}),
+    save_embeddings(table({w: rng.standard_normal(12) for w in lemmas}),
                     tmp_path / "embeddings.txt")
 
     def run_all(tag):

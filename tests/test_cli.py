@@ -10,12 +10,11 @@ import pytest
 from ballwsd import cli
 from ballwsd.cli import main, resolve_config, DEFAULTS, UsageError
 from ballwsd.corpus import parse_annotated_corpus
-from ballwsd.embeddings import EmbeddingTable
 from ballwsd.encoder import init_params, load_encoder
 from ballwsd.geometry import VerificationReport, Violation
 from ballwsd.inventory import SenseId
 
-from helpers import save_embeddings
+from helpers import save_embeddings, table
 
 EDGES = (
     "entity.n.01\t-\n"
@@ -38,9 +37,8 @@ LEMMAS = ["entity", "move", "make", "fly", "wing", "air", "sky", "glide",
 @pytest.fixture()
 def workspace(tmp_path):
     rng = np.random.default_rng(40)
-    table = EmbeddingTable({w: rng.standard_normal(12) for w in LEMMAS})
     emb = tmp_path / "embeddings.txt"
-    save_embeddings(table, emb)
+    save_embeddings(table({w: rng.standard_normal(12) for w in LEMMAS}), emb)
     inv = tmp_path / "inventory.tsv"
     inv.write_text(EDGES)
     corpus = tmp_path / "corpus.tsv"
@@ -356,7 +354,7 @@ class TestTrainEval:
         ckpt = train(workspace, balls, data)
         rng = np.random.default_rng(41)
         narrow = workspace["dir"] / "narrow.txt"
-        save_embeddings(EmbeddingTable({w: rng.standard_normal(6) for w in LEMMAS}), narrow)
+        save_embeddings(table({w: rng.standard_normal(6) for w in LEMMAS}), narrow)
         out = workspace["dir"] / "e"
         capsys.readouterr()
         code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
@@ -806,6 +804,33 @@ class TestSenseIdSpelling:
         assert self.run(capsys, ["query", "--balls", str(balls), "fly.n.01", "move.n.01"]) == (
             2, "", f"data error: {balls}:{len(lines)}: malformed sense index in 'w1.n.x'\n")
 
+    @pytest.mark.parametrize("bad", [".n.01", "fly..01"])
+    def test_empty_lemma_or_pos_is_quoted_by_its_text(self, workspace, capsys, bad):
+        balls = build(workspace)
+        message = f"empty lemma or pos in sense id {bad!r}"
+        ws = workspace["dir"]
+        inv = ws / "bad-inventory.tsv"
+        inv.write_text(EDGES + f"{bad}\tentity.n.01\n")
+        corpus = ws / "bad-corpus.tsv"
+        corpus.write_text(CORPUS + f"{bad}\t0\tfly\n")
+        bad_balls = ws / "bad-balls.tsv"
+        lines = balls.read_text().splitlines()
+        _, radius, center = lines[1].split("\t")
+        lines.append("\t".join([bad, radius, center]))
+        bad_balls.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for argv, where in [
+            (["verify-balls", "--balls", str(balls), "--inventory", str(inv)], f"{inv}:6: "),
+            (["prepare", "--corpus", str(corpus), "--inventory", str(workspace["inventory"]),
+              "--balls", str(balls), "--out", str(ws / "d")], f"{corpus}:13: "),
+            (["query", "--balls", str(bad_balls), "fly.n.01", "move.n.01"],
+             f"{bad_balls}:{len(lines)}: "),
+            (["query", "--balls", str(balls), bad, "move.n.01"], ""),
+            (["query", "--balls", str(balls), "fly.n.01", bad], ""),
+        ]:
+            assert self.run(capsys, argv) == (2, "", f"data error: {where}{message}\n")
+        assert not (ws / "d").exists()
+
 
 class TestShowConfigAndUsage:
     def test_show_config_reflects_overrides(self, capsys):
@@ -815,6 +840,30 @@ class TestShowConfigAndUsage:
 
     def test_unknown_config_key_is_usage_error(self):
         assert main(["show-config", "--set", "bogus=1"]) == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("epochs=soon", "config key 'epochs' expects int, got 'soon'"),
+        ("nonsense=1", "unknown config key: 'nonsense'"),
+        ("epochs", "expected key=value"),
+    ], ids=["bad-value", "unknown-key", "no-equals"])
+    def test_config_file_error_names_its_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"# run settings\nmargin=2.5\n{line}\n")
+        assert main(["show-config", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+        # the same text from --set names no file or line
+        if "=" in line:
+            assert main(["show-config", "--set", line]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_file_range_error_names_the_key(self, tmp_path, capsys):
+        # checked after merging, since a later --set may override the file
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("margin=0.5\n")
+        assert main(["show-config", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "margin" in err and str(cfg) not in err
+        assert main(["show-config", "--config", str(cfg), "--set", "margin=2.0"]) == 0
 
     @pytest.mark.parametrize("command", ["build-balls", "verify-balls", "prepare", "train",
                                          "eval", "query", "show-config"])

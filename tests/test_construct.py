@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from ballwsd.construct import construct_balls
-from ballwsd.embeddings import EmbeddingTable, hash_unit_vector
+from ballwsd.embeddings import hash_unit_vector
 from ballwsd.geometry import (BallConfiguration, GeometryConfig, containment_rule,
                               gaps, load_balls, save_balls, verify_configuration)
 from ballwsd.inventory import SenseId, Taxonomy
 from ballwsd.selector import deduction_query
 
-from helpers import ancestor_or_self, random_table, random_taxonomy
+from helpers import ancestor_or_self, random_table, random_taxonomy, table
 
 
 def build_random(seed, n_nodes, dim, **cfg_kwargs):
@@ -77,7 +77,7 @@ class TestContainmentSemantics:
         nodes = [SenseId("w", "n", i + 1) for i in range(depth)]
         tax = Taxonomy({node: nodes[i - 1] if i else None for i, node in enumerate(nodes)})
         cfg = GeometryConfig()
-        balls = construct_balls(tax, EmbeddingTable({"w": np.ones(6)}), cfg)
+        balls = construct_balls(tax, table({"w": np.ones(6)}), cfg)
         assert verify_configuration(balls, tax, cfg).ok
         return nodes, balls, cfg
 
@@ -131,8 +131,7 @@ class TestContainmentSemantics:
     def test_single_node(self):
         only = SenseId("solo", "n", 1)
         tax = Taxonomy({only: None})
-        table = EmbeddingTable({"solo": np.array([1.0, 2.0])})
-        balls = construct_balls(tax, table, GeometryConfig())
+        balls = construct_balls(tax, table({"solo": np.array([1.0, 2.0])}), GeometryConfig())
         assert balls.ids == [only] and balls.radii[0] > 0
 
 

@@ -34,23 +34,20 @@ class TestTrainingRecord:
         assert r.tokens[4] == "objectives"
         assert r.indices == (4,)
 
-    def test_sequences_coerced_to_tuples(self):
-        r = TrainingRecord(AIM, AIM, list(TOKENS), [4, 5])
-        assert isinstance(r.tokens, tuple) and isinstance(r.indices, tuple)
+    def test_empty_tokens_rejected(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("aim.n.02\t0\t  \n")
+        with pytest.raises(CorpusError) as info:
+            parse_annotated_corpus(p)
+        assert str(info.value) == f"{p}:1: record has no tokens"
 
-    def test_empty_tokens_rejected(self):
-        with pytest.raises(CorpusError):
-            TrainingRecord(AIM, AIM, (), (0,))
-
-    def test_empty_indices_rejected(self):
-        with pytest.raises(CorpusError):
-            TrainingRecord(AIM, AIM, TOKENS, ())
-
-    def test_index_out_of_range_rejected(self):
-        with pytest.raises(CorpusError):
-            TrainingRecord(AIM, AIM, TOKENS, (8,))
-        with pytest.raises(CorpusError):
-            TrainingRecord(AIM, AIM, TOKENS, (-1,))
+    def test_index_out_of_range_rejected(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        for idx, bad in (("8", 8), ("-1", -1), ("4,8", 8)):
+            p.write_text(f"aim.n.02\t{idx}\t{' '.join(TOKENS)}\n")
+            with pytest.raises(CorpusError) as info:
+                parse_annotated_corpus(p)
+            assert str(info.value) == f"{p}:1: target index {bad} out of range for 8 tokens"
 
 
 # a malformed corpus line and the message its error gives after `path:lineno: `
@@ -180,6 +177,15 @@ class TestLifting:
         balls = ball_config([AIM, GOAL])
         rec = TrainingRecord(SenseId("zz", "n", 1), SenseId("zz", "n", 1), ("a",), (0,))
         assert lift_to_level([rec], tax, 1, balls) == []
+
+    def test_lifted_records_share_the_parsed_payload(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text(f"aim.n.02\t4,3\t{' '.join(TOKENS)}\n")
+        (rec,) = parse_annotated_corpus(p)
+        balls = ball_config([AIM, GOAL, CONTENT, COGNITION])
+        for level in range(4):
+            (out,) = lift_to_level([rec], aim_taxonomy(), level, balls)
+            assert out.tokens is rec.tokens and out.indices is rec.indices
 
     def test_negative_level_raises(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from ballwsd import embeddings
-from ballwsd.corpus import TrainingRecord
-from ballwsd.embeddings import EmbeddingTable, hash_unit_vector, load_embeddings
+from ballwsd.corpus import CorpusError, TrainingRecord, parse_annotated_corpus
+from ballwsd.embeddings import hash_unit_vector, load_embeddings
 from ballwsd.encoder import embed_records, prepare_arrays
 from ballwsd.inventory import SenseId
 
-from helpers import configuration, save_embeddings
+from helpers import configuration, save_embeddings, table
 
 
 class TestHashVector:
@@ -30,42 +30,34 @@ class TestHashVector:
 
 class TestTable:
     def test_lookup_exact_then_lowercase(self):
-        t = EmbeddingTable({"paris": np.ones(2), "Quebec": np.zeros(2)})
+        t = table({"paris": np.ones(2), "Quebec": np.zeros(2)})
         assert np.array_equal(t.vector("paris"), np.ones(2))
         assert np.array_equal(t.vector("Paris"), np.ones(2))   # lowercase fallback
         assert np.array_equal(t.vector("Quebec"), np.zeros(2))  # exact beats fallback
         assert np.array_equal(t.get("PARIS"), np.ones(2))
 
     def test_oov_falls_back_to_hash(self):
-        t = EmbeddingTable({"a": np.zeros(4)})
+        t = table({"a": np.zeros(4)})
         v = t.vector("never-seen")
         assert np.array_equal(v, hash_unit_vector("never-seen", 4))
         assert t.get("never-seen") is None
 
-    def test_empty_table_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingTable({})
-
-    def test_inconsistent_dims_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingTable({"a": np.zeros(2), "b": np.zeros(3)})
-
     def test_words_sorted(self):
-        t = EmbeddingTable({"b": np.zeros(1), "a": np.zeros(1)})
+        t = table({"b": np.zeros(1), "a": np.zeros(1)})
         assert t.words() == ["a", "b"]
 
 
 class TestFiles:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(8)
-        table = EmbeddingTable({f"w{i}": rng.standard_normal(5) * 10.0 ** rng.integers(-6, 6)
-                                for i in range(30)})
+        t = table({f"w{i}": rng.standard_normal(5) * 10.0 ** rng.integers(-6, 6)
+                   for i in range(30)})
         p = tmp_path / "emb.txt"
-        save_embeddings(table, p)
-        back = load_embeddings(p, table.words())
-        assert back.dim == 5 and back.words() == table.words()
-        for w in table.words():
-            assert np.array_equal(back.vector(w), table.vector(w))
+        save_embeddings(t, p)
+        back = load_embeddings(p, t.words())
+        assert back.dim == 5 and back.words() == t.words()
+        for w in t.words():
+            assert np.array_equal(back.vector(w), t.vector(w))
 
     def test_load_rejects_ragged_rows(self, tmp_path):
         p = tmp_path / "emb.txt"
@@ -320,13 +312,13 @@ class TestEmbedTokens:
     the OOV hash, averaged over the target indices."""
 
     def test_shape_and_rows(self):
-        t = EmbeddingTable({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+        t = table({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
         T, _ = embed_records([record(("a", "b", "a"), i) for i in range(3)], t, 1)
         assert T.shape == (3, 2)
         assert same_bits(T[0], T[2]) and same_bits(T[1], t.vector("b"))
 
     def test_oov_token_repeated_across_records(self):
-        t = EmbeddingTable({"a": np.ones(3)})
+        t = table({"a": np.ones(3)})
         records = [record(("zzz", "a"), 0), record(("a", "zzz"), 1), record(("zzz",), 0)]
         T, C = embed_records(records, t, 2)
         for row in T:
@@ -335,7 +327,7 @@ class TestEmbedTokens:
         assert_matches_reference(records, t, 2)
 
     def test_upper_case_token_uses_lowercase_row(self):
-        t = EmbeddingTable({"paris": np.array([1.0, 2.0]), "x": np.array([0.5, 0.25])})
+        t = table({"paris": np.array([1.0, 2.0]), "x": np.array([0.5, 0.25])})
         records = [record(("Paris", "x"), 0), record(("x", "PARIS"), 0)]
         T, C = embed_records(records, t, 1)
         assert same_bits(T[0], t.matrix[t.row["paris"]])
@@ -344,7 +336,7 @@ class TestEmbedTokens:
 
     def test_multi_index_target_in_descending_order(self):
         rng = np.random.default_rng(3)
-        t = EmbeddingTable({w: rng.standard_normal(4) for w in "abcde"})
+        t = table({w: rng.standard_normal(4) for w in "abcde"})
         rec = record(("a", "b", "c", "d", "e"), 3, 1, 0)
         T, C = embed_records([rec], t, 1)
         vecs = np.stack([t.vector(w) for w in "abcde"])
@@ -353,7 +345,7 @@ class TestEmbedTokens:
         assert_matches_reference([rec], t, 1)
 
     def test_empty_list_gives_empty_arrays(self):
-        t = EmbeddingTable({"a": np.ones(5)})
+        t = table({"a": np.ones(5)})
         T, C = embed_records([], t, 4)
         assert T.shape == C.shape == (0, 5)
         balls = configuration([("w.n.01", np.ones(2), 0.5)], prefix=1)
@@ -369,7 +361,7 @@ class TestContextVector:
     def rows(n, d=2):
         """A table whose i-th word `t{i}` has the vector (i*d, ..., i*d + d-1)."""
         vecs = np.arange(float(n * d)).reshape(n, d)
-        return EmbeddingTable({f"t{i}": v for i, v in enumerate(vecs)}), vecs
+        return table({f"t{i}": v for i, v in enumerate(vecs)}), vecs
 
     def context(self, table, n, i, k):
         return embed_records([record([f"t{j}" for j in range(n)], i)], table, k)[1][0]
@@ -379,8 +371,8 @@ class TestContextVector:
         assert same_bits(self.context(table, 5, 2, 1), (vecs[1] + vecs[3]) / 2.0)
 
     def test_excludes_target_itself(self):
-        table = EmbeddingTable({"t0": np.zeros(2), "t1": np.full(2, 100.0), "t2": np.ones(2)})
-        assert same_bits(self.context(table, 3, 1, 5), np.full(2, 0.5))
+        t = table({"t0": np.zeros(2), "t1": np.full(2, 100.0), "t2": np.ones(2)})
+        assert same_bits(self.context(t, 3, 1, 5), np.full(2, 0.5))
 
     def test_window_clipped_at_edges(self):
         table, vecs = self.rows(4)
@@ -388,8 +380,8 @@ class TestContextVector:
         assert same_bits(self.context(table, 4, 3, 2), (vecs[1] + vecs[2]) / 2.0)
 
     def test_single_token_gives_zero(self):
-        table = EmbeddingTable({"t0": np.ones(3)})
-        assert same_bits(self.context(table, 1, 0, 4), np.zeros(3))
+        t = table({"t0": np.ones(3)})
+        assert same_bits(self.context(t, 1, 0, 4), np.zeros(3))
 
     def test_matches_manual_mean_on_random_cases(self):
         """Random record sets against the per-record reference, bit for bit:
@@ -397,7 +389,7 @@ class TestContextVector:
         rng = np.random.default_rng(9)
         for _ in range(200):
             d = int(rng.integers(1, 6))
-            table = EmbeddingTable({f"w{j}": rng.standard_normal(d) for j in range(8)})
+            t = table({f"w{j}": rng.standard_normal(d) for j in range(8)})
             vocab = [f"w{j}" for j in range(8)] + ["W3", "W5", "oov", "Oov2"]
             records = []
             for _ in range(int(rng.integers(1, 6))):
@@ -405,16 +397,18 @@ class TestContextVector:
                 tokens = [vocab[int(j)] for j in rng.integers(0, len(vocab), n)]
                 indices = rng.permutation(n)[:int(rng.integers(1, min(n, 3) + 1))]
                 records.append(record(tokens, *(int(j) for j in indices)))
-            assert_matches_reference(records, table, int(rng.integers(0, 7)))
+            assert_matches_reference(records, t, int(rng.integers(0, 7)))
 
     def test_zero_window_gives_zero_vector(self):
-        table = EmbeddingTable({"t0": np.ones(2), "t1": np.ones(2), "t2": np.ones(2)})
-        assert same_bits(self.context(table, 3, 1, 0), np.zeros(2))
+        t = table({"t0": np.ones(2), "t1": np.ones(2), "t2": np.ones(2)})
+        assert same_bits(self.context(t, 3, 1, 0), np.zeros(2))
 
-    def test_bad_index_raises(self):
+    def test_bad_index_raises(self, tmp_path):
         table, _ = self.rows(3)
+        p = tmp_path / "c.tsv"
         for i in (3, -1):
-            with pytest.raises(ValueError):
-                record(("t0", "t1", "t2"), i)
+            p.write_text(f"w.n.01\t{i}\tt0 t1 t2\n")
+            with pytest.raises(CorpusError, match=f"target index {i} out of range"):
+                parse_annotated_corpus(p)
         with pytest.raises(ValueError):
             embed_records([record(("t0", "t1", "t2"), 0)], table, -1)

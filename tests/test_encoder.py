@@ -4,27 +4,19 @@ import numpy as np
 import pytest
 
 from ballwsd.corpus import TrainingRecord
-from ballwsd.embeddings import EmbeddingTable
 from ballwsd.encoder import (_LN_EPS, TrainConfig, _dense_grads, _forward,
                              _ln_forward, batch_loss_and_grads, embed_records, forward_batch,
                              init_params, load_encoder, prepare_arrays,
                              save_encoder, train)
 from ballwsd.inventory import SenseId
 
-from helpers import configuration, gradient_check
+from helpers import configuration, gradient_check, table
 
 
 def toy_setup():
     """Two senses with linearly separable contexts and opposite centers."""
     s1, s2 = SenseId("alpha", "n", 1), SenseId("beta", "n", 1)
     rng = np.random.default_rng(10)
-    table = EmbeddingTable({
-        "alpha": rng.standard_normal(8),
-        "beta": rng.standard_normal(8),
-        "ctxa": rng.standard_normal(8),
-        "ctxb": rng.standard_normal(8),
-        "pad": rng.standard_normal(8),
-    })
     centers = {s1: np.array([1.0, 0.0, 0.0, 0.0]),
                s2: np.array([-1.0, 0.5, 0.0, 0.0])}
     balls = configuration(((sid, c, 0.1) for sid, c in centers.items()), prefix=2)
@@ -33,7 +25,13 @@ def toy_setup():
         for i in range(12):
             toks = ("pad", str(sense.lemma), ctx) if i % 2 else (str(sense.lemma), ctx, "pad")
             records.append(TrainingRecord(sense, sense, toks, (1 if i % 2 else 0,)))
-    return table, balls, records
+    return table({
+        "alpha": rng.standard_normal(8),
+        "beta": rng.standard_normal(8),
+        "ctxa": rng.standard_normal(8),
+        "ctxb": rng.standard_normal(8),
+        "pad": rng.standard_normal(8),
+    }), balls, records
 
 
 class TestParams:

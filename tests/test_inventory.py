@@ -27,13 +27,15 @@ class TestSenseId:
                 SenseId.parse(bad)
 
     def test_validation(self):
-        for args, message in [
-            (("", "n", 1), "empty lemma or pos in sense id SenseId(lemma='', pos='n', index=1)"),
-            (("a", "", 1), "empty lemma or pos in sense id SenseId(lemma='a', pos='', index=1)"),
-            (("a", "n", -1), "negative sense index in SenseId(lemma='a', pos='n', index=-1)"),
+        for text, message in [
+            (".n.01", "empty lemma or pos in sense id '.n.01'"),
+            ("a..01", "empty lemma or pos in sense id 'a..01'"),
+            ("..01", "empty lemma or pos in sense id '..01'"),
+            (".n.x", "malformed sense index in '.n.x'"),
+            ("a.n.-1", "malformed sense index in 'a.n.-1'"),
         ]:
             with pytest.raises(ValueError) as info:
-                SenseId(*args)
+                SenseId.parse(text)
             assert str(info.value) == message
 
     def test_word_and_order(self):
@@ -208,7 +210,7 @@ class TestLoadInventory:
         assert inv.taxonomy.parent_of(SenseId("a", "n", 1)) == SenseId("b", "n", 1)
         assert inv.dropped_edges == [(SenseId("a", "n", 1), SenseId("c", "n", 1))]
 
-    def test_dropped_edges_logged_once_per_file(self, tmp_path, caplog):
+    def test_dropped_edges_logged_once_per_file(self, tmp_path, capsys):
         p = tmp_path / "inv.tsv"
         p.write_text(
             "a.n.01\tb.n.01\n"
@@ -218,11 +220,12 @@ class TestLoadInventory:
             "b.n.01\t-\n"
             "b.n.01\tc.n.01\n"
         )
-        with caplog.at_level("WARNING", logger="ballwsd.inventory"):
-            inv = load_inventory(p)
+        inv = load_inventory(p)
         assert len(inv.dropped_edges) == 3
-        assert len(caplog.records) == 1
-        assert "3 extra parent edges dropped, first a.n.01 -> c.n.01" in caplog.records[0].message
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            f"{p}: 3 extra parent edges dropped, first a.n.01 -> c.n.01 (keeping b.n.01)"]
 
     def test_explicit_root_not_overridden(self, tmp_path):
         p = tmp_path / "inv.tsv"
@@ -240,7 +243,7 @@ class TestLoadInventory:
             ("a.n.01\tb.n", "malformed sense id 'b.n', want lemma.pos.index"),
             ("a.n.x\t-", "malformed sense index in 'a.n.x'"),
             ("a.n.-1\t-", "malformed sense index in 'a.n.-1'"),
-            (".n.01\t-", "empty lemma or pos in sense id SenseId(lemma='', pos='n', index=1)"),
+            (".n.01\t-", "empty lemma or pos in sense id '.n.01'"),
         ]:
             p.write_text("# edges\nroot.n.01\t-\n" + line + "\n")
             with pytest.raises(TaxonomyError) as info:

@@ -5,9 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ballwsd.embeddings import EmbeddingTable
-
-from helpers import save_embeddings
+from helpers import save_embeddings, table
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,7 +27,7 @@ def library_block() -> str:
 
 def test_library_use_block_runs(tmp_path, monkeypatch):
     rng = np.random.default_rng(50)
-    save_embeddings(EmbeddingTable({w: rng.standard_normal(8) for w in WORDS}),
+    save_embeddings(table({w: rng.standard_normal(8) for w in WORDS}),
                     tmp_path / "embeddings.txt")
     (tmp_path / "inventory.tsv").write_text(EDGES)
     (tmp_path / "corpus.tsv").write_text("".join(

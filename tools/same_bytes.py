@@ -29,10 +29,14 @@ compared; eval on a copy whose every UNATTEMPTED_EVERY-th record names
 the unknown sense GHOST as its original sense, so unattempted records
 (skipped counts and missing prediction lines) are compared; build-balls
 on a copy of embeddings.txt whose line UNDERSCORE_LINE carries a `1_0`
-style token and whose line RAGGED_LINE lacks its last coordinate; and
+style token and whose line RAGGED_LINE lacks its last coordinate;
 verify-balls on a copy of inventory.tsv that opens with a two-node tail
 and ends with the 2-cycle that tail leads into, so the node a cycle
-error names is compared.
+error names is compared; and prepare on two copies of corpus-test.tsv,
+one whose BAD_INDEX_RECORD-th record's index points one past its
+sentence and one whose NO_TOKENS_RECORD-th record has an empty token
+column, so the messages of the checks a record's text meets are
+compared.
 Every written file, exit code, stdout and stderr that differs is listed,
 a differing stdout or stderr with the first line where the sides part
 (each cut to SHOW_CHARS characters); a file matches only when its bytes
@@ -62,6 +66,7 @@ FAULT_EVERY, FAULT_SCALE = 50, 50.0
 UNDERSCORE_LINE, RAGGED_LINE = 10, 20
 OOV_EVERY, OOV_WORD, UPPER_EVERY = 7, "qqxoovqq", 11
 UNATTEMPTED_EVERY = 5
+BAD_INDEX_RECORD, NO_TOKENS_RECORD = 3, 5
 SHOW_CHARS = 120
 GHOST = "qqxghost.n.01"  # a sense no generated inventory has
 # a tail qqxtail2 -> qqxtail1 -> into the 2-cycle qqxloopa <-> qqxloopb; with a
@@ -179,6 +184,16 @@ def write_cyclic(inventory: Path, dest: Path) -> None:
     dest.write_text(TAIL_EDGES + text + CYCLE_EDGES, encoding="utf-8")
 
 
+def write_bad_record(corpus: Path, dest: Path, n: int, edit) -> None:
+    """Copy a corpus whose n-th record (from 1) becomes `edit(fields)`,
+    its tab-separated fields rejoined."""
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+    i = rows[n - 1]
+    lines[i] = "\t".join(edit(lines[i].rstrip("\n").split("\t"))) + "\n"
+    dest.write_text("".join(lines), encoding="utf-8")
+
+
 def with_flags(argv: list[str], **flags: str) -> list[str]:
     """argv with the value after each `--flag` replaced."""
     argv = list(argv)
@@ -282,6 +297,15 @@ def main(argv=None) -> int:
                          work / "inputs" / "inventory-cyclic.tsv")
             faulted.append(with_flags(commands(inputs, "")["verify-balls"][1],
                                       inventory="../inputs/inventory-cyclic.tsv"))
+            corpus = work / "inputs" / "corpus-test.tsv"
+            for probe, n, edit in (
+                    ("bad-index", BAD_INDEX_RECORD,
+                     lambda f: [*f[:-2], str(len(f[-1].split())), f[-1]]),
+                    ("no-tokens", NO_TOKENS_RECORD, lambda f: [*f[:-1], ""])):
+                write_bad_record(corpus, work / "inputs" / f"corpus-{probe}.tsv", n, edit)
+                faulted.append(with_flags(commands(inputs, "")["prepare-test"][1],
+                                          corpus=f"../inputs/corpus-{probe}.tsv",
+                                          out=f"test-data-{probe}"))
             argvs += faulted
             ref_runs += run_pipeline(tmp / "ref-tree" / "src", work / "ref", faulted)
             tree_runs += run_pipeline(ROOT / "src", work / "tree", faulted)
