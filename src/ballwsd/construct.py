@@ -81,49 +81,6 @@ def _pack_offsets(radii: list[float], axes: list[int]) -> list[float]:
     return out
 
 
-class _Builder:
-    """Centers (N x dim) and radii (N) in `Taxonomy.preorder()` row order;
-    the subtree of row i is rows `i:end[i]`."""
-
-    def __init__(self, taxonomy: Taxonomy, table: EmbeddingTable, cfg: GeometryConfig):
-        self.tax = taxonomy
-        self.table = table
-        self.cfg = cfg
-        self.pdim = table.dim
-        self.dim = table.dim + cfg.code_width
-        self.order = taxonomy.preorder()
-        self.slots = _slot_map(taxonomy, self.order, cfg.code_width)
-        self.row = {node: i for i, (node, _) in enumerate(self.order)}
-        self.centers = np.zeros((len(self.order), self.dim))
-        self.radii = np.zeros(len(self.order))
-        self.end = list(range(1, len(self.order) + 1))
-
-    def pack(self, rows: list[int], axes: list[int]) -> None:
-        """Translate each subtree rigidly so its top ball (row) sits at its
-        offset along its axis."""
-        offsets = _pack_offsets(self.radii[rows].tolist(), axes)
-        for i, axis, dist in zip(rows, axes, offsets):
-            shift = -self.centers[i, self.pdim:]
-            shift[axis] += dist
-            self.centers[i:self.end[i], self.pdim:] += shift
-
-    def build(self) -> None:
-        """Fill every row in reverse pre-order: a node is wrapped once all its
-        children are, so every ball receives its ancestors' shifts deepest first."""
-        for i in reversed(range(len(self.order))):
-            node, depth = self.order[i]
-            self.centers[i, :self.pdim] = _unit_prefix(self.table, node.lemma)
-            kids = [self.row[kid] for kid in self.tax.children_of(node)]
-            if not kids:
-                self.radii[i] = self.cfg.leaf_radius
-                continue
-            self.pack(kids, [self.slots[(depth + 1, idx)] for idx in range(1, len(kids) + 1)])
-            self.end[i] = max(self.end[k] for k in kids)
-            self.centers[i, self.pdim:] = np.mean(self.centers[kids, self.pdim:], axis=0)
-            reach = np.max(gaps(self.centers[kids], self.centers[i]) + self.radii[kids])
-            self.radii[i] = self.cfg.margin * reach
-
-
 def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
                     cfg: GeometryConfig | None = None) -> BallConfiguration:
     """Build one ball per taxonomy node.
@@ -132,15 +89,44 @@ def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
     is not verified here; `verify_configuration` checks it.
     """
     cfg = cfg or GeometryConfig()
+    # centers (N x dim) and radii (N) in `Taxonomy.preorder()` row order;
+    # the subtree of row i is rows `i:end[i]`
+    order = taxonomy.preorder()
+    row = {node: i for i, (node, _) in enumerate(order)}
+    slots = _slot_map(taxonomy, order, cfg.code_width)
+    pdim = table.dim
+    centers = np.zeros((len(order), pdim + cfg.code_width))
+    radii = np.zeros(len(order))
+    end = list(range(1, len(order) + 1))
+
+    def pack(rows: list[int], axes: list[int]) -> None:
+        """Translate each subtree rigidly so its top ball (row) sits at its
+        offset along its axis."""
+        offsets = _pack_offsets(radii[rows].tolist(), axes)
+        for i, axis, dist in zip(rows, axes, offsets):
+            shift = -centers[i, pdim:]
+            shift[axis] += dist
+            centers[i:end[i], pdim:] += shift
+
+    # reverse pre-order: a node is wrapped once all its children are, so
+    # every ball receives its ancestors' shifts deepest first
+    for i in reversed(range(len(order))):
+        node, depth = order[i]
+        centers[i, :pdim] = _unit_prefix(table, node.lemma)
+        kids = [row[kid] for kid in taxonomy.children_of(node)]
+        if not kids:
+            radii[i] = cfg.leaf_radius
+            continue
+        pack(kids, [slots[(depth + 1, idx)] for idx in range(1, len(kids) + 1)])
+        end[i] = max(end[k] for k in kids)
+        centers[i, pdim:] = np.mean(centers[kids, pdim:], axis=0)
+        reach = np.max(gaps(centers[kids], centers[i]) + radii[kids])
+        radii[i] = cfg.margin * reach
     roots = taxonomy.roots()
-    builder = _Builder(taxonomy, table, cfg)
-    builder.build()
     if len(roots) > 1:
         # co-roots have no covering parent but still must be disjoint
-        builder.pack([builder.row[r] for r in roots],
-                     [i % cfg.code_width for i in range(len(roots))])
+        pack([row[r] for r in roots], [i % cfg.code_width for i in range(len(roots))])
 
     # final homothety into the unit ball
-    scale = 1.0 / np.max(gaps(builder.centers, 0.0) + builder.radii)
-    return BallConfiguration([node for node, _ in builder.order], builder.centers * scale,
-                             builder.radii * scale, builder.pdim)
+    scale = 1.0 / np.max(gaps(centers, 0.0) + radii)
+    return BallConfiguration([node for node, _ in order], centers * scale, radii * scale, pdim)

@@ -17,11 +17,7 @@ def hash_unit_vector(token: str, dim: int) -> np.ndarray:
     seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
     rng = np.random.Generator(np.random.PCG64(seed))
     v = rng.standard_normal(dim)
-    n = np.linalg.norm(v)
-    if n == 0.0:  # pragma: no cover - standard_normal never returns all zeros
-        v[0] = 1.0
-        n = 1.0
-    return v / n
+    return v / np.linalg.norm(v)
 
 
 class EmbeddingTable:

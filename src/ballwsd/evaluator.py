@@ -16,6 +16,7 @@ reproducing the characteristic level-0 vs level-1 quality gap.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,6 @@ class SyntheticFixture:
     records: list[TrainingRecord]     # grouped by leaf sense, in order
     leaves: list[SenseId]
     tops: list[SenseId]
-    records_per_sense: int
 
     @property
     def taxonomy(self) -> Taxonomy:
@@ -160,22 +160,13 @@ def make_synthetic_fixture(seed: int = 0, n_top: int = 4, senses_per_parent: int
 
     # leaf senses from ambiguous words
     n_words = n_top if senses_per_parent % 2 == 0 else senses_per_parent
-    word_of: dict[tuple[int, int], int] = {}
-    for t in range(n_top):
-        for s in range(senses_per_parent):
-            if senses_per_parent % 2 == 0:
-                word_of[(t, s)] = (t + s // 2) % n_words
-            else:
-                word_of[(t, s)] = (t + s) % n_words
-    sense_index: dict[tuple[int, int], int] = {}
-    for j in range(n_words):
-        slots = sorted(k for k, w in word_of.items() if w == j)
-        for pos, k in enumerate(slots, start=1):
-            sense_index[k] = pos
+    senses_of: Counter[int] = Counter()  # a word's senses are numbered in (t, s) order
     leaves = []
     for t in range(n_top):
         for s in range(senses_per_parent):
-            leaf = SenseId(f"word{word_of[(t, s)]}", "n", sense_index[(t, s)])
+            word = (t + (s // 2 if senses_per_parent % 2 == 0 else s)) % n_words
+            senses_of[word] += 1
+            leaf = SenseId(f"word{word}", "n", senses_of[word])
             parent[leaf] = tops[t]
             leaves.append(leaf)
 
@@ -228,7 +219,6 @@ def make_synthetic_fixture(seed: int = 0, n_top: int = 4, senses_per_parent: int
         records=records,
         leaves=leaves,
         tops=tops,
-        records_per_sense=records_per_sense,
     )
 
 

@@ -176,6 +176,25 @@ class TestBuildVerify:
         workspace["inventory"].write_text("w.n.01\t-\n" + edges)
         build(workspace)
 
+    @pytest.mark.parametrize("depth, code", [(30, 0), (40, 3)])
+    def test_depth_limit_of_a_caterpillar(self, tmp_path, capsys, depth, code):
+        # 8 children per level, the first carrying on: radii shrink by a
+        # constant factor per level until they near the rounding of the
+        # centres (about 36 levels at this fan-out; see README)
+        inv = tmp_path / "inventory.tsv"
+        edges = ["c0_0.n.01\t-\n"] + [f"c{d}_{k}.n.01\tc{d - 1}_0.n.01\n"
+                                       for d in range(1, depth + 1) for k in range(8)]
+        inv.write_text("".join(edges))
+        rng = np.random.default_rng(0)
+        emb = tmp_path / "embeddings.txt"
+        save_embeddings(table({e.split(".")[0]: rng.standard_normal(16) for e in edges}), emb)
+        out_dir = tmp_path / "balls"
+        assert main(["build-balls", "--inventory", str(inv), "--embeddings", str(emb),
+                     "--out", str(out_dir)]) == code
+        violations = capsys.readouterr().out.split("violations:")[1].split()[0]
+        assert (violations == "0") == (code == 0)
+        assert out_dir.exists() == (code == 0)
+
     def test_missing_embeddings_is_data_error(self, workspace):
         code = main(["build-balls", "--inventory", str(workspace["inventory"]),
                      "--embeddings", str(workspace["dir"] / "nope.txt"),

@@ -19,24 +19,26 @@ REF's `src/` and once with this tree's, from sibling directories that
 read the same inputs by the same relative paths.  Then each side's own
 balls.tsv is copied to faulted-input/balls.tsv in its directory with
 every FAULT_EVERY-th radius times FAULT_SCALE, and verify-balls runs on
-that copy, so violation order and slack text are compared too.  Five
-more faulted inputs follow: eval on a copy of the tree's test-data whose
-dataset-l1.tsv lacks its first record, so levels cannot share one
-encoded batch; eval on a copy whose every OOV_EVERY-th record has a
-context token replaced by OOV_WORD and every UPPER_EVERY-th record one
-upper-cased, so the hashed OOV vectors and the lowercase fallback are
-compared; eval on a copy whose every UNATTEMPTED_EVERY-th record names
-the unknown sense GHOST as its original sense, so unattempted records
-(skipped counts and missing prediction lines) are compared; build-balls
-on a copy of embeddings.txt whose line UNDERSCORE_LINE carries a `1_0`
-style token and whose line RAGGED_LINE lacks its last coordinate;
-verify-balls on a copy of inventory.tsv that opens with a two-node tail
-and ends with the 2-cycle that tail leads into, so the node a cycle
-error names is compared; and prepare on two copies of corpus-test.tsv,
-one whose BAD_INDEX_RECORD-th record's index points one past its
-sentence and one whose NO_TOKENS_RECORD-th record has an empty token
-column, so the messages of the checks a record's text meets are
-compared.
+that copy, so violation order and slack text are compared too.  Eight
+more commands on altered inputs follow: eval on a copy of the tree's
+test-data whose dataset-l1.tsv lacks its first record, so levels cannot
+share one encoded batch; eval on a copy whose every OOV_EVERY-th record
+has a context token replaced by OOV_WORD and every UPPER_EVERY-th
+record one upper-cased, so the hashed OOV vectors and the lowercase
+fallback are compared; eval on a copy whose every UNATTEMPTED_EVERY-th
+record names the unknown sense GHOST as its original sense, so
+unattempted records (skipped counts and missing prediction lines) are
+compared; build-balls on a copy of embeddings.txt whose line
+UNDERSCORE_LINE carries a `1_0` style token and whose line RAGGED_LINE
+lacks its last coordinate; verify-balls on a copy of inventory.tsv that
+opens with a two-node tail and ends with the 2-cycle that tail leads
+into, so the node a cycle error names is compared; prepare on two
+copies of corpus-test.tsv, one whose BAD_INDEX_RECORD-th record's index
+points one past its sentence and one whose NO_TOKENS_RECORD-th record
+has an empty token column, so the messages of the checks a record's
+text meets are compared; and build-balls on a copy of inventory.tsv
+with FOREST_PAIRS more roots, each over one leaf, so the co-roots (more
+of them than code_width, so they share axes) are packed and verified.
 Every written file, exit code, stdout and stderr that differs is listed,
 a differing stdout or stderr with the first line where the sides part
 (each cut to SHOW_CHARS characters); a file matches only when its bytes
@@ -67,6 +69,7 @@ UNDERSCORE_LINE, RAGGED_LINE = 10, 20
 OOV_EVERY, OOV_WORD, UPPER_EVERY = 7, "qqxoovqq", 11
 UNATTEMPTED_EVERY = 5
 BAD_INDEX_RECORD, NO_TOKENS_RECORD = 3, 5
+FOREST_PAIRS = 20
 SHOW_CHARS = 120
 GHOST = "qqxghost.n.01"  # a sense no generated inventory has
 # a tail qqxtail2 -> qqxtail1 -> into the 2-cycle qqxloopa <-> qqxloopb; with a
@@ -182,6 +185,13 @@ def write_cyclic(inventory: Path, dest: Path) -> None:
     """Copy an inventory with TAIL_EDGES first and CYCLE_EDGES last."""
     text = inventory.read_text(encoding="utf-8")
     dest.write_text(TAIL_EDGES + text + CYCLE_EDGES, encoding="utf-8")
+
+
+def write_forest(inventory: Path, dest: Path) -> None:
+    """Copy an inventory with FOREST_PAIRS root-and-leaf pairs appended."""
+    text = inventory.read_text(encoding="utf-8")
+    dest.write_text(text + "".join(f"qqxroot{k}.n.01\t-\nqqxleaf{k}.n.01\tqqxroot{k}.n.01\n"
+                                   for k in range(FOREST_PAIRS)), encoding="utf-8")
 
 
 def write_bad_record(corpus: Path, dest: Path, n: int, edit) -> None:
@@ -306,6 +316,11 @@ def main(argv=None) -> int:
                 faulted.append(with_flags(commands(inputs, "")["prepare-test"][1],
                                           corpus=f"../inputs/corpus-{probe}.tsv",
                                           out=f"test-data-{probe}"))
+            write_forest(work / "inputs" / "inventory.tsv",
+                         work / "inputs" / "inventory-forest.tsv")
+            faulted.append(with_flags(commands(inputs, "")["build-balls"][1],
+                                      inventory="../inputs/inventory-forest.tsv",
+                                      out="balls-forest"))
             argvs += faulted
             ref_runs += run_pipeline(tmp / "ref-tree" / "src", work / "ref", faulted)
             tree_runs += run_pipeline(ROOT / "src", work / "tree", faulted)
