@@ -260,12 +260,11 @@ def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
     for i, rec in enumerate(records):
         by_word.setdefault(rec.original.word, []).append(i)
     predictions: list[Prediction | None] = [None] * len(records)
-    anchors: list[SenseId | None] = [None] * len(records)
     for word, rows in by_word.items():
         candidates = candidate_set(*word, level, inventory, balls)
         if not candidates:
             continue
-        anchor = {c.sense: c.anchor for c in candidates}
         for i, pred in zip(rows, select_sense(V[rows], candidates, balls)):
-            predictions[i], anchors[i] = pred, anchor[pred.chosen]
+            predictions[i] = pred
+    anchors = [None if p is None else p.anchor for p in predictions]
     return score(anchors, [r.target for r in records]), predictions

@@ -158,10 +158,12 @@ def save_balls(config: BallConfiguration, path) -> None:
 def load_balls(path) -> BallConfiguration:
     """Read a ball file; ids parse with `SenseId.parse`.  A malformed row
     or id, a repeated id, a row before the header, a header with dim < 1
-    or a second header raises one ValueError that starts `path:lineno:`."""
+    or a prefix outside 1..dim, or a second header raises one ValueError
+    that starts `path:lineno:` and names the first bad line."""
     dim = prefix = None
     ids, radii, linenos = [], [], []
     buf = bytearray()  # the centers' bytes, one row after another
+    bad = None  # the first malformed line; the rows above it are checked first
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").removesuffix("\r")
@@ -173,9 +175,12 @@ def load_balls(path) -> BallConfiguration:
                     if len(parts) == 4 and parts[0] == "dim" and parts[2] == "prefix":
                         if dim is not None:
                             raise ValueError(f"second {_HEADER}")
-                        dim, prefix = int(parts[1]), int(parts[3])
-                        if dim < 1:
-                            raise ValueError(f"dim must be >= 1, got {dim}")
+                        n, p = int(parts[1]), int(parts[3])
+                        if n < 1:
+                            raise ValueError(f"dim must be >= 1, got {n}")
+                        if not 0 < p <= n:
+                            raise ValueError(f"prefix must lie in 1..{n}, got {p}")
+                        dim, prefix = n, p
                     continue
                 if dim is None:
                     raise ValueError(f"ball row before the {_HEADER}")
@@ -192,20 +197,22 @@ def load_balls(path) -> BallConfiguration:
                     raise ValueError(f"{sid}: expected {dim} coordinates, got {got}")
                 radius = float(radius_s)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                bad = f"{path}:{lineno}: {exc}"
+                break
             ids.append(sid)
             radii.append(radius)
             buf += center
             linenos.append(lineno)
     if dim is None:
-        raise ValueError(f"{path}: missing {_HEADER}")
+        raise ValueError(bad or f"{path}: missing {_HEADER}")
     centers = np.frombuffer(buf, dtype="<f8").reshape(len(ids), dim)
     try:
-        return BallConfiguration(ids, centers, radii, prefix)
+        config = BallConfiguration(ids, centers, radii, prefix)
     except RowError as exc:
         raise ValueError(f"{path}:{linenos[exc.row]}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    if bad:
+        raise ValueError(bad)
+    return config
 
 
 # ---------------------------------------------------------------------------

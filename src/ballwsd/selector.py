@@ -20,16 +20,24 @@ from .inventory import Inventory, SenseId
 
 @dataclass(frozen=True)
 class Candidate:
+    """A sense of the word and its anchor: the ball it is scored by, looked
+    up by id in whichever configuration `select_sense` is given."""
+
     sense: SenseId
     anchor: SenseId
-    row: int       # the anchor ball's row in the configuration
 
 
 @dataclass(frozen=True)
 class Prediction:
+    """The chosen sense, its score and its margin (winner score minus
+    runner-up; inf for a lone candidate), and the chosen candidate's
+    anchor, which scoring compares with gold.  A prediction file holds no
+    anchors, so one read back from it has None."""
+
     chosen: SenseId
     score: float
-    margin: float  # winner score minus runner-up; inf for a lone candidate
+    margin: float
+    anchor: SenseId | None = None
 
 
 def candidate_set(lemma: str, pos: str, level: int,
@@ -42,15 +50,16 @@ def candidate_set(lemma: str, pos: str, level: int,
     for sense in inventory.senses_of(lemma, pos):
         anchor = anchor_at(inventory.taxonomy, sense, level, balls)
         if anchor is not None:
-            out.append(Candidate(sense=sense, anchor=anchor, row=balls.row[anchor]))
+            out.append(Candidate(sense=sense, anchor=anchor))
     return out
 
 
 def select_sense(V, candidates: list[Candidate],
                  balls: BallConfiguration) -> list[Prediction]:
     """One prediction per row of V (n x dim, the encoded records of one
-    word): argmax of cos(row, anchor center) over the candidates' rows of
-    `balls`; argmax keeps the first (lowest-index) candidate on exact ties.
+    word): argmax of cos(row, anchor center) over the candidates' anchor
+    balls, each found in `balls` by its id; argmax keeps the first
+    (lowest-index) candidate on exact ties.
     """
     if not candidates:
         raise ValueError("no candidates to select from")
@@ -59,8 +68,7 @@ def select_sense(V, candidates: list[Candidate],
         raise ValueError(f"expected rows of width {balls.dim}, got shape {V.shape}")
     if not np.isfinite(V).all():
         raise ValueError("vector has non-finite entries")
-    rows = [c.row for c in candidates]
-    centers = balls.centers[rows]
+    centers = balls.centers[[balls.row[c.anchor] for c in candidates]]
     nv, nc = gaps(V, 0.0), gaps(centers, 0.0)
     if not (nv.all() and nc.all()):
         raise ValueError("cosine similarity undefined for zero-norm input")
@@ -73,7 +81,8 @@ def select_sense(V, candidates: list[Candidate],
     top, rest = scores[at], scores.copy()
     rest[at] = -np.inf
     margin = top - rest.max(axis=1)  # inf for a lone candidate
-    return [Prediction(chosen=candidates[b].sense, score=float(t), margin=float(m))
+    return [Prediction(chosen=candidates[b].sense, score=float(t), margin=float(m),
+                       anchor=candidates[b].anchor)
             for b, t, m in zip(best, top, margin)]
 
 

@@ -162,12 +162,12 @@ def test_criterion_4_selector_oracle():
             centers[int(rng.integers(1, n))] = centers[src].copy()
         anchors = [SenseId("p", "n", i + 1) for i in range(n)]
         balls = configuration(zip(anchors, centers, radii))
-        cands = [Candidate(SenseId("w", "n", i + 1), anchors[i], i) for i in range(n)]
+        cands = [Candidate(SenseId("w", "n", i + 1), anchors[i]) for i in range(n)]
         v = rng.standard_normal(dim)
         while float(np.linalg.norm(v)) < 1e-6:
             v = rng.standard_normal(dim)
         pred = select_sense([v], cands, balls)[0]
-        scores = [cos_ref(v, balls.centers[c.row]) for c in cands]
+        scores = [cos_ref(v, balls.centers[balls.row[c.anchor]]) for c in cands]
         best = max(scores)
         want = min(i for i, s in enumerate(scores) if s == best)
         if pred.chosen != cands[want].sense:

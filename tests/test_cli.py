@@ -728,6 +728,20 @@ class TestOneLineErrors:
         assert out.out == ""
         assert out.err.splitlines() == [f"data error: {balls}:1: dim must be >= 1, got -1"]
 
+    def test_ball_header_prefix_past_dim_is_one_line_data_error(self, workspace, capsys):
+        balls = build(workspace)
+        lines = balls.read_text().splitlines()
+        dim = int(lines[0].split()[1])
+        lines[0] = f"#dim {dim} prefix {dim + 1}"
+        balls.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify-balls", "--balls", str(balls),
+                     "--inventory", str(workspace["inventory"])]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            f"data error: {balls}:1: prefix must lie in 1..{dim}, got {dim + 1}"]
+
     @pytest.mark.parametrize("command", ["query", "verify-balls"])
     def test_truncated_center_is_one_line_data_error(self, workspace, capsys, command):
         balls = build(workspace)

@@ -298,6 +298,35 @@ class TestRoundTrip:
             load_balls(p)
         assert str(exc.value) == f"{p}:1: dim must be >= 1, got {dim}"
 
+    @pytest.mark.parametrize("rows, lineno, message", [
+        ([ball_row("a.n.01", "1.0", [0, 0]), ball_row("b.n.01", "0.0", [5, 5]),
+          ball_row("c.n.01", "1.0", [9, 9]), ball_row("d.n.01", "1.0", [1, 1]).replace("A", "!")],
+         3, "b.n.01: radius must be positive and finite, got 0.0"),
+        ([ball_row("a.n.01", "1.0", [0, 0]), ball_row("a.n.01", "1.0", [5, 5]),
+          ball_row("w1.n.x", "1.0", [9, 9])],
+         3, "duplicate sense id 'a.n.01'"),
+        ([ball_row("a.n.01", "1.0", [math.nan, 0]), ball_row("b.n.01", "1.0", [5, 5]),
+          ball_row("c.n.01", "1.0", [9])],
+         2, "a.n.01: center has non-finite entries"),
+    ], ids=["radius-before-token", "duplicate-before-id", "nan-before-short"])
+    def test_load_names_the_first_bad_line(self, tmp_path, rows, lineno, message):
+        # a row the constructor rejects comes before a line the reader rejects
+        p = tmp_path / "b.tsv"
+        p.write_text("#dim 2 prefix 1\n" + "".join(row + "\n" for row in rows))
+        with pytest.raises(ValueError) as exc:
+            load_balls(p)
+        assert str(exc.value) == f"{p}:{lineno}: {message}"
+
+    @pytest.mark.parametrize("head, prefix", [("", 0), ("", 3), ("", -1), ("#note\n", 3)],
+                             ids=["zero", "past-dim", "negative", "line-2"])
+    def test_load_rejects_prefix_outside_dim(self, tmp_path, head, prefix):
+        p = tmp_path / "b.tsv"
+        p.write_text(f"{head}#dim 2 prefix {prefix}\n{ball_row('a.n.01', '1.0', [0, 0])}\n")
+        with pytest.raises(ValueError) as exc:
+            load_balls(p)
+        lineno = head.count("\n") + 1
+        assert str(exc.value) == f"{p}:{lineno}: prefix must lie in 1..2, got {prefix}"
+
     def test_load_rejects_file_with_decimal_centers(self, tmp_path):
         # the ball file format before centers were written as base64
         p = tmp_path / "old.tsv"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ballwsd.construct import construct_balls
-from ballwsd.geometry import GeometryConfig, containment_rule
+from ballwsd.evaluator import make_synthetic_fixture
+from ballwsd.geometry import GeometryConfig, containment_rule, load_balls, save_balls
 from ballwsd.inventory import Inventory, SenseId, Taxonomy
 from ballwsd.selector import (Candidate, Prediction, candidate_set,
                               deduction_query, save_predictions,
@@ -22,8 +23,7 @@ def make_candidates(centers, radii=None, indices=None, lemma="w"):
     anchors = [SenseId(f"{lemma}par", "n", i) for i in indices]
     config = configuration((a, np.asarray(c, dtype=float), r)
                            for a, c, r in zip(anchors, centers, radii))
-    cands = [Candidate(SenseId(lemma, "n", i), a, config.row[a])
-             for i, a in zip(indices, anchors)]
+    cands = [Candidate(SenseId(lemma, "n", i), a) for i, a in zip(indices, anchors)]
     return cands, config
 
 
@@ -68,7 +68,7 @@ class TestSelectSense:
             cands, config = make_candidates(centers, radii)
             v = rng.standard_normal(dim)
             pred = select_one(v, cands, config)
-            scores = [cos_ref(v, config.centers[c.row]) for c in cands]
+            scores = [cos_ref(v, config.centers[config.row[c.anchor]]) for c in cands]
             best = max(scores)
             want = min(i for i, s in enumerate(scores) if s == best)
             assert pred.chosen == cands[want].sense
@@ -121,11 +121,10 @@ class TestSelectSense:
             n = int(rng.integers(1, 10))
             anchors = [SenseId("p", "n", i + 1) for i in range(n)]
             config = configuration((a, rng.standard_normal(dim), 0.5) for a in anchors)
-            cands = [Candidate(SenseId("w", "n", i + 1), a, config.row[a])
-                     for i, a in enumerate(anchors)]
+            cands = [Candidate(SenseId("w", "n", i + 1), a) for i, a in enumerate(anchors)]
             v = rng.standard_normal((3, dim))[1]  # a row of a matrix, like encoder output
             pred = select_one(v, cands, config)
-            scores = [cos_ref(v, config.centers[c.row]) for c in cands]
+            scores = [cos_ref(v, config.centers[config.row[c.anchor]]) for c in cands]
             best = scores.index(max(scores))
             assert pred.chosen == cands[best].sense
             assert pred.score == scores[best]
@@ -151,6 +150,20 @@ class TestSelectSense:
             singles = [select_one(v, cands, config) for v in V]
             assert batch == singles
         assert lone and tie
+
+    def test_reads_rows_from_the_balls_it_is_given(self, tmp_path):
+        # construct_balls gives rows in pre-order, a loaded file in sorted text order
+        fx = make_synthetic_fixture(seed=0)
+        built = construct_balls(fx.taxonomy, fx.table)
+        save_balls(built, tmp_path / "b.tsv")
+        loaded = load_balls(tmp_path / "b.tsv")
+        assert built.ids != loaded.ids
+        rng = np.random.default_rng(24)
+        for lemma in sorted({leaf.lemma for leaf in fx.leaves}):
+            for level in (0, 1):
+                cands = candidate_set(lemma, "n", level, fx.inventory, built)
+                V = rng.standard_normal((5, built.dim))
+                assert select_sense(V, cands, loaded) == select_sense(V, cands, built)
 
 class TestCandidateSet:
     def fixture(self):
@@ -179,7 +192,6 @@ class TestCandidateSet:
         cands = candidate_set("fly", "v", 1, inv, config)
         assert [str(c.anchor) for c in cands] == ["move.v.01", "make.v.01", "move.v.01"]
         assert [c.sense.index for c in cands] == [1, 2, 9]
-        assert all(config.ids[c.row] == c.anchor for c in cands)
 
     def test_level_past_root_gives_empty(self):
         inv, config = self.fixture()

@@ -16,35 +16,29 @@ seeded query's other sense), the first seeded query again with its
 senses' indices unpadded (x.n.1 for x.n.01, so arguments and ball ids
 must meet in one key) and show-config run once with
 REF's `src/` and once with this tree's, from sibling directories that
-read the same inputs by the same relative paths.  Then each side's own
-balls.tsv is copied to faulted-input/balls.tsv in its directory with
-every FAULT_EVERY-th radius times FAULT_SCALE, and verify-balls runs on
-that copy, so violation order and slack text are compared too.  Eight
-more commands on altered inputs follow: eval on a copy of the tree's
-test-data whose dataset-l1.tsv lacks its first record, so levels cannot
-share one encoded batch; eval on a copy whose every OOV_EVERY-th record
-has a context token replaced by OOV_WORD and every UPPER_EVERY-th
-record one upper-cased, so the hashed OOV vectors and the lowercase
-fallback are compared; eval on a copy whose every UNATTEMPTED_EVERY-th
-record names the unknown sense GHOST as its original sense, so
-unattempted records (skipped counts and missing prediction lines) are
-compared; build-balls on a copy of embeddings.txt whose line
-UNDERSCORE_LINE carries a `1_0` style token and whose line RAGGED_LINE
-lacks its last coordinate; verify-balls on a copy of inventory.tsv that
-opens with a two-node tail and ends with the 2-cycle that tail leads
-into, so the node a cycle error names is compared; prepare on two
-copies of corpus-test.tsv, one whose BAD_INDEX_RECORD-th record's index
-points one past its sentence and one whose NO_TOKENS_RECORD-th record
-has an empty token column, so the messages of the checks a record's
-text meets are compared; and build-balls on a copy of inventory.tsv
-with FOREST_PAIRS more roots, each over one leaf, so the co-roots (more
-of them than code_width, so they share axes) are packed and verified.
+read the same inputs by the same relative paths.
+
+Then the probes run under both trees.  A probe is one pipeline command
+run on an altered copy of one of its inputs, derived by a small edit, so
+that a path the workloads' own inputs never reach (an error message, a
+fallback, a rare shape) is compared too.  The first is written out in
+`main`: each side's own balls.tsv, copied to faulted-input/balls.tsv in
+its directory with every FAULT_EVERY-th radius times FAULT_SCALE, goes
+to verify-balls, so violation order and slack text are compared.  The
+others are the rows of PROBES, each derived once from the file its flag
+names in the tree's directory and read by both sides; the comment above
+a row says what it guards.  A probe whose source is missing, because a
+command before it failed, derives nothing and still runs.
+
 Every written file, exit code, stdout and stderr that differs is listed,
 a differing stdout or stderr with the first line where the sides part
 (each cut to SHOW_CHARS characters); a file matches only when its bytes
-are equal.
-Exit status: 0 when nothing differs, 1 when something does, 2 when REF
-cannot be extracted.
+are equal.  Each probe also names the exit code its run in this tree
+must reach, and a probe that exits otherwise is listed as a miss.  The
+probes that must exit 0 show by that only that they ran: what they
+guard is held by their bytes alone.
+Exit status: 0 when nothing differs and no probe misses, 1 when
+something differs or a probe misses, 2 when REF cannot be extracted.
 """
 
 from __future__ import annotations
@@ -105,110 +99,135 @@ def run_pipeline(src: Path, cwd: Path, argvs: list[list[str]]) -> list[tuple]:
     return out
 
 
-def write_faulted(balls: Path, dest: Path) -> None:
-    """Copy a ball file, multiplying every FAULT_EVERY-th ball's radius by
-    FAULT_SCALE."""
-    lines = balls.read_text(encoding="utf-8").splitlines(keepends=True)
-    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
-    for i in rows[FAULT_EVERY - 1::FAULT_EVERY]:
-        sid, radius, coords = lines[i].split("\t")
-        lines[i] = f"{sid}\t{'%.17g' % (float(radius) * FAULT_SCALE)}\t{coords}"
-    dest.write_text("".join(lines), encoding="utf-8")
+def records(lines: list[str]) -> list[int]:
+    """Indices of the record lines: not blank and not `#`."""
+    return [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
 
 
-def write_dropped(data: Path, dest: Path) -> None:
-    """Copy a prepared dataset directory without dataset-l1.tsv's first record."""
-    dest.mkdir()
-    for path in sorted(data.glob("dataset-l*.tsv")):
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        if path.name == "dataset-l1.tsv":
-            del lines[next(i for i, line in enumerate(lines) if not line.startswith("#"))]
-        (dest / path.name).write_text("".join(lines), encoding="utf-8")
+def derive(source: Path, dest: Path, edit) -> None:
+    """Write source's lines to dest after `edit(name, lines)` changes them
+    in place; a directory source has each of its dataset-l*.tsv derived
+    into dest alike, and a missing source derives nothing."""
+    if source.is_dir():
+        for path in sorted(source.glob("dataset-l*.tsv")):
+            derive(path, dest / path.name, edit)
+    elif source.is_file():
+        dest.parent.mkdir(exist_ok=True)
+        lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        edit(source.name, lines)
+        dest.write_text("".join(lines), encoding="utf-8")
 
 
-def write_records(data: Path, dest: Path, edit) -> None:
-    """Copy a prepared dataset directory, editing every level file alike:
-    the n-th record (from 1) of each becomes `edit(n, fields)`, its
-    tab-separated fields rejoined."""
-    dest.mkdir()
-    for path in sorted(data.glob("dataset-l*.tsv")):
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
-        for n, i in enumerate(rows, start=1):
-            lines[i] = "\t".join(edit(n, lines[i].rstrip("\n").split("\t"))) + "\n"
-        (dest / path.name).write_text("".join(lines), encoding="utf-8")
+def per_record(edit):
+    """The file edit that lets `edit(n, fields)` change the n-th record's
+    (from 1) tab-separated fields in place, and rejoins them."""
+    def apply(name, lines):
+        for n, i in enumerate(records(lines), start=1):
+            fields = lines[i].rstrip("\n").split("\t")
+            edit(n, fields)
+            lines[i] = "\t".join(fields) + "\n"
+    return apply
 
 
-def write_oov(data: Path, dest: Path) -> None:
-    """Copy a prepared dataset directory: the token next to a record's
-    first target index (before it, or after it at the sentence start)
-    becomes OOV_WORD in every OOV_EVERY-th record and is upper-cased in
-    every UPPER_EVERY-th."""
-    def edit(n, fields):
-        *head, idx, text = fields
-        tokens, indices = text.split(" "), [int(k) for k in idx.split(",")]
-        j = indices[0] - 1 if indices[0] else 1
-        if j < len(tokens) and j not in indices:
-            if n % OOV_EVERY == 0:
-                tokens[j] = OOV_WORD
-            if n % UPPER_EVERY == 0:
-                tokens[j] = tokens[j].upper()
-        return [*head, idx, " ".join(tokens)]
-    write_records(data, dest, edit)
+def inflate_radius(n, fields):
+    """Every FAULT_EVERY-th ball's radius times FAULT_SCALE."""
+    if n % FAULT_EVERY == 0:
+        fields[1] = "%.17g" % (float(fields[1]) * FAULT_SCALE)
 
 
-def write_unattempted(data: Path, dest: Path) -> None:
-    """Copy a prepared dataset directory with every UNATTEMPTED_EVERY-th
-    record's original sense (column 1 of a 3-column line, column 2 of a
-    4-column one) replaced by GHOST, whose word no generated inventory
-    has, so eval cannot attempt that record at any level."""
-    def edit(n, fields):
-        if n % UNATTEMPTED_EVERY == 0:
-            fields[-3] = GHOST
-        return fields
-    write_records(data, dest, edit)
+def drop_first_l1(name, lines):
+    """dataset-l1.tsv loses its first record; other levels stay."""
+    if name == "dataset-l1.tsv":
+        del lines[records(lines)[0]]
 
 
-def write_ragged(table: Path, dest: Path) -> None:
-    """Copy an embedding table with `_` between two digits of line
-    UNDERSCORE_LINE's first coordinate and line RAGGED_LINE's last
-    coordinate dropped."""
-    lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+def oov_token(n, fields):
+    """The token next to the record's first target index (before it, or
+    after it at the sentence start) becomes OOV_WORD in every OOV_EVERY-th
+    record and is upper-cased in every UPPER_EVERY-th."""
+    tokens, indices = fields[-1].split(" "), [int(k) for k in fields[-2].split(",")]
+    j = indices[0] - 1 if indices[0] else 1
+    if j < len(tokens) and j not in indices:
+        if n % OOV_EVERY == 0:
+            tokens[j] = OOV_WORD
+        if n % UPPER_EVERY == 0:
+            tokens[j] = tokens[j].upper()
+    fields[-1] = " ".join(tokens)
+
+
+def ghost_original(n, fields):
+    """Every UNATTEMPTED_EVERY-th record's original sense (column 1 of a
+    3-column line, column 2 of a 4-column one) becomes GHOST."""
+    if n % UNATTEMPTED_EVERY == 0:
+        fields[-3] = GHOST
+
+
+def ragged_table(name, lines):
+    """`_` between two digits of line UNDERSCORE_LINE's first coordinate,
+    and line RAGGED_LINE's last coordinate dropped."""
     word, first, rest = lines[UNDERSCORE_LINE - 1].split(" ", 2)
     i = next(i for i in range(1, len(first)) if first[i - 1:i + 1].isdigit())
     lines[UNDERSCORE_LINE - 1] = f"{word} {first[:i]}_{first[i:]} {rest}"
     lines[RAGGED_LINE - 1] = lines[RAGGED_LINE - 1].rstrip("\n").rsplit(" ", 1)[0] + "\n"
-    dest.write_text("".join(lines), encoding="utf-8")
 
 
-def write_cyclic(inventory: Path, dest: Path) -> None:
-    """Copy an inventory with TAIL_EDGES first and CYCLE_EDGES last."""
-    text = inventory.read_text(encoding="utf-8")
-    dest.write_text(TAIL_EDGES + text + CYCLE_EDGES, encoding="utf-8")
+def cyclic(name, lines):
+    """TAIL_EDGES first and CYCLE_EDGES last."""
+    lines[:] = [TAIL_EDGES, *lines, CYCLE_EDGES]
 
 
-def write_forest(inventory: Path, dest: Path) -> None:
-    """Copy an inventory with FOREST_PAIRS root-and-leaf pairs appended."""
-    text = inventory.read_text(encoding="utf-8")
-    dest.write_text(text + "".join(f"qqxroot{k}.n.01\t-\nqqxleaf{k}.n.01\tqqxroot{k}.n.01\n"
-                                   for k in range(FOREST_PAIRS)), encoding="utf-8")
+def forest(name, lines):
+    """FOREST_PAIRS root-and-leaf pairs appended."""
+    lines += [f"qqxroot{k}.n.01\t-\nqqxleaf{k}.n.01\tqqxroot{k}.n.01\n"
+              for k in range(FOREST_PAIRS)]
 
 
-def write_bad_record(corpus: Path, dest: Path, n: int, edit) -> None:
-    """Copy a corpus whose n-th record (from 1) becomes `edit(fields)`,
-    its tab-separated fields rejoined."""
-    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
-    rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
-    i = rows[n - 1]
-    lines[i] = "\t".join(edit(lines[i].rstrip("\n").split("\t"))) + "\n"
-    dest.write_text("".join(lines), encoding="utf-8")
+def bad_index(n, fields):
+    """Record BAD_INDEX_RECORD's index points one past its sentence."""
+    if n == BAD_INDEX_RECORD:
+        fields[-2] = str(len(fields[-1].split()))
 
 
-def with_flags(argv: list[str], **flags: str) -> list[str]:
-    """argv with the value after each `--flag` replaced."""
+def no_tokens(n, fields):
+    """Record NO_TOKENS_RECORD's token column is empty."""
+    if n == NO_TOKENS_RECORD:
+        fields[-1] = ""
+
+
+# One row per probe on a derived input, run in this order: the input
+# (written under inputs/), its edit, the perfbench/run.py `commands` key
+# it feeds, the flag it replaces (its source is the file the flag names,
+# read from the tree's directory: a generated input or the tree's own
+# output), the command's --out (None: it writes none) and the exit code
+# the tree's run must reach.  The comment above a row says what it guards.
+PROBES = (
+    # levels cannot share one encoded batch
+    ("test-data-dropped", drop_first_l1, "eval", "data", "eval-dropped", 0),
+    # the hashed OOV vectors and the lowercase fallback, which the
+    # workloads' own corpora never reach
+    ("test-data-oov", per_record(oov_token), "eval", "data", "eval-oov", 0),
+    # unattempted records: skipped counts and missing prediction lines
+    ("test-data-unattempted", per_record(ghost_original), "eval", "data", "eval-unattempted", 0),
+    # a table token Python's float reads but the C reader does not, then a ragged row
+    ("embeddings-faulted.txt", ragged_table, "build-balls", "embeddings", "balls-faulted", 2),
+    # the node a cycle error names
+    ("inventory-cyclic.tsv", cyclic, "verify-balls", "inventory", None, 2),
+    # the message of the check a record's index meets
+    ("corpus-bad-index.tsv", per_record(bad_index), "prepare-test", "corpus", "test-data-bad-index", 2),
+    # the message of the check a record's tokens meet
+    ("corpus-no-tokens.tsv", per_record(no_tokens), "prepare-test", "corpus", "test-data-no-tokens", 2),
+    # co-roots, more of them than code_width so they share axes, packed and
+    # verified; neither workload's own inventory has more than one root
+    ("inventory-forest.tsv", forest, "build-balls", "inventory", "balls-forest", 0),
+)
+
+
+def with_flags(argv: list[str], **flags: str | None) -> list[str]:
+    """argv with the value after each `--flag` replaced; None leaves it."""
     argv = list(argv)
     for flag, value in flags.items():
-        argv[argv.index(f"--{flag}") + 1] = value
+        if value is not None:
+            argv[argv.index(f"--{flag}") + 1] = value
     return argv
 
 
@@ -267,72 +286,49 @@ def main(argv=None) -> int:
                         tmp / "help-ref", tmp / "help-tree")
         print(f"help: {len(helps)} commands: "
               + (f"{len(diffs)} differences" if diffs else "identical"))
+        misses = []
         for name, generate in WORKLOADS.items():
             work = tmp / name
             (work / "inputs").mkdir(parents=True)
             inputs = generate(0, str(work / "inputs"))
             queries = draw_queries(np.random.default_rng([0, 7]), inputs.parent,
                                    QUERIES_PER_PASS)
-            argvs = [cmd for _, cmd, _ in commands(inputs, "").values()]
+            cmds = commands(inputs, "")
+            argvs = [cmd for _, cmd, _ in cmds.values()]
             hypo, hyper, _ = queries[0]
             unknown = [(GHOST, hyper), (hypo, GHOST)]
             unpadded = [tuple("{}.{}.{}".format(*SenseId.parse(s)) for s in (hypo, hyper))]
             argvs += [query_argv("", q) for q in queries + unknown + unpadded] + [["show-config"]]
             ref_runs = run_pipeline(tmp / "ref-tree" / "src", work / "ref", argvs)
             tree_runs = run_pipeline(ROOT / "src", work / "tree", argvs)
-            faulted = []
-            for side in ("ref", "tree"):
-                built = work / side / "balls" / "balls.tsv"
-                if built.is_file():
-                    (work / side / "faulted-input").mkdir()
-                    write_faulted(built, work / side / "faulted-input" / "balls.tsv")
-            if (work / "tree" / "faulted-input").is_dir():
-                faulted.append(["verify-balls", "--balls", "faulted-input/balls.tsv",
-                                "--inventory", "../inputs/inventory.tsv"])
-            test_data = work / "tree" / "test-data"
-            if test_data.is_dir():
-                write_dropped(test_data, work / "inputs" / "test-data-dropped")
-                write_oov(test_data, work / "inputs" / "test-data-oov")
-                write_unattempted(test_data, work / "inputs" / "test-data-unattempted")
-                for probe in ("dropped", "oov", "unattempted"):
-                    faulted.append(with_flags(commands(inputs, "")["eval"][1],
-                                              data=f"../inputs/test-data-{probe}",
-                                              out=f"eval-{probe}"))
-            write_ragged(work / "inputs" / "embeddings.txt",
-                         work / "inputs" / "embeddings-faulted.txt")
-            faulted.append(with_flags(commands(inputs, "")["build-balls"][1],
-                                      embeddings="../inputs/embeddings-faulted.txt",
-                                      out="balls-faulted"))
-            write_cyclic(work / "inputs" / "inventory.tsv",
-                         work / "inputs" / "inventory-cyclic.tsv")
-            faulted.append(with_flags(commands(inputs, "")["verify-balls"][1],
-                                      inventory="../inputs/inventory-cyclic.tsv"))
-            corpus = work / "inputs" / "corpus-test.tsv"
-            for probe, n, edit in (
-                    ("bad-index", BAD_INDEX_RECORD,
-                     lambda f: [*f[:-2], str(len(f[-1].split())), f[-1]]),
-                    ("no-tokens", NO_TOKENS_RECORD, lambda f: [*f[:-1], ""])):
-                write_bad_record(corpus, work / "inputs" / f"corpus-{probe}.tsv", n, edit)
-                faulted.append(with_flags(commands(inputs, "")["prepare-test"][1],
-                                          corpus=f"../inputs/corpus-{probe}.tsv",
-                                          out=f"test-data-{probe}"))
-            write_forest(work / "inputs" / "inventory.tsv",
-                         work / "inputs" / "inventory-forest.tsv")
-            faulted.append(with_flags(commands(inputs, "")["build-balls"][1],
-                                      inventory="../inputs/inventory-forest.tsv",
-                                      out="balls-forest"))
+            for side in ("ref", "tree"):  # each side's own balls, which verify-balls rejects
+                derive(work / side / "balls" / "balls.tsv",
+                       work / side / "faulted-input" / "balls.tsv", per_record(inflate_radius))
+            # (name, exit code the tree's run must reach, argv) of each probe
+            probes = [("faulted-input/balls.tsv", 3,
+                       with_flags(cmds["verify-balls"][1], balls="faulted-input/balls.tsv"))]
+            for derived, edit, key, flag, out, code in PROBES:
+                argv = cmds[key][1]
+                source = work / "tree" / argv[argv.index(f"--{flag}") + 1]
+                derive(source, work / "inputs" / derived, edit)
+                new = f"../inputs/{derived}"
+                probes.append((derived, code, with_flags(argv, out=out, **{flag: new})))
+            faulted = [argv for *_, argv in probes]
             argvs += faulted
             ref_runs += run_pipeline(tmp / "ref-tree" / "src", work / "ref", faulted)
-            tree_runs += run_pipeline(ROOT / "src", work / "tree", faulted)
+            tree_probes = run_pipeline(ROOT / "src", work / "tree", faulted)
+            misses += [f"{name}: probe {probe} exited {run[1]} in tree, expected {code}"
+                       for (probe, code, _), run in zip(probes, tree_probes) if run[1] != code]
+            tree_runs += tree_probes
             found = compare(name, ref_runs, tree_runs, work / "ref", work / "tree")
             n_files = len(files(work / "tree"))
             print(f"{name}: {len(argvs)} commands, {n_files} files written: "
                   + (f"{len(found)} differences" if found else "identical"))
             diffs += found
-    for line in diffs:
+    for line in diffs + misses:
         print("  " + line)
     print(f"{'same' if not diffs else 'different'} bytes as {args.ref} ({sha[:12]})")
-    return 1 if diffs else 0
+    return 1 if diffs or misses else 0
 
 
 if __name__ == "__main__":
