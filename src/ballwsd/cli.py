@@ -26,8 +26,7 @@ from .embeddings import load_embeddings
 from .encoder import (TrainConfig, embed_records, forward_batch, load_encoder, prepare_arrays,
                       save_encoder, train)
 from .evaluator import predict_records, save_reports
-from .geometry import (GeometryConfig, load_balls, save_balls,
-                       verify_configuration)
+from .geometry import EPSILON, load_balls, save_balls, verify_configuration
 from .inventory import SenseId, load_inventory, shared_hypernym_pairs
 from .selector import deduction_query, save_predictions
 
@@ -36,10 +35,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
 
-# every other key is a GeometryConfig or TrainConfig field, with its default
+# every other key is a TrainConfig field, with its default
 DEFAULTS: dict[str, object] = {
     "levels": "0,1,2,3,4",
-    **asdict(GeometryConfig()),
+    "epsilon": EPSILON,
     **asdict(TrainConfig()),
 }
 
@@ -71,7 +70,7 @@ class Config:
     """
 
     values: dict[str, object]
-    geometry: GeometryConfig
+    epsilon: float
     train: TrainConfig
     levels: list[int]
 
@@ -97,14 +96,14 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> Config:
             raise UsageError(f"--set expects key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
         cfg[key] = _coerce(key, raw)
-    return Config(cfg, _build(GeometryConfig, cfg), _build(TrainConfig, cfg), _levels(cfg))
-
-
-def _build(cls, cfg: dict):
+    # at 1 containment would ask only for the inner ball's centre
+    if not 0.0 <= cfg["epsilon"] < 1.0:
+        raise UsageError("epsilon must lie in [0, 1)")
     try:
-        return cls(**{f.name: cfg[f.name] for f in fields(cls)})
+        train = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    return Config(cfg, cfg["epsilon"], train, _levels(cfg))
 
 
 def _levels(cfg: dict) -> list[int]:
@@ -171,8 +170,8 @@ class _Outputs:
 def cmd_build_balls(args, cfg, out) -> int:
     inventory = load_inventory(args.inventory)
     table = load_embeddings(args.embeddings, {node.lemma for node in inventory.taxonomy.nodes()})
-    balls = construct_balls(inventory.taxonomy, table, cfg.geometry)
-    report = verify_configuration(balls, inventory.taxonomy, cfg.geometry)
+    balls = construct_balls(inventory.taxonomy, table)
+    report = verify_configuration(balls, inventory.taxonomy, cfg.epsilon)
     print(report.render())
     if not report.ok:
         return EXIT_VERIFY
@@ -188,7 +187,7 @@ def cmd_verify_balls(args, cfg, out) -> int:
     # a ball file that shares no sense with the inventory would pass unchecked
     if not any(node in balls for node in inventory.taxonomy.nodes()):
         raise ValueError(f"{args.balls}: no ball names a node of {args.inventory}")
-    report = verify_configuration(balls, inventory.taxonomy, cfg.geometry)
+    report = verify_configuration(balls, inventory.taxonomy, cfg.epsilon)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -285,7 +284,7 @@ def cmd_query(args, cfg, out) -> int:
     a = SenseId.parse(args.hyponym)
     b = SenseId.parse(args.hypernym)
     try:
-        verdict = deduction_query(a, b, balls, cfg.geometry)
+        verdict = deduction_query(a, b, balls, cfg.epsilon)
     except KeyError as exc:
         print(f"unknown sense: {exc.args[0]}", file=sys.stderr)
         return EXIT_DATA

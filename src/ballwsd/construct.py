@@ -33,15 +33,19 @@ import math
 import numpy as np
 
 from .embeddings import EmbeddingTable, hash_unit_vector
-from .geometry import BallConfiguration, GeometryConfig, gaps
+from .geometry import BallConfiguration, gaps
 from .inventory import Taxonomy
 
 # relative slack added to every separation distance so float noise can
 # never flip a verifier comparison
 _REL_SLACK = 1e-7
+# the packing: a parent's radius over its children's reach (> 1, or nesting
+# slack collapses), every leaf's radius (against unit prefixes, the only
+# scale knob) and the extension block's width
+MARGIN, LEAF_RADIUS, CODE_WIDTH = 1.25, 0.1, 16
 
 
-def _slot_map(taxonomy: Taxonomy, order, width: int) -> dict[tuple[int, int], int]:
+def _slot_map(taxonomy: Taxonomy, order) -> dict[tuple[int, int], int]:
     """Assign each used (depth, child-index) pair an extension axis.
 
     Pairs get distinct axes while they fit; overflow wraps around, which
@@ -49,7 +53,7 @@ def _slot_map(taxonomy: Taxonomy, order, width: int) -> dict[tuple[int, int], in
     """
     used = {(depth + 1, idx) for node, depth in order
             for idx in range(1, len(taxonomy.children_of(node)) + 1)}
-    return {pair: pos % width for pos, pair in enumerate(sorted(used))}
+    return {pair: pos % CODE_WIDTH for pos, pair in enumerate(sorted(used))}
 
 
 def _unit_prefix(table: EmbeddingTable, lemma: str) -> np.ndarray:
@@ -81,21 +85,19 @@ def _pack_offsets(radii: list[float], axes: list[int]) -> list[float]:
     return out
 
 
-def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
-                    cfg: GeometryConfig | None = None) -> BallConfiguration:
+def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable) -> BallConfiguration:
     """Build one ball per taxonomy node.
 
     Deterministic: identical inputs give bit-identical output.  The result
     is not verified here; `verify_configuration` checks it.
     """
-    cfg = cfg or GeometryConfig()
     # centers (N x dim) and radii (N) in `Taxonomy.preorder()` row order;
     # the subtree of row i is rows `i:end[i]`
     order = taxonomy.preorder()
     row = {node: i for i, (node, _) in enumerate(order)}
-    slots = _slot_map(taxonomy, order, cfg.code_width)
+    slots = _slot_map(taxonomy, order)
     pdim = table.dim
-    centers = np.zeros((len(order), pdim + cfg.code_width))
+    centers = np.zeros((len(order), pdim + CODE_WIDTH))
     radii = np.zeros(len(order))
     end = list(range(1, len(order) + 1))
 
@@ -115,17 +117,17 @@ def construct_balls(taxonomy: Taxonomy, table: EmbeddingTable,
         centers[i, :pdim] = _unit_prefix(table, node.lemma)
         kids = [row[kid] for kid in taxonomy.children_of(node)]
         if not kids:
-            radii[i] = cfg.leaf_radius
+            radii[i] = LEAF_RADIUS
             continue
         pack(kids, [slots[(depth + 1, idx)] for idx in range(1, len(kids) + 1)])
         end[i] = max(end[k] for k in kids)
         centers[i, pdim:] = np.mean(centers[kids, pdim:], axis=0)
         reach = np.max(gaps(centers[kids], centers[i]) + radii[kids])
-        radii[i] = cfg.margin * reach
+        radii[i] = MARGIN * reach
     roots = taxonomy.roots()
     if len(roots) > 1:
         # co-roots have no covering parent but still must be disjoint
-        pack([row[r] for r in roots], [i % cfg.code_width for i in range(len(roots))])
+        pack([row[r] for r in roots], [i % CODE_WIDTH for i in range(len(roots))])
 
     # final homothety into the unit ball
     scale = 1.0 / np.max(gaps(centers, 0.0) + radii)

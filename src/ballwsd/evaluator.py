@@ -250,7 +250,9 @@ def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
     Row i of V is record i's encoder output:
     `forward_batch(params, *embed_records(records, table, window_k))`, and
     prediction i is its `Prediction`, or None (unattempted) when its word
-    has no candidate with a ball at this level.  Gold is each record's
+    has no candidate with a ball at this level.  A record's word is its
+    annotated tokens joined by `_`, with the part of speech of its
+    original sense; the gold lemma is never read.  Gold is each record's
     target.  Each word's rows are selected in one `select_sense` call.
     """
     records = list(records)
@@ -258,7 +260,8 @@ def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
         raise ValueError(f"{len(V)} encoded rows for {len(records)} records")
     by_word: dict[tuple[str, str], list[int]] = {}
     for i, rec in enumerate(records):
-        by_word.setdefault(rec.original.word, []).append(i)
+        word = "_".join(rec.tokens[k] for k in rec.indices), rec.original.pos
+        by_word.setdefault(word, []).append(i)
     predictions: list[Prediction | None] = [None] * len(records)
     for word, rows in by_word.items():
         candidates = candidate_set(*word, level, inventory, balls)

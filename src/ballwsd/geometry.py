@@ -22,25 +22,8 @@ import numpy as np
 from .inventory import SenseId, Taxonomy
 
 
-@dataclass
-class GeometryConfig:
-    """Tolerances and construction knobs shared across the pipeline."""
-
-    epsilon: float = 1e-9             # relative to the smaller ball's radius
-    margin: float = 1.25              # must stay > 1 or nesting slack collapses
-    leaf_radius: float = 0.1          # against unit prefixes: the only scale knob
-    code_width: int = 16
-
-    def __post_init__(self):
-        # at 1 containment would ask only for the inner ball's centre
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
-        if not 1.0 < self.margin < math.inf:
-            raise ValueError("margin must be finite and > 1")
-        if not (0.0 < self.leaf_radius < 1.0):
-            raise ValueError("leaf_radius must lie in (0, 1)")
-        if self.code_width < 1:
-            raise ValueError("code_width must be >= 1")
+# the ball tests' default tolerance, relative to the smaller ball's radius
+EPSILON = 1e-9
 
 
 def gaps(block, point) -> np.ndarray:
@@ -166,7 +149,7 @@ def load_balls(path) -> BallConfiguration:
     bad = None  # the first malformed line; the rows above it are checked first
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").removesuffix("\r")
+            line = raw.rstrip("\n")
             if not line.strip():
                 continue
             try:
@@ -250,11 +233,8 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_configuration(
-    config: BallConfiguration,
-    taxonomy: Taxonomy,
-    cfg: GeometryConfig | None = None,
-) -> VerificationReport:
+def verify_configuration(config: BallConfiguration, taxonomy: Taxonomy,
+                         epsilon: float = EPSILON) -> VerificationReport:
     """Check every parent-child pair for containment and every co-hyponym
     pair (including co-roots) for disconnection.
 
@@ -265,8 +245,6 @@ def verify_configuration(
     row against the rest of the group after it, so violations come out
     in the order of the pairwise loop.
     """
-    cfg = cfg or GeometryConfig()
-    eps = cfg.epsilon
     report = VerificationReport()
     found = report.violations
     ids, row, centers, radii = config.ids, config.row, config.centers, config.radii
@@ -284,12 +262,12 @@ def verify_configuration(
                 found.extend(Violation("missing", parent, kid, math.inf) for kid in kids)
             else:
                 report.checked_containment += len(rows)
-                slack = containment_rule(gaps(block, centers[p]), radii[p], kid_radii, eps)
+                slack = containment_rule(gaps(block, centers[p]), radii[p], kid_radii, epsilon)
                 found.extend(Violation("containment", parent, kids[j], float(slack[j]))
                              for j in np.flatnonzero(slack > 0.0))
         for i in range(len(rows) - 1):
             slack = overlap_rule(gaps(block[i + 1:], block[i]), kid_radii[i],
-                                 kid_radii[i + 1:], eps)
+                                 kid_radii[i + 1:], epsilon)
             found.extend(Violation("disconnection", kids[i], kids[i + 1 + j], float(slack[j]))
                          for j in np.flatnonzero(slack > 0.0))
         report.checked_disconnection += len(rows) * (len(rows) - 1) // 2

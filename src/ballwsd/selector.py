@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import anchor_at
-from .geometry import BallConfiguration, GeometryConfig, containment_rule, gaps
+from .geometry import EPSILON, BallConfiguration, containment_rule, gaps
 from .inventory import Inventory, SenseId
 
 
@@ -87,21 +87,19 @@ def select_sense(V, candidates: list[Candidate],
 
 
 def deduction_query(hyponym: SenseId, hypernym: SenseId,
-                    balls: BallConfiguration,
-                    cfg: GeometryConfig | None = None) -> bool:
+                    balls: BallConfiguration, epsilon: float = EPSILON) -> bool:
     """Is `hyponym` a kind of `hypernym`, judged purely from ball geometry?
 
     True iff the hypernym's ball contains the hyponym's ball by
     `containment_rule`.  Reflexive, since the rule is inclusive at the
     boundary.  A sense without a ball raises KeyError, the hyponym first.
     """
-    cfg = cfg or GeometryConfig()
     i, o = balls.row.get(hyponym), balls.row.get(hypernym)
     for sense, row in ((hyponym, i), (hypernym, o)):
         if row is None:
             raise KeyError(f"no ball for sense {sense}")
     c, r = balls.centers, balls.radii
-    return bool(containment_rule(gaps(c[i], c[o]), r[o], r[i], cfg.epsilon) <= 0.0)
+    return bool(containment_rule(gaps(c[i], c[o]), r[o], r[i], epsilon) <= 0.0)
 
 
 # ---------------------------------------------------------------------------

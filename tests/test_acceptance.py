@@ -18,7 +18,7 @@ from ballwsd.construct import construct_balls
 from ballwsd.corpus import parse_annotated_corpus, save_records
 from ballwsd.encoder import init_params
 from ballwsd.evaluator import make_synthetic_fixture, score, split_records
-from ballwsd.geometry import GeometryConfig, verify_configuration
+from ballwsd.geometry import EPSILON, verify_configuration
 from ballwsd.inventory import SenseId, Taxonomy
 from ballwsd.selector import Candidate, deduction_query, select_sense
 
@@ -45,9 +45,8 @@ def test_criterion_1_geometry_invariants():
         dim = int(rng.integers(8, 65))
         tax = random_taxonomy(rng, n)
         table = random_table(rng, tax, dim)
-        cfg = GeometryConfig()
-        balls = construct_balls(tax, table, cfg)
-        report = verify_configuration(balls, tax, cfg)
+        balls = construct_balls(tax, table)
+        report = verify_configuration(balls, tax)
         if not report.ok:
             bad += 1
             continue
@@ -60,7 +59,7 @@ def test_criterion_1_geometry_invariants():
                 p, k = row[par], row[node]
                 gap = float(np.linalg.norm(centers[k] - centers[p]))
                 containment_pairs += 1
-                if gap + radii[k] > radii[p] + cfg.epsilon * min(radii[p], radii[k]):
+                if gap + radii[k] > radii[p] + EPSILON * min(radii[p], radii[k]):
                     bad += 1
             kids = [row[k] for k in tax.children_of(node)]
             for i in range(len(kids)):
@@ -68,7 +67,7 @@ def test_criterion_1_geometry_invariants():
                     a, b = kids[i], kids[j]
                     gap = float(np.linalg.norm(centers[a] - centers[b]))
                     disconnection_pairs += 1
-                    if gap < radii[a] + radii[b] - cfg.epsilon * min(radii[a], radii[b]):
+                    if gap < radii[a] + radii[b] - EPSILON * min(radii[a], radii[b]):
                         bad += 1
     elapsed = time.time() - t0
     ok = bad == 0 and elapsed < 60.0
@@ -98,19 +97,18 @@ def test_criterion_2_deduction_soundness():
         nodes.append(node)
     tax = Taxonomy(parent)
     table = random_table(rng, tax, 20)
-    cfg = GeometryConfig()
-    balls = construct_balls(tax, table, cfg)
+    balls = construct_balls(tax, table)
     mism = 0
     for a in nodes:
         for b in nodes:
-            got = deduction_query(a, b, balls, cfg)
+            got = deduction_query(a, b, balls)
             if got != ancestor_or_self(tax, a, b):
                 mism += 1
     greek, human, mammal = chain[4], chain[3], chain[2]
-    chain_ok = (deduction_query(greek, human, balls, cfg)
-                and deduction_query(human, mammal, balls, cfg)
-                and deduction_query(greek, mammal, balls, cfg)
-                and not deduction_query(mammal, greek, balls, cfg))
+    chain_ok = (deduction_query(greek, human, balls)
+                and deduction_query(human, mammal, balls)
+                and deduction_query(greek, mammal, balls)
+                and not deduction_query(mammal, greek, balls))
     elapsed = time.time() - t0
     ok = mism == 0 and chain_ok and elapsed < 10.0
     check(2, ok,

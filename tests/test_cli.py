@@ -79,9 +79,9 @@ class TestConfigResolution:
 
     def test_file_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("# comment\nmargin=2.5\nepochs=7\n")
+        cfg_file.write_text("# comment\nlr=0.5\nepochs=7\n")
         cfg = resolve_config(str(cfg_file), ["epochs=9"])
-        assert cfg.values["margin"] == 2.5 == cfg.geometry.margin
+        assert cfg.values["lr"] == 0.5 == cfg.train.lr
         assert cfg.values["epochs"] == 9 == cfg.train.epochs   # --set beats the file
         assert cfg.values["seed"] == DEFAULTS["seed"]
 
@@ -492,9 +492,11 @@ class TestTrainEval:
         data = prepare(workspace, balls)
         ckpt = train(workspace, balls, data)
         narrow = workspace["dir"] / "narrow"
+        narrow_table = workspace["dir"] / "narrow.txt"
+        rng = np.random.default_rng(41)
+        save_embeddings(table({w: rng.standard_normal(4) for w in LEMMAS}), narrow_table)
         assert main(["build-balls", "--inventory", str(workspace["inventory"]),
-                     "--embeddings", str(workspace["embeddings"]), "--out", str(narrow),
-                     "--set", "code_width=4"]) == 0       # 12 + 4 = 16-d
+                     "--embeddings", str(narrow_table), "--out", str(narrow)]) == 0  # 4 + 16
         out = workspace["dir"] / "e"
         capsys.readouterr()
         code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
@@ -506,7 +508,7 @@ class TestTrainEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
         assert str(ckpt) in err[0] and str(narrow / "balls.tsv") in err[0]
-        assert "28-d" in err[0] and "16-d" in err[0]
+        assert "28-d" in err[0] and "20-d" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("tamper", ["version-1", "missing-array", "extra-layer",
@@ -514,7 +516,7 @@ class TestTrainEval:
                                         "no-arrays", "no-data", "not-base64",
                                         "train-config-value", "truncated",
                                         "window-k-float", "epochs-float", "seed-bool",
-                                        "missing-key"])
+                                        "missing-key", "no-role"])
     def test_eval_rejects_checkpoint_that_does_not_fit(self, workspace, capsys, tamper):
         balls = build(workspace)
         data = prepare(workspace, balls)
@@ -549,6 +551,8 @@ class TestTrainEval:
             doc["train_config"]["seed"] = False
         elif tamper == "missing-key":
             del doc["train_config"]["epochs"]
+        elif tamper == "no-role":
+            del arrays["role"]
         text = json.dumps(doc)
         ckpt.write_text(text[:100] if tamper == "truncated" else text)
         out = workspace["dir"] / "e"
@@ -574,6 +578,7 @@ class TestTrainEval:
                 "epochs-float": "bad train_config: epochs must be an integer, got 1.5",
                 "seed-bool": "bad train_config: seed must be an integer, got False",
                 "missing-key": "bad train_config: missing epochs",
+                "no-role": "no model widths in checkpoint arrays: 'role'",
                 }[tamper] in captured.err
         assert not out.exists()
 
@@ -613,6 +618,16 @@ class TestOneLineErrors:
                 assert out.out == ""
                 assert out.err.splitlines() == [f"data error: {inv}: empty inventory"]
                 assert not out_dir.exists()
+
+    def test_table_of_blank_lines_is_one_line_data_error(self, workspace, capsys):
+        workspace["embeddings"].write_text("\n  \n\t\n")
+        out_dir = workspace["dir"] / "b"
+        code = main(["build-balls", "--inventory", str(workspace["inventory"]),
+                     "--embeddings", str(workspace["embeddings"]), "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {workspace['embeddings']}: empty embedding table"]
+        assert not out_dir.exists()
 
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -867,12 +882,24 @@ class TestSenseIdSpelling:
 
 class TestShowConfigAndUsage:
     def test_show_config_reflects_overrides(self, capsys):
-        assert main(["show-config", "--set", "margin=3.0"]) == 0
+        assert main(["show-config", "--set", "lr=0.5"]) == 0
         out = capsys.readouterr().out
-        assert "margin=3.0" in out and "seed=0" in out
+        assert "lr=0.5" in out and "seed=0" in out
 
     def test_unknown_config_key_is_usage_error(self):
         assert main(["show-config", "--set", "bogus=1"]) == 1
+
+    def test_show_config_prints_seven_keys(self, capsys):
+        assert main(["show-config"]) == 0
+        assert [line.split("=")[0] for line in capsys.readouterr().out.splitlines()] == [
+            "batch_size", "epochs", "epsilon", "levels", "lr", "seed", "window_k"]
+
+    # the ball construction's packing is fixed, so its old keys are unknown
+    @pytest.mark.parametrize("pair", ["margin=2", "leaf_radius=0.2", "code_width=8"])
+    def test_removed_packing_keys_are_unknown(self, capsys, pair):
+        assert main(["show-config", "--set", pair]) == 1
+        key = pair.split("=")[0]
+        assert capsys.readouterr().err == f"error: unknown config key: {key!r}\n"
 
     @pytest.mark.parametrize("line, message", [
         ("epochs=soon", "config key 'epochs' expects int, got 'soon'"),
@@ -881,7 +908,7 @@ class TestShowConfigAndUsage:
     ], ids=["bad-value", "unknown-key", "no-equals"])
     def test_config_file_error_names_its_line(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"# run settings\nmargin=2.5\n{line}\n")
+        cfg.write_text(f"# run settings\nepochs=3\n{line}\n")
         assert main(["show-config", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
         # the same text from --set names no file or line
@@ -892,11 +919,11 @@ class TestShowConfigAndUsage:
     def test_config_file_range_error_names_the_key(self, tmp_path, capsys):
         # checked after merging, since a later --set may override the file
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("margin=0.5\n")
+        cfg.write_text("lr=0\n")
         assert main(["show-config", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "margin" in err and str(cfg) not in err
-        assert main(["show-config", "--config", str(cfg), "--set", "margin=2.0"]) == 0
+        assert err.startswith("error: ") and "lr" in err and str(cfg) not in err
+        assert main(["show-config", "--config", str(cfg), "--set", "lr=0.5"]) == 0
 
     @pytest.mark.parametrize("command", ["build-balls", "verify-balls", "prepare", "train",
                                          "eval", "query", "show-config"])
@@ -917,9 +944,8 @@ class TestShowConfigAndUsage:
         assert exc.value.code == 1
 
     @pytest.mark.parametrize("command, pair", [
-        ("build-balls", "margin=0.5"),
+        ("build-balls", "epsilon=-1"),
         ("prepare", "epochs=-1"),
-        ("show-config", "margin=0.5"),
         ("show-config", "lr=0"),
         ("show-config", "levels=-1"),
         ("verify-balls", "epsilon=nan"),
@@ -927,7 +953,6 @@ class TestShowConfigAndUsage:
         ("show-config", "epsilon=inf"),
         ("show-config", "lr=nan"),
         ("show-config", "lr=inf"),
-        ("show-config", "margin=inf"),
         ("show-config", "seed=-1"),
         ("show-config", "levels=1,1"),
         ("show-config", "levels=0,,1"),

@@ -84,6 +84,14 @@ class TestFiles:
             load_embeddings(p, ["a", "b", "c"])
         assert str(exc.value) == f"{p}:2: {message}"
 
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+        plain.write_text("a 1.0 2.0\nb 3.0 4.0\n")
+        spaced.write_text("\n  \na 1.0 2.0\n\t \nb 3.0 4.0\n \n")
+        want, got = load_embeddings(plain, ["a", "b"]), load_embeddings(spaced, ["a", "b"])
+        assert got.words() == want.words() == ["a", "b"]
+        assert all(np.array_equal(got.vector(w), want.vector(w)) for w in "ab")
+
     def test_large_finite_values_load(self, tmp_path):
         # their squares overflow; the values themselves are finite
         p = tmp_path / "emb.txt"

@@ -200,8 +200,9 @@ class TestPredictRecords:
         ])
         return Inventory(taxonomy=tax), balls
 
-    def record(self, target, original):
-        return TrainingRecord(target, original, ("a", "b", "c"), (1,))
+    def record(self, target, original, token=None):
+        """A record whose annotated token is `token`, or the original's lemma."""
+        return TrainingRecord(target, original, ("a", token or original.lemma, "c"), (1,))
 
     def test_row_count_must_match_records(self):
         inventory, balls = self.inputs()
@@ -221,6 +222,16 @@ class TestPredictRecords:
         assert len(preds) == 3 and preds[1] is None
         # the prediction names a sense; it scores by that sense's level-1 anchor
         assert preds[0].chosen == preds[2].chosen == self.FLY1
+
+    def test_word_is_the_annotated_token_not_gold(self):
+        inventory, balls = self.inputs()
+        records = [self.record(self.MOVE, self.SOLO, token="fly"),   # fly's senses offered
+                   self.record(self.MOVE, self.FLY1, token="ghost")]  # no sense: unattempted
+        V = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        report, preds = predict_records(V, records, 1, inventory, balls)
+        assert preds[0].chosen == self.FLY1 and preds[0].anchor == self.MOVE
+        assert preds[1] is None
+        assert (report.attempted, report.correct, report.total_gold) == (1, 1, 2)
 
     def test_interleaved_words_equal_one_record_per_call(self):
         fx = make_synthetic_fixture(seed=5, n_top=4, senses_per_parent=3,

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ballwsd.cli import UsageError, resolve_config
 from ballwsd.construct import construct_balls
-from ballwsd.geometry import (BallConfiguration, GeometryConfig, RowError,
-                              containment_rule, gaps, load_balls, overlap_rule,
+from ballwsd.geometry import (EPSILON, BallConfiguration, RowError, VerificationReport,
+                              Violation, containment_rule, gaps, load_balls, overlap_rule,
                               save_balls, verify_configuration)
 from ballwsd.inventory import SenseId, Taxonomy
 
@@ -104,17 +105,12 @@ class TestPredicates:
 
 class TestConfigs:
     def test_geometry_config_validation(self):
-        GeometryConfig()
+        # the ball tests' one setting, epsilon, is checked where the
+        # configuration is resolved
+        assert resolve_config(None, []).epsilon == EPSILON
         for bad in (-1e-9, 1.0, 2.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                GeometryConfig(epsilon=bad)
-        for bad in (1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                GeometryConfig(margin=bad)
-        with pytest.raises(ValueError):
-            GeometryConfig(leaf_radius=0.0)
-        with pytest.raises(ValueError):
-            GeometryConfig(code_width=0)
+            with pytest.raises(UsageError, match=r"epsilon must lie in \[0, 1\)"):
+                resolve_config(None, [f"epsilon={bad}"])
 
     def test_ball_configuration_validation(self):
         a = SenseId("a", "n", 1)
@@ -192,6 +188,18 @@ class TestRoundTrip:
         for name, (_, center, radius) in balls.items():
             assert back.radii[back.row[sense(name)]] == radius
             assert np.array_equal(back.centers[back.row[sense(name)]], center)
+
+    def test_blank_lines_load_identically(self, tmp_path):
+        rng = np.random.default_rng(6)
+        cfg = configuration([ball(f"s{i}.n.01", rng.standard_normal(5), float(r))
+                             for i, r in enumerate(rng.uniform(0.1, 2.0, size=6))], prefix=2)
+        path, copy = tmp_path / "balls.tsv", tmp_path / "copy.tsv"
+        save_balls(cfg, path)
+        copy.write_text(path.read_text().replace("\n", "\n\n  \n", 3))
+        want, back = load_balls(path), load_balls(copy)
+        assert back.ids == want.ids and back.embedding_prefix_dim == want.embedding_prefix_dim
+        assert np.array_equal(back.centers, want.centers)
+        assert np.array_equal(back.radii, want.radii)
 
     def test_load_holds_one_copy_of_the_centers(self, tmp_path):
         n, dim = 2000, 128
@@ -336,6 +344,7 @@ class TestRoundTrip:
         assert str(exc.value) == f"{p}:2: a.n.01: center is not base64 float64"
 
     def test_load_accepts_crlf(self, tmp_path):
+        # text mode reads universal newlines, so no line keeps its "\r"
         cfg = configuration([ball("a.n.01", [0.1, 0.2], 0.5), ball("b.n.01", [3.0, -4.0], 1.5)],
                             prefix=1)
         path = tmp_path / "balls.tsv"
@@ -443,6 +452,14 @@ class TestVerifier:
         assert not report.ok
         assert report.violations[0].kind == "disconnection"
 
+    def test_render_shows_fifty_violations(self):
+        a, b = SenseId("a", "n", 1), SenseId("b", "n", 1)
+        report = VerificationReport(violations=[Violation("containment", a, b, 1.0)] * 51)
+        lines = report.render().splitlines()
+        assert lines[2].split() == ["violations:", "51"]
+        assert lines[3:53] == ["  containment: a.n.01 / b.n.01 (slack 1.000e+00)"] * 50
+        assert lines[53:] == ["  ... 1 more"]
+
     def test_epsilon_tolerance_applies(self):
         a, b = SenseId("a", "n", 1), SenseId("b", "n", 1)
         tax = Taxonomy({a: None, b: a})
@@ -451,8 +468,8 @@ class TestVerifier:
             str(b): ball(str(b), [0.0], 1.0 + 5e-10),
         }
         cfg = configuration(balls.values(), prefix=1)
-        assert verify_configuration(cfg, tax, GeometryConfig(epsilon=1e-9)).ok
-        assert not verify_configuration(cfg, tax, GeometryConfig(epsilon=1e-12)).ok
+        assert verify_configuration(cfg, tax, epsilon=1e-9).ok
+        assert not verify_configuration(cfg, tax, epsilon=1e-12).ok
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +503,7 @@ def pairwise_report(config, taxonomy, eps):
 
 
 def assert_same_as_pairwise(config, taxonomy, eps=1e-9):
-    report = verify_configuration(config, taxonomy, GeometryConfig(epsilon=eps))
+    report = verify_configuration(config, taxonomy, epsilon=eps)
     checked_c, checked_d, want = pairwise_report(config, taxonomy, eps)
     assert (report.checked_containment, report.checked_disconnection) == (checked_c, checked_d)
     assert [(v.kind, v.subject, v.other) for v in report.violations] == [w[:3] for w in want]

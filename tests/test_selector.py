@@ -5,7 +5,7 @@ import pytest
 
 from ballwsd.construct import construct_balls
 from ballwsd.evaluator import make_synthetic_fixture
-from ballwsd.geometry import GeometryConfig, containment_rule, load_balls, save_balls
+from ballwsd.geometry import containment_rule, load_balls, save_balls
 from ballwsd.inventory import Inventory, SenseId, Taxonomy
 from ballwsd.selector import (Candidate, Prediction, candidate_set,
                               deduction_query, save_predictions,
@@ -248,12 +248,11 @@ class TestDeductionQuery:
             built = construct_balls(tax, random_table(rng, tax, int(rng.integers(2, 9))))
             balls = with_faults(rng, built, int(rng.integers(1, 12)))
             eps = float(rng.choice([0.0, 1e-9, 0.3]))
-            cfg = GeometryConfig(epsilon=eps)
             for i, hypo in enumerate(balls.ids):
                 for o, hyper in enumerate(balls.ids):
                     gap = float(np.linalg.norm(balls.centers[i] - balls.centers[o]))
                     want = containment_rule(gap, balls.radii[o], balls.radii[i], eps) <= 0.0
-                    got = deduction_query(hypo, hyper, balls, cfg)
+                    got = deduction_query(hypo, hyper, balls, epsilon=eps)
                     assert type(got) is bool and got == want, (hypo, hyper)
                     verdicts.add(got)
         assert verdicts == {True, False}

@@ -32,8 +32,10 @@ command before it failed, derives nothing and still runs.
 
 Every written file, exit code, stdout and stderr that differs is listed,
 a differing stdout or stderr with the first line where the sides part
-(each cut to SHOW_CHARS characters); a file matches only when its bytes
-are equal.  Each probe also names the exit code its run in this tree
+(each cut to SHOW_CHARS characters), and a differing manifest-*.json
+with the config keys removed, added or changed and the input and output
+paths whose hashes differ; a file matches only when its bytes are
+equal.  Each probe also names the exit code its run in this tree
 must reach, and a probe that exits otherwise is listed as a miss.  The
 probes that must exit 0 show by that only that they ran: what they
 guard is held by their bytes alone.
@@ -44,6 +46,7 @@ something differs or a probe misses, 2 when REF cannot be extracted.
 from __future__ import annotations
 
 import argparse
+import json
 import subprocess
 import sys
 import tempfile
@@ -155,11 +158,14 @@ def oov_token(n, fields):
     fields[-1] = " ".join(tokens)
 
 
-def ghost_original(n, fields):
-    """Every UNATTEMPTED_EVERY-th record's original sense (column 1 of a
-    3-column line, column 2 of a 4-column one) becomes GHOST."""
+def ghost_token(n, fields):
+    """Every UNATTEMPTED_EVERY-th record's annotated tokens become GHOST's
+    lemma, a word with no sense; its gold stays."""
     if n % UNATTEMPTED_EVERY == 0:
-        fields[-3] = GHOST
+        tokens = fields[-1].split(" ")
+        for k in fields[-2].split(","):
+            tokens[int(k)] = SenseId.parse(GHOST).lemma
+        fields[-1] = " ".join(tokens)
 
 
 def ragged_table(name, lines):
@@ -207,7 +213,7 @@ PROBES = (
     # workloads' own corpora never reach
     ("test-data-oov", per_record(oov_token), "eval", "data", "eval-oov", 0),
     # unattempted records: skipped counts and missing prediction lines
-    ("test-data-unattempted", per_record(ghost_original), "eval", "data", "eval-unattempted", 0),
+    ("test-data-unattempted", per_record(ghost_token), "eval", "data", "eval-unattempted", 0),
     # a table token Python's float reads but the C reader does not, then a ragged row
     ("embeddings-faulted.txt", ragged_table, "build-balls", "embeddings", "balls-faulted", 2),
     # the node a cycle error names
@@ -216,7 +222,7 @@ PROBES = (
     ("corpus-bad-index.tsv", per_record(bad_index), "prepare-test", "corpus", "test-data-bad-index", 2),
     # the message of the check a record's tokens meet
     ("corpus-no-tokens.tsv", per_record(no_tokens), "prepare-test", "corpus", "test-data-no-tokens", 2),
-    # co-roots, more of them than code_width so they share axes, packed and
+    # co-roots, more of them than CODE_WIDTH so they share axes, packed and
     # verified; neither workload's own inventory has more than one root
     ("inventory-forest.tsv", forest, "build-balls", "inventory", "balls-forest", 0),
 )
@@ -249,6 +255,21 @@ def first_difference(a: str, b: str) -> str:
     return f"    line {n + 1} at ref:  {shown(ref)}\n    line {n + 1} in tree: {shown(tree)}"
 
 
+def manifest_difference(a: bytes, b: bytes) -> str:
+    """What differs between two manifests: the config keys removed, added
+    or changed, and the input and output paths whose hashes differ."""
+    ref, tree = json.loads(a), json.loads(b)
+    rc, tc = ref.get("config", {}), tree.get("config", {})
+    keys = {"removed": rc.keys() - tc.keys(), "added": tc.keys() - rc.keys(),
+            "changed": {k for k in rc.keys() & tc.keys() if rc[k] != tc[k]}}
+    lines = [f"    config keys {how}: {', '.join(sorted(k))}" for how, k in keys.items() if k]
+    for part in ("inputs", "outputs"):
+        r, t = ref.get(part, {}), tree.get(part, {})
+        paths = sorted(p for p in r.keys() | t.keys() if r.get(p) != t.get(p))
+        lines.append(f"    {part} whose hashes differ: {', '.join(paths) or 'none'}")
+    return "\n".join(lines)
+
+
 def compare(workload: str, ref_runs, tree_runs, ref_dir: Path, tree_dir: Path) -> list[str]:
     """What differs: exit codes, stdout, stderr and written files."""
     diffs = []
@@ -263,7 +284,9 @@ def compare(workload: str, ref_runs, tree_runs, ref_dir: Path, tree_dir: Path) -
         if a == b:
             continue
         state = ("only at ref" if b is None else "only in tree" if a is None else "bytes differ")
-        diffs.append(f"{workload}: file {name} ({state})")
+        shown = ("\n" + manifest_difference(a, b)
+                 if state == "bytes differ" and Path(name).name.startswith("manifest-") else "")
+        diffs.append(f"{workload}: file {name} ({state}){shown}")
     return diffs
 
 
