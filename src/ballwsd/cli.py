@@ -23,8 +23,8 @@ from . import __version__
 from .construct import construct_balls
 from .corpus import dataset_report, lift_to_level, parse_annotated_corpus, save_records
 from .embeddings import load_embeddings
-from .encoder import (TrainConfig, embed_records, forward_batch, load_encoder, prepare_arrays,
-                      save_encoder, train)
+from .encoder import (WINDOW_K, TrainConfig, embed_records, forward_batch, load_encoder,
+                      prepare_arrays, save_encoder, train)
 from .evaluator import predict_records, save_reports
 from .geometry import EPSILON, load_balls, save_balls, verify_configuration
 from .inventory import SenseId, load_inventory, shared_hypernym_pairs
@@ -155,8 +155,8 @@ def _dataset_paths(data_dir: str, levels) -> list[str]:
 class _Outputs:
     """`out(name)` creates `--out` on first use and records the path it returns."""
 
-    def __init__(self, out_dir: str | None, manifest_config: dict):
-        self.dir, self.manifest_config, self.paths = out_dir, manifest_config, []
+    def __init__(self, out_dir: str | None):
+        self.dir, self.paths = out_dir, []
 
     def __call__(self, name: str) -> str:
         os.makedirs(self.dir, exist_ok=True)
@@ -207,7 +207,7 @@ def cmd_prepare(args, cfg, out) -> int:
     return EXIT_OK
 
 
-def _training_arrays(args, window_k: int):
+def _training_arrays(args):
     """prepare_arrays' (T, C, Y) for the training corpus.  The records,
     table and balls they come from are freed when this returns, so none
     of them is alive at the first training step."""
@@ -215,13 +215,13 @@ def _training_arrays(args, window_k: int):
     if not records:
         raise ValueError(f"{args.corpus}: training corpus is empty")
     table = load_embeddings(args.embeddings, {t for r in records for t in r.tokens})
-    return prepare_arrays(records, table, load_balls(args.balls), window_k)
+    return prepare_arrays(records, table, load_balls(args.balls))
 
 
 def cmd_train(args, cfg, out) -> int:
-    T, C, Y = _training_arrays(args, cfg.train.window_k)
+    T, C, Y = _training_arrays(args)
     result = train(T, C, Y, cfg.train)
-    save_encoder(result.params, out("checkpoint.json"), cfg.train)
+    save_encoder(result.params, out("checkpoint.json"))
     with open(out("curve.tsv"), "w", encoding="utf-8") as fh:
         for epoch, value in result.curve:
             fh.write("%d\t%.17g\n" % (epoch, value))
@@ -233,12 +233,12 @@ def cmd_train(args, cfg, out) -> int:
 
 
 def _encode_levels(args, datasets):
-    """Encoder outputs for each level's records, the checkpoint's output
-    width and its training config.  The table and the weights live only
-    in this call, so they are freed before eval loads what selection reads."""
+    """Encoder outputs for each level's records and the checkpoint's output
+    width.  The table and the weights live only in this call, so they are
+    freed before eval loads what selection reads."""
     table = load_embeddings(args.embeddings,
                             {t for records in datasets for r in records for t in r.tokens})
-    params, tc = load_encoder(args.checkpoint)
+    params = load_encoder(args.checkpoint)
     if params.dim != table.dim:
         raise ValueError(f"model width is {params.dim} in {args.checkpoint}, "
                          f"but {args.embeddings} holds {table.dim}-d vectors")
@@ -247,9 +247,9 @@ def _encode_levels(args, datasets):
         # lifting rewrites targets only, so levels often share one batch of inputs
         key = [(r.tokens, r.indices) for r in records]
         if key != inputs:
-            V, inputs = forward_batch(params, *embed_records(records, table, tc.window_k)), key
+            V, inputs = forward_batch(params, *embed_records(records, table, WINDOW_K)), key
         outputs.append(V)
-    return outputs, params.out_dim, tc
+    return outputs, params.out_dim
 
 
 def cmd_eval(args, cfg, out) -> int:
@@ -259,14 +259,12 @@ def cmd_eval(args, cfg, out) -> int:
             raise ValueError(f"{path}: no dataset for level {level}")
     # the datasets name every token eval reads, so they are parsed before the table
     datasets = [parse_annotated_corpus(path) for path in data_paths]
-    outputs, out_dim, tc = _encode_levels(args, datasets)
+    outputs, out_dim = _encode_levels(args, datasets)
     balls = load_balls(args.balls)
     if out_dim != balls.dim:
         raise ValueError(f"{args.checkpoint} predicts {out_dim}-d vectors, "
                          f"but {args.balls} holds {balls.dim}-d balls")
     inventory = load_inventory(args.inventory)
-    # training keys describe the evaluated model, so they come from its checkpoint
-    out.manifest_config = {**cfg.values, **asdict(tc)}
     reports = {}
     for level, records, V in zip(cfg.levels, datasets, outputs):
         report, preds = predict_records(V, records, level, inventory, balls)
@@ -349,14 +347,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.config, args.set)
-        out = _Outputs(getattr(args, "out", None), cfg.values)
+        out = _Outputs(getattr(args, "out", None))
         code = args.func(args, cfg, out)
         if code == EXIT_OK and out.paths:
             # inputs: every file flag given except --out; --data stands for its datasets
             flags = COMMANDS[args.command][2]
             inputs = [getattr(args, flag) for flag in flags if flag not in ("data", "out")]
             inputs += _dataset_paths(args.data, cfg.levels) if "data" in flags else []
-            write_manifest(out.dir, args.command, out.manifest_config, inputs, out.paths)
+            write_manifest(out.dir, args.command, cfg.values, inputs, out.paths)
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

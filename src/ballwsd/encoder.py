@@ -17,7 +17,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,42 +27,33 @@ from .geometry import BallConfiguration
 _LN_EPS = 1e-5
 _NORM_CLAMP = 1e-12
 _CHUNK = 256         # most rows forward_batch encodes at once
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
 class TrainConfig:
-    """Training hyperparameters; `window_k` is the context half-window."""
+    """Training hyperparameters."""
 
-    window_k: int = 4
     lr: float = 0.01
     epochs: int = 50
-    batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("window_k", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.lr, (int, float)) or isinstance(self.lr, bool):
-            raise ValueError(f"lr must be a number, got {self.lr!r}")
-        if self.window_k < 0:
-            raise ValueError("window_k must be >= 0")
         if not 0.0 < self.lr < math.inf:
             raise ValueError("lr must be finite and > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
 
-# The architecture is fixed; a checkpoint's arrays give only the widths.
+# The architecture, its input window and its training batch are fixed; a
+# checkpoint's arrays give only the widths.
 LAYERS = 2
 HEADS = 2            # the model width must be a multiple of this
 HEAD_HIDDEN = 2      # head hidden width, as a multiple of the model width
+WINDOW_K = 4         # context half-window, in tokens, on each side of the target
+BATCH_SIZE = 32      # training rows per gradient step
 
 
 @dataclass
@@ -314,17 +305,16 @@ def embed_records(records, table: EmbeddingTable, window_k: int):
     return T, C
 
 
-def prepare_arrays(records, table: EmbeddingTable, balls: BallConfiguration,
-                   window_k: int):
+def prepare_arrays(records, table: EmbeddingTable, balls: BallConfiguration):
     """Embed records into (T, C, Y) matrices.
 
-    Inputs come from embed_records; Y rows are the target senses' center
-    rows, so every record's target must have a ball.
+    Inputs come from embed_records at WINDOW_K; Y rows are the target
+    senses' center rows, so every record's target must have a ball.
     """
     recs = list(records)
     if not recs:
         raise ValueError("no records to embed")
-    T, C = embed_records(recs, table, window_k)
+    T, C = embed_records(recs, table, WINDOW_K)
     rows = []
     for rec in recs:
         i = balls.row.get(rec.target)
@@ -342,7 +332,7 @@ class TrainResult:
 
 def train(T: np.ndarray, C: np.ndarray, Y: np.ndarray, config: TrainConfig) -> TrainResult:
     """Plain mini-batch gradient descent on the cosine loss, over the rows
-    of prepare_arrays' (T, C, Y), built at `config.window_k`.
+    of prepare_arrays' (T, C, Y), in batches of BATCH_SIZE rows.
 
     Deterministic given the config seed: initialization, shuffling and
     arithmetic order are all fixed by it.
@@ -354,8 +344,8 @@ def train(T: np.ndarray, C: np.ndarray, Y: np.ndarray, config: TrainConfig) -> T
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = perm[start:start + BATCH_SIZE]
             value, grads = batch_loss_and_grads(params, T[idx], C[idx], Y[idx])
             for name, g in grads.items():
                 params.arrays[name] -= config.lr * g
@@ -367,9 +357,9 @@ def train(T: np.ndarray, C: np.ndarray, Y: np.ndarray, config: TrainConfig) -> T
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_encoder(params: EncoderParams, path, train_config: TrainConfig) -> None:
-    """Write a versioned JSON checkpoint: the weight arrays, which round-trip
-    exactly, and the training config.  The architecture is not stored."""
+def save_encoder(params: EncoderParams, path) -> None:
+    """Write a versioned JSON checkpoint of the weight arrays, which
+    round-trip exactly.  The architecture is not stored."""
     doc = {
         "format": "encoder-checkpoint",
         "version": CHECKPOINT_VERSION,
@@ -380,14 +370,13 @@ def save_encoder(params: EncoderParams, path, train_config: TrainConfig) -> None
             }
             for name, arr in sorted(params.arrays.items())
         },
-        "train_config": asdict(train_config),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
-def load_encoder(path) -> tuple[EncoderParams, TrainConfig]:
+def load_encoder(path) -> EncoderParams:
     """Read a checkpoint whose array names and shapes are exactly `_layout`
     at the widths they imply; anything else is a ValueError."""
     with open(path, encoding="utf-8") as fh:
@@ -422,13 +411,4 @@ def load_encoder(path) -> tuple[EncoderParams, TrainConfig]:
     if problems:
         raise ValueError(f"{path}: checkpoint arrays do not fit the encoder: "
                          + "; ".join(problems))
-    if not isinstance(doc.get("train_config"), dict):
-        raise ValueError(f"{path}: checkpoint has no train_config object")
-    missing = [f.name for f in fields(TrainConfig) if f.name not in doc["train_config"]]
-    if missing:
-        raise ValueError(f"{path}: bad train_config: missing {', '.join(missing)}")
-    try:
-        tc = TrainConfig(**doc["train_config"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad train_config: {exc}") from exc
-    return params, tc
+    return params

@@ -248,7 +248,7 @@ def predict_records(V: np.ndarray, records, level: int, inventory: Inventory,
     """Predict already-lifted records at one level and score them.
 
     Row i of V is record i's encoder output:
-    `forward_batch(params, *embed_records(records, table, window_k))`, and
+    `forward_batch(params, *embed_records(records, table, WINDOW_K))`, and
     prediction i is its `Prediction`, or None (unattempted) when its word
     has no candidate with a ball at this level.  A record's word is its
     annotated tokens joined by `_`, with the part of speech of its

@@ -216,6 +216,7 @@ class VerificationReport:
     checked_containment: int = 0
     checked_disconnection: int = 0
     violations: list[Violation] = field(default_factory=list)
+    within_rounding: int = 0  # violations whose slack is within float64 rounding of their centres
 
     @property
     def ok(self) -> bool:
@@ -227,6 +228,9 @@ class VerificationReport:
             f"disconnection pairs checked:  {self.checked_disconnection}",
             f"violations:                   {len(self.violations)}",
         ]
+        if self.within_rounding:
+            lines.append(f"within float64 rounding:      {self.within_rounding} of them, "
+                         "past the depth limit (README, Geometry notes)")
         lines.extend("  " + v.render() for v in self.violations[:50])
         if len(self.violations) > 50:
             lines.append(f"  ... {len(self.violations) - 50} more")
@@ -271,4 +275,11 @@ def verify_configuration(config: BallConfiguration, taxonomy: Taxonomy,
             found.extend(Violation("disconnection", kids[i], kids[i + 1 + j], float(slack[j]))
                          for j in np.flatnonzero(slack > 0.0))
         report.checked_disconnection += len(rows) * (len(rows) - 1) // 2
+    if found:
+        # a miss no larger than the centres' own rounding is the depth limit, not a packing fault
+        norms = gaps(centers, 0.0)
+        report.within_rounding = sum(
+            v.kind != "missing"
+            and bool(v.slack <= np.spacing(max(norms[row[v.subject]], norms[row[v.other]])))
+            for v in found)
     return report

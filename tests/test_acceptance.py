@@ -273,8 +273,7 @@ def test_criterion_6_level_gap_and_flatness(tmp_path):
 
     test_data = prepare("test", "0,1,2,3,4")
     data200, data400 = prepare("train200", "0,1"), prepare("train400", "1")
-    tc = ("--set", "window_k=4", "--set", "lr=0.05", "--set", "epochs=30",
-          "--set", "batch_size=32", "--set", "seed=1")
+    tc = ("--set", "lr=0.05", "--set", "epochs=30", "--set", "seed=1")
 
     def run(data, train_level, eval_levels):
         model, out = data / f"model-l{train_level}", data / f"eval-l{train_level}"

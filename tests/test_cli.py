@@ -191,8 +191,12 @@ class TestBuildVerify:
         out_dir = tmp_path / "balls"
         assert main(["build-balls", "--inventory", str(inv), "--embeddings", str(emb),
                      "--out", str(out_dir)]) == code
-        violations = capsys.readouterr().out.split("violations:")[1].split()[0]
+        out = capsys.readouterr().out
+        violations = out.split("violations:")[1].split()[0]
         assert (violations == "0") == (code == 0)
+        # past the limit every violation is one within the rounding of its centres
+        rounding = out.split("within float64 rounding:")[1:]
+        assert [part.split()[0] for part in rounding] == ([violations] if code else [])
         assert out_dir.exists() == (code == 0)
 
     def test_missing_embeddings_is_data_error(self, workspace):
@@ -302,11 +306,37 @@ class TestTrainEval:
         data = prepare(workspace, balls)
         ckpt = train(workspace, balls, data, out="model0",
                      extra=("--set", "epochs=0", "--set", "seed=4"))
-        params, tc = load_encoder(ckpt)
-        assert tc.epochs == 0
+        params = load_encoder(ckpt)
+        manifest = json.loads((ckpt.parent / "manifest-train.json").read_text())
+        assert manifest["config"]["epochs"] == 0
         fresh = init_params(params.dim, params.out_dim, seed=4)
         for name in fresh.arrays:
             assert np.array_equal(params.arrays[name], fresh.arrays[name])
+
+    def test_every_manifest_records_its_own_config(self, workspace, capsys):
+        # eval's checkpoint was trained with other keys, and eval's manifest
+        # still records the config eval resolved, as every command's does
+        balls = build(workspace)
+        data = prepare(workspace, balls, levels="1")
+        ckpt = train(workspace, balls, data)
+        pairs = [a for pair in ("levels=1", "epochs=2", "seed=3", "epsilon=1e-08")
+                 for a in ("--set", pair)]
+        capsys.readouterr()
+        assert main(["show-config", *pairs]) == 0
+        shown = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        inv, emb = workspace["inventory"], workspace["embeddings"]
+        flags = {
+            "build-balls": ["--inventory", inv, "--embeddings", emb],
+            "prepare": ["--corpus", workspace["corpus"], "--inventory", inv, "--balls", balls],
+            "train": ["--corpus", data / "dataset-l1.tsv", "--embeddings", emb, "--balls", balls],
+            "eval": ["--data", data, "--checkpoint", ckpt, "--inventory", inv,
+                     "--embeddings", emb, "--balls", balls],
+        }
+        for command, given in flags.items():
+            out = workspace["dir"] / f"own-{command}"
+            assert main([command, *map(str, given), "--out", str(out), *pairs]) == 0
+            config = json.loads((out / f"manifest-{command}.json").read_text())["config"]
+            assert {k: str(v) for k, v in config.items()} == shown, command
 
     def test_eval_missing_level_is_data_error(self, workspace, capsys):
         balls = build(workspace)
@@ -338,34 +368,6 @@ class TestTrainEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:") and str(empty) in err[0]
         assert not (workspace["dir"] / "m").exists()
-
-    def test_eval_window_k_comes_from_checkpoint(self, workspace):
-        balls = build(workspace)
-        data = prepare(workspace, balls)
-        ckpt = train(workspace, balls, data)
-
-        def evaluate(out, *extra):
-            return main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
-                         "--inventory", str(workspace["inventory"]),
-                         "--embeddings", str(workspace["embeddings"]),
-                         "--balls", str(balls), "--out", str(workspace["dir"] / out),
-                         "--set", "levels=1", *extra])
-
-        assert evaluate("e-default") == 0
-        assert evaluate("e-override", "--set", "window_k=0") == 0
-        preds = [(workspace["dir"] / d / "predictions-l1.tsv").read_bytes()
-                 for d in ("e-default", "e-override")]
-        assert preds[0] == preds[1]
-        manifest = json.loads((workspace["dir"] / "e-override" / "manifest-eval.json").read_text())
-        tc = load_encoder(ckpt)[1]
-        assert manifest["config"]["window_k"] == tc.window_k == 4
-        # every training key describes the checkpoint, not the eval defaults
-        assert (manifest["config"]["epochs"], manifest["config"]["lr"]) == (tc.epochs, tc.lr)
-
-        doc = json.loads(ckpt.read_text())
-        del doc["train_config"]
-        ckpt.write_text(json.dumps(doc))
-        assert evaluate("e-bare") == 2
 
     def test_eval_embedding_dim_mismatch_is_data_error(self, workspace, capsys):
         balls = build(workspace)
@@ -511,12 +513,10 @@ class TestTrainEval:
         assert "28-d" in err[0] and "20-d" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("tamper", ["version-1", "missing-array", "extra-layer",
-                                        "wrong-shape", "top-level-list", "arrays-list",
-                                        "no-arrays", "no-data", "not-base64",
-                                        "train-config-value", "truncated",
-                                        "window-k-float", "epochs-float", "seed-bool",
-                                        "missing-key", "no-role"])
+    @pytest.mark.parametrize("tamper", ["version-1", "version-2", "missing-array",
+                                        "extra-layer", "wrong-shape", "top-level-list",
+                                        "arrays-list", "no-arrays", "no-data", "not-base64",
+                                        "truncated", "no-role"])
     def test_eval_rejects_checkpoint_that_does_not_fit(self, workspace, capsys, tamper):
         balls = build(workspace)
         data = prepare(workspace, balls)
@@ -525,6 +525,10 @@ class TestTrainEval:
         arrays = doc["arrays"]
         if tamper == "version-1":
             doc["version"] = 1
+        elif tamper == "version-2":  # as version 2 wrote it, training config included
+            doc["version"] = 2
+            doc["train_config"] = {"batch_size": 32, "epochs": 4, "lr": 0.05, "seed": 0,
+                                   "window_k": 4}
         elif tamper == "missing-array":
             del arrays["l1.wq"]
         elif tamper == "extra-layer":
@@ -541,16 +545,6 @@ class TestTrainEval:
             del arrays["role"]["data"]
         elif tamper == "not-base64":
             arrays["role"]["data"] = "not base64!"
-        elif tamper == "train-config-value":
-            doc["train_config"]["lr"] = -1.0
-        elif tamper == "window-k-float":
-            doc["train_config"]["window_k"] = 2.5
-        elif tamper == "epochs-float":
-            doc["train_config"]["epochs"] = 1.5
-        elif tamper == "seed-bool":
-            doc["train_config"]["seed"] = False
-        elif tamper == "missing-key":
-            del doc["train_config"]["epochs"]
         elif tamper == "no-role":
             del arrays["role"]
         text = json.dumps(doc)
@@ -565,19 +559,16 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert str(ckpt) in captured.err
-        assert {"version-1": "version 1 unsupported", "missing-array": "missing l1.wq",
+        assert {"version-1": "version 1 unsupported",
+                "version-2": "checkpoint version 2 unsupported (expected 3)",
+                "missing-array": "missing l1.wq",
                 "extra-layer": "unexpected l2.wq",
                 "wrong-shape": "head.w1 is (48, 12), expected (24, 24)",
                 "top-level-list": "not an encoder checkpoint",
                 "arrays-list": "no 'arrays' object", "no-arrays": "no 'arrays' object",
                 "no-data": "unreadable array 'role' (KeyError: 'data')",
                 "not-base64": "unreadable array 'role' (Error: Only base64 data is allowed)",
-                "train-config-value": "bad train_config: lr must be finite and > 0",
                 "truncated": "not valid JSON: Unterminated string",
-                "window-k-float": "bad train_config: window_k must be an integer, got 2.5",
-                "epochs-float": "bad train_config: epochs must be an integer, got 1.5",
-                "seed-bool": "bad train_config: seed must be an integer, got False",
-                "missing-key": "bad train_config: missing epochs",
                 "no-role": "no model widths in checkpoint arrays: 'role'",
                 }[tamper] in captured.err
         assert not out.exists()
@@ -889,13 +880,15 @@ class TestShowConfigAndUsage:
     def test_unknown_config_key_is_usage_error(self):
         assert main(["show-config", "--set", "bogus=1"]) == 1
 
-    def test_show_config_prints_seven_keys(self, capsys):
+    def test_show_config_prints_five_keys(self, capsys):
         assert main(["show-config"]) == 0
         assert [line.split("=")[0] for line in capsys.readouterr().out.splitlines()] == [
-            "batch_size", "epochs", "epsilon", "levels", "lr", "seed", "window_k"]
+            "epochs", "epsilon", "levels", "lr", "seed"]
 
-    # the ball construction's packing is fixed, so its old keys are unknown
-    @pytest.mark.parametrize("pair", ["margin=2", "leaf_radius=0.2", "code_width=8"])
+    # the ball construction's packing and the encoder's window and batch are
+    # fixed, so their old keys are unknown
+    @pytest.mark.parametrize("pair", ["margin=2", "leaf_radius=0.2", "code_width=8",
+                                      "window_k=4", "batch_size=8"])
     def test_removed_packing_keys_are_unknown(self, capsys, pair):
         assert main(["show-config", "--set", pair]) == 1
         key = pair.split("=")[0]
@@ -957,7 +950,6 @@ class TestShowConfigAndUsage:
         ("show-config", "levels=1,1"),
         ("show-config", "levels=0,,1"),
         ("show-config", "levels=1,"),
-        ("show-config", "batch_size=0"),
     ])
     def test_bad_config_value_is_usage_error(self, workspace, capsys, command, pair):
         balls = build(workspace)
@@ -975,7 +967,7 @@ class TestShowConfigAndUsage:
         assert main([command, *flags, "--set", pair]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
-        # the message names the bad key and no other (batch_size=0, not lr)
+        # the message names the bad key and no other
         key = pair.split("=")[0]
         assert [k for k in DEFAULTS if k in captured.err] == [key]
         assert not out.exists()

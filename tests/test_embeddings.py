@@ -358,7 +358,7 @@ class TestEmbedTokens:
         assert T.shape == C.shape == (0, 5)
         balls = configuration([("w.n.01", np.ones(2), 0.5)], prefix=1)
         with pytest.raises(ValueError, match="no records to embed"):
-            prepare_arrays([], t, balls, 4)
+            prepare_arrays([], t, balls)
 
 
 class TestContextVector:

@@ -27,9 +27,9 @@ INSERTS = [b"\x00", b"\xff", b"\t", b"\r", b"\xef\xbb\xbf", b"\n", b" ", b"#"]
 TOKENS = ["nan", "inf", "-inf", "1e999", "-1e999", "", " ", "0", "-1", "1.5", "1_0", "0x10",
           "٣", "²", "a.n.1e3", "a.n.01", "a..01", ".n.01", "a.n.", "-", "#", "==",
           "AAAA", "null", "[]", "{}", "true", "q" * 300, "été.n.01"]
-# config keys a file line or --set may name: every key, three that the
-# ball construction no longer reads, and one never known
-KEYS = [*DEFAULTS, "margin", "leaf_radius", "code_width", "bogus"]
+# config keys a file line or --set may name: every key, five that the ball
+# construction and the encoder no longer read, and one never known
+KEYS = [*DEFAULTS, "margin", "leaf_radius", "code_width", "window_k", "batch_size", "bogus"]
 
 
 @pytest.fixture(scope="module")

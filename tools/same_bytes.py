@@ -32,13 +32,15 @@ command before it failed, derives nothing and still runs.
 
 Every written file, exit code, stdout and stderr that differs is listed,
 a differing stdout or stderr with the first line where the sides part
-(each cut to SHOW_CHARS characters), and a differing manifest-*.json
+(each cut to SHOW_CHARS characters), a differing manifest-*.json
 with the config keys removed, added or changed and the input and output
-paths whose hashes differ; a file matches only when its bytes are
-equal.  Each probe also names the exit code its run in this tree
-must reach, and a probe that exits otherwise is listed as a miss.  The
-probes that must exit 0 show by that only that they ran: what they
-guard is held by their bytes alone.
+paths whose hashes differ, and a differing checkpoint.json with the
+top-level keys removed, added or changed and the arrays whose shape or
+data differ; a file matches only when its bytes are equal.  Each probe
+also names the exit code its run in this tree must reach, and a probe
+that exits otherwise is listed as a miss.  The probes that must exit 0
+show by that only that they ran: what they guard is held by their bytes
+alone.
 Exit status: 0 when nothing differs and no probe misses, 1 when
 something differs or a probe misses, 2 when REF cannot be extracted.
 """
@@ -255,19 +257,35 @@ def first_difference(a: str, b: str) -> str:
     return f"    line {n + 1} at ref:  {shown(ref)}\n    line {n + 1} in tree: {shown(tree)}"
 
 
+def key_changes(what: str, ref: dict, tree: dict) -> list[str]:
+    """One line each for the keys removed, added and changed between two
+    JSON objects, for those that have any."""
+    keys = {"removed": ref.keys() - tree.keys(), "added": tree.keys() - ref.keys(),
+            "changed": {k for k in ref.keys() & tree.keys() if ref[k] != tree[k]}}
+    return [f"    {what} {how}: {', '.join(sorted(k))}" for how, k in keys.items() if k]
+
+
 def manifest_difference(a: bytes, b: bytes) -> str:
     """What differs between two manifests: the config keys removed, added
     or changed, and the input and output paths whose hashes differ."""
     ref, tree = json.loads(a), json.loads(b)
-    rc, tc = ref.get("config", {}), tree.get("config", {})
-    keys = {"removed": rc.keys() - tc.keys(), "added": tc.keys() - rc.keys(),
-            "changed": {k for k in rc.keys() & tc.keys() if rc[k] != tc[k]}}
-    lines = [f"    config keys {how}: {', '.join(sorted(k))}" for how, k in keys.items() if k]
+    lines = key_changes("config keys", ref.get("config", {}), tree.get("config", {}))
     for part in ("inputs", "outputs"):
         r, t = ref.get(part, {}), tree.get(part, {})
         paths = sorted(p for p in r.keys() | t.keys() if r.get(p) != t.get(p))
         lines.append(f"    {part} whose hashes differ: {', '.join(paths) or 'none'}")
     return "\n".join(lines)
+
+
+def checkpoint_difference(a: bytes, b: bytes) -> str:
+    """What differs between two checkpoints, which are one long line each:
+    the top-level keys removed, added or changed, and the arrays whose
+    shape or data differ."""
+    ref, tree = json.loads(a), json.loads(b)
+    ra, ta = ref.get("arrays", {}), tree.get("arrays", {})
+    names = sorted(n for n in ra.keys() | ta.keys() if ra.get(n) != ta.get(n))
+    return "\n".join(key_changes("keys", ref, tree)
+                     + [f"    arrays whose shape or data differ: {', '.join(names) or 'none'}"])
 
 
 def compare(workload: str, ref_runs, tree_runs, ref_dir: Path, tree_dir: Path) -> list[str]:
@@ -284,8 +302,10 @@ def compare(workload: str, ref_runs, tree_runs, ref_dir: Path, tree_dir: Path) -
         if a == b:
             continue
         state = ("only at ref" if b is None else "only in tree" if a is None else "bytes differ")
-        shown = ("\n" + manifest_difference(a, b)
-                 if state == "bytes differ" and Path(name).name.startswith("manifest-") else "")
+        base = Path(name).name
+        explain = (manifest_difference if base.startswith("manifest-")
+                   else checkpoint_difference if base == "checkpoint.json" else None)
+        shown = "\n" + explain(a, b) if state == "bytes differ" and explain else ""
         diffs.append(f"{workload}: file {name} ({state}){shown}")
     return diffs
 
